@@ -31,8 +31,8 @@ pub fn evaluate_howto_bruteforce(
 }
 
 /// Exhaustive search, optionally sharing a session's artifact cache: all
-/// enumerated combinations reuse one relevant view, and re-runs reuse the
-/// per-combination estimators.
+/// enumerated combinations reuse one relevant view, and every combination
+/// over the same attribute subset reuses that subset's one estimator.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_howto_bruteforce_cached(
     db: &Database,

@@ -120,16 +120,23 @@ impl HowToContext {
         let baseline = evaluate_identity_objective(&view, &q.for_clause, &output_spec)?;
 
         // Assemble every candidate's what-if query, then evaluate. The
-        // candidates fan out over the session's persistent worker pool:
-        // the artifact cache is thread-safe and single-flight, so
-        // concurrent candidates share one relevant view, each estimator
-        // is trained at most once, and the values are identical to a
-        // sequential pass (training is seeded and order-independent).
-        // Nesting is safe — a batch of how-to queries and the forest
-        // trainers below them all draw from the same fixed pool.
+        // candidates fan out over the session's persistent worker pool.
+        // All candidates of one attribute share one fitted estimator (it
+        // is keyed on the update column, not the value), and the cache's
+        // single-flight slot makes the first of them train it while the
+        // rest wait. So the list is interleaved round-robin — candidate j
+        // of every attribute before candidate j + 1 — and the first
+        // workers start one training per attribute instead of queueing
+        // behind one attribute's slot. Values are identical to a
+        // sequential pass in any order (training is seeded and
+        // order-independent). Nesting is safe — a batch of how-to queries
+        // and the forest trainers below them all draw from the same fixed
+        // pool.
         let mut flat: Vec<(usize, usize, WhatIfQuery)> = Vec::new();
-        for (i, cands) in candidates.iter().enumerate() {
-            for (j, c) in cands.iter().enumerate() {
+        let rounds = candidates.iter().map(Vec::len).max().unwrap_or(0);
+        for j in 0..rounds {
+            for (i, cands) in candidates.iter().enumerate() {
+                let Some(c) = cands.get(j) else { continue };
                 let wq = candidate_whatif(
                     &whatif_template,
                     vec![UpdateSpec {

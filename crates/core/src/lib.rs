@@ -234,9 +234,9 @@ pub use howto::HowToResult;
 pub use hyper_trace::{Phase, NUM_PHASES};
 pub use session::{
     ArtifactCache, BlockPlan, CacheBudget, EstimatorPlan, ExplainReport, HowToPlan, HyperSession,
-    IntoQuery, PhaseTiming, PreparedQuery, Provenance, QueryInput, QueryKind, QueryOutcome,
-    QueryTimings, RefreshOutcome, RefreshReport, SessionBuilder, SessionStats, SharedArtifactStore,
-    SharedStoreStats, ViewPlan,
+    IntoQuery, KeyedCache, PhaseTiming, PreparedQuery, Provenance, QueryInput, QueryKind,
+    QueryOutcome, QueryTimings, RefreshOutcome, RefreshReport, SessionBuilder, SessionStats,
+    SharedArtifactStore, SharedStoreStats, ViewPlan,
 };
 pub use view::{build_relevant_view, ColumnOrigin, RelevantView, ViewProvenance};
 pub use whatif::exact::exact_whatif;

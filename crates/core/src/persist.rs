@@ -8,8 +8,9 @@
 //! feature layout, fitted encoder, fitted model(s) (forests with exact
 //! `f64` bit patterns → bit-identical predictions), the bound ψ/Y
 //! expression trees, and peer-summary state, so a restarted process
-//! deserializes and evaluates without re-deriving anything from the
-//! query.
+//! deserializes it and evaluates without retraining. It holds no update
+//! functions: each query supplies its own at evaluation, so one file
+//! serves every update of the same columns.
 //!
 //! Layout under `SessionBuilder::persist_dir(root)`:
 //!
@@ -32,8 +33,7 @@ use std::sync::Arc;
 
 use hyper_causal::BlockDecomposition;
 use hyper_query::{
-    HOp, QualifiedName, SelectItem, SelectStmt, TableRef, Temporal, UpdateFunc, UseClause,
-    UseCondition,
+    HOp, QualifiedName, SelectItem, SelectStmt, TableRef, Temporal, UseClause, UseCondition,
 };
 use hyper_storage::AggFunc;
 use hyper_store::{
@@ -106,38 +106,6 @@ fn decode_hop(r: &mut ByteReader<'_>) -> SResult<HOp> {
         10 => HOp::Mul,
         11 => HOp::Div,
         t => return Err(corrupt(format!("invalid operator tag {t}"))),
-    })
-}
-
-fn encode_update_func(w: &mut ByteWriter, f: &UpdateFunc) -> SResult<()> {
-    match f {
-        UpdateFunc::Set(v) => {
-            w.write_u8(0);
-            w.write_value(v);
-        }
-        UpdateFunc::Scale(c) => {
-            w.write_u8(1);
-            w.write_f64(*c);
-        }
-        UpdateFunc::Shift(c) => {
-            w.write_u8(2);
-            w.write_f64(*c);
-        }
-        UpdateFunc::Param { name, .. } => {
-            return Err(StoreError::Unsupported(format!(
-                "estimator carries an unresolved Param({name}) update"
-            )))
-        }
-    }
-    Ok(())
-}
-
-fn decode_update_func(r: &mut ByteReader<'_>) -> SResult<UpdateFunc> {
-    Ok(match r.read_u8("update-function tag")? {
-        0 => UpdateFunc::Set(r.read_value("update constant")?),
-        1 => UpdateFunc::Scale(r.read_f64("scale constant")?),
-        2 => UpdateFunc::Shift(r.read_f64("shift constant")?),
-        t => return Err(corrupt(format!("invalid update-function tag {t}"))),
     })
 }
 
@@ -541,16 +509,22 @@ fn decode_model(r: &mut ByteReader<'_>) -> SResult<FittedModel> {
     })
 }
 
-fn encode_estimator(w: &mut ByteWriter, e: &CausalEstimator) -> SResult<()> {
+/// Opening byte of an estimator payload. The previous layout stored each
+/// update column's function and opened with the aggregate tag (0–4), so a
+/// payload in that layout fails here with a typed version error instead of
+/// being misread.
+const ESTIMATOR_LAYOUT: u8 = 0xE2;
+
+fn encode_estimator(w: &mut ByteWriter, e: &CausalEstimator) {
+    w.write_u8(ESTIMATOR_LAYOUT);
     encode_agg(w, e.agg);
     w.write_u64(e.feature_cols.len() as u64);
     for &c in &e.feature_cols {
         w.write_u64(c as u64);
     }
     w.write_u64(e.update_cols.len() as u64);
-    for (c, f) in &e.update_cols {
-        w.write_u64(*c as u64);
-        encode_update_func(w, f)?;
+    for &c in &e.update_cols {
+        w.write_u64(c as u64);
     }
     mlcodec::encode_encoder(w, &e.encoder);
     encode_model(w, &e.model);
@@ -585,10 +559,16 @@ fn encode_estimator(w: &mut ByteWriter, e: &CausalEstimator) -> SResult<()> {
         }
     }
     w.write_u64(e.trained_rows as u64);
-    Ok(())
 }
 
 fn decode_estimator(r: &mut ByteReader<'_>) -> SResult<CausalEstimator> {
+    let layout = r.read_u8("estimator layout")?;
+    if layout != ESTIMATOR_LAYOUT {
+        return Err(StoreError::VersionMismatch {
+            found: layout.into(),
+            expected: ESTIMATOR_LAYOUT.into(),
+        });
+    }
     let agg = decode_agg(r)?;
     let nf = r.read_len(8, "feature column count")?;
     let mut feature_cols = Vec::with_capacity(nf);
@@ -598,8 +578,7 @@ fn decode_estimator(r: &mut ByteReader<'_>) -> SResult<CausalEstimator> {
     let nu = r.read_len(9, "update column count")?;
     let mut update_cols = Vec::with_capacity(nu);
     for _ in 0..nu {
-        let c = r.read_u64("update column")? as usize;
-        update_cols.push((c, decode_update_func(r)?));
+        update_cols.push(r.read_u64("update column")? as usize);
     }
     let encoder = mlcodec::decode_encoder(r)?;
     let model = decode_model(r)?;
@@ -655,14 +634,19 @@ fn decode_estimator(r: &mut ByteReader<'_>) -> SResult<CausalEstimator> {
             feature_cols.len()
         )));
     }
-    if !update_cols.iter().all(|(c, _)| feature_cols.contains(c)) {
+    if !feature_cols.starts_with(&update_cols) {
         return Err(corrupt(
-            "estimator update columns are not a subset of its feature columns",
+            "estimator update columns do not lead its feature columns",
         ));
     }
-    if let Some((_, pre, post)) = &peer {
+    if let Some((p, pre, post)) = &peer {
         if pre.len() != post.len() {
             return Err(corrupt("estimator peer-mean vectors disagree in length"));
+        }
+        if !update_cols.contains(&p.update_col) {
+            return Err(corrupt(
+                "estimator peer summary is over a non-updated column",
+            ));
         }
     }
     // Every fitted model must expect exactly the feature width the
@@ -706,14 +690,12 @@ fn decode_estimator(r: &mut ByteReader<'_>) -> SResult<CausalEstimator> {
 
 // --------------------------------------------------- the artifact trait
 
-/// An artifact the disk tier can spill and recover. `encode` may refuse
-/// (e.g. unresolved parameters); refusal just means the artifact stays
-/// memory-only.
+/// An artifact the disk tier can spill and recover.
 pub(crate) trait DiskArtifact: Sized {
     /// Which directory/kind tag this artifact files under.
     const KIND: ArtifactKind;
     /// Serialize the payload bytes.
-    fn encode_payload(&self) -> SResult<Vec<u8>>;
+    fn encode_payload(&self) -> Vec<u8>;
     /// Deserialize and fully validate payload bytes.
     fn decode_payload(bytes: &[u8]) -> SResult<Self>;
     /// Approximate in-memory footprint, for the byte-budgeted eviction
@@ -724,10 +706,10 @@ pub(crate) trait DiskArtifact: Sized {
 impl DiskArtifact for RelevantView {
     const KIND: ArtifactKind = ArtifactKind::View;
 
-    fn encode_payload(&self) -> SResult<Vec<u8>> {
+    fn encode_payload(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         encode_view(&mut w, self);
-        Ok(w.into_bytes())
+        w.into_bytes()
     }
 
     fn decode_payload(bytes: &[u8]) -> SResult<Self> {
@@ -745,10 +727,10 @@ impl DiskArtifact for RelevantView {
 impl DiskArtifact for CausalEstimator {
     const KIND: ArtifactKind = ArtifactKind::Estimator;
 
-    fn encode_payload(&self) -> SResult<Vec<u8>> {
+    fn encode_payload(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        encode_estimator(&mut w, self)?;
-        Ok(w.into_bytes())
+        encode_estimator(&mut w, self);
+        w.into_bytes()
     }
 
     fn decode_payload(bytes: &[u8]) -> SResult<Self> {
@@ -779,10 +761,10 @@ impl DiskArtifact for CausalEstimator {
 impl DiskArtifact for BlockDecomposition {
     const KIND: ArtifactKind = ArtifactKind::Blocks;
 
-    fn encode_payload(&self) -> SResult<Vec<u8>> {
+    fn encode_payload(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         causalcodec::encode_blocks(&mut w, self);
-        Ok(w.into_bytes())
+        w.into_bytes()
     }
 
     fn decode_payload(bytes: &[u8]) -> SResult<Self> {
@@ -866,9 +848,7 @@ impl DiskTier {
     /// Spill an artifact (best-effort; errors are swallowed — persistence
     /// is an optimization, and the next process simply rebuilds).
     pub(crate) fn store<T: DiskArtifact>(&self, key: &str, value: &T) {
-        let Ok(payload) = value.encode_payload() else {
-            return;
-        };
+        let payload = value.encode_payload();
         let path = self.path_for(T::KIND, key);
         if let Some(dir) = path.parent() {
             if std::fs::create_dir_all(dir).is_err() {
@@ -947,7 +927,7 @@ mod tests {
     #[test]
     fn view_round_trips() {
         let v = sample_view();
-        let bytes = v.encode_payload().unwrap();
+        let bytes = v.encode_payload();
         let back = RelevantView::decode_payload(&bytes).unwrap();
         assert_eq!(back.table.fingerprint(), v.table.fingerprint());
         assert_eq!(back.origins, v.origins);
@@ -973,20 +953,6 @@ mod tests {
             back.eval_bool(&row, &row).unwrap(),
             bound.eval_bool(&row, &row).unwrap()
         );
-    }
-
-    #[test]
-    fn param_update_refuses_to_serialize() {
-        let mut w = ByteWriter::new();
-        let err = encode_update_func(
-            &mut w,
-            &UpdateFunc::Param {
-                name: "m".into(),
-                mode: hyper_query::ParamMode::Scale,
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, StoreError::Unsupported(_)));
     }
 
     #[test]

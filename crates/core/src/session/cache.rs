@@ -7,9 +7,12 @@
 //!    join and aggregate the whole database,
 //! 2. **block decompositions** (Prop. 1) — one per (database, graph) pair,
 //!    i.e. exactly one per session,
-//! 3. **fitted causal estimators** — one per (view, update set, output,
-//!    adjustment set, estimator configuration); training the random forest
-//!    dominates what-if latency.
+//! 3. **fitted causal estimators** — one per (view, update columns,
+//!    output, adjustment set, estimator configuration); training the random
+//!    forest dominates what-if latency. The update *functions* are not part
+//!    of the key: they are applied at evaluation, so every candidate value
+//!    of a how-to attribute or binding of a parameter sweep shares one
+//!    model.
 //!
 //! The cache keys each artifact by a canonical [`QueryKey`] fingerprint
 //! derived *structurally from the IR* (not from rendered text), so a query
@@ -89,9 +92,9 @@ use crate::whatif::estimator::CausalEstimator;
 /// per artifact kind (`None` = unbounded). Exceeding a cap evicts the
 /// least-recently-used entry.
 ///
-/// Estimators are the store that actually grows in practice — how-to
-/// optimization trains one per distinct candidate update — so
-/// [`CacheBudget::estimators`] is the common configuration.
+/// Estimators are the store that grows with workload variety — one per
+/// distinct (view, update-column list, output, `For`, adjustment set) —
+/// so [`CacheBudget::estimators`] is the common configuration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheBudget {
     /// Maximum relevant views kept (`None` = unbounded).
@@ -122,6 +125,11 @@ impl CacheBudget {
         }
     }
 }
+
+/// Layout tag of [`ArtifactCache::estimator_key`]. Bump it whenever the
+/// key's facets change meaning (the estimator payload carries its own
+/// layout byte in `crate::persist`).
+const ESTIMATOR_KEY_FORMAT: &str = "m2:";
 
 /// Cache hit/miss/eviction counters, exposed through
 /// [`super::SessionStats`].
@@ -182,15 +190,21 @@ impl<T> Default for Slot<T> {
 }
 
 /// A keyed single-flight cache of immutable artifacts with an optional
-/// LRU entry cap.
-struct KeyedCache<T> {
+/// LRU entry cap: concurrent first requests for one key run its builder
+/// once, and a build that pushes the map over its cap evicts the
+/// least-recently-used other entry. The session's artifact tiers are
+/// built on it; it is public so other per-key stores (such as a server's
+/// prepared-template map) get the same single-flight and LRU behaviour.
+pub struct KeyedCache<T> {
     map: RwLock<HashMap<String, Arc<Slot<T>>>>,
     cap: Option<usize>,
     clock: AtomicU64,
 }
 
 impl<T> KeyedCache<T> {
-    fn new(cap: Option<usize>) -> KeyedCache<T> {
+    /// An empty cache keeping at most `cap` built entries (`None` =
+    /// unbounded; `Some(0)` is clamped to 1).
+    pub fn new(cap: Option<usize>) -> KeyedCache<T> {
         KeyedCache {
             map: RwLock::new(HashMap::new()),
             // A cap of 0 would evict the entry just built before anyone
@@ -217,8 +231,9 @@ impl<T> KeyedCache<T> {
 
     /// Fetch `key`, building via `build` on first use. `hits`/`misses` are
     /// bumped so that exactly one miss is recorded per successful build;
-    /// `evictions` counts LRU entries dropped to honor the cap.
-    fn get_or_build(
+    /// `evictions` counts LRU entries dropped to honor the cap. A failed
+    /// build records nothing and leaves no entry behind.
+    pub fn get_or_build(
         &self,
         key: &str,
         hits: &AtomicU64,
@@ -248,7 +263,22 @@ impl<T> KeyedCache<T> {
             hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(v));
         }
-        let built = Arc::new(build()?);
+        let built = match build() {
+            Ok(v) => Arc::new(v),
+            Err(e) => {
+                // A failed build leaves nothing behind: drop this key's
+                // still-empty slot, so keys that never build (say, invalid
+                // query texts from clients) cannot grow the map.
+                let mut map = self.map.write().unwrap_or_else(|e| e.into_inner());
+                if map
+                    .get(key)
+                    .is_some_and(|s| Arc::ptr_eq(s, &slot) && s.cell.get().is_none())
+                {
+                    map.remove(key);
+                }
+                return Err(e);
+            }
+        };
         slot.cell
             .set(Arc::clone(&built))
             .unwrap_or_else(|_| unreachable!("init lock held"));
@@ -313,13 +343,25 @@ impl<T> KeyedCache<T> {
     }
 
     /// Number of *built* entries (unfilled race slots don't count).
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.map
             .read()
             .unwrap_or_else(|e| e.into_inner())
             .values()
             .filter(|slot| slot.cell.get().is_some())
             .count()
+    }
+
+    /// True when no entry is built.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Drop every entry. A build in flight finishes into its own detached
+    /// slot: its caller gets the value, but the cache does not keep it, so
+    /// nothing built before the clear is served after it.
+    pub fn clear(&self) {
+        self.map.write().unwrap_or_else(|e| e.into_inner()).clear();
     }
 
     /// Every built entry as `(key, value)` — the survivor scan a delta
@@ -490,16 +532,24 @@ impl ArtifactCache {
     }
 
     /// Fingerprint of everything a fitted estimator depends on: the view it
-    /// was trained over, the update set, the output (ψ and Y), the `For`
+    /// was trained over, the resolved update *columns* in update order
+    /// (feature order shapes the forest), the output (ψ and Y), the `For`
     /// clause (whose pre-conjuncts feed the adjustment set), the resolved
-    /// adjustment columns, and the estimator-relevant configuration. The
-    /// `When` clause is deliberately absent — it only masks rows at
-    /// evaluation time and does not influence training (§3.3). Like
-    /// [`ArtifactCache::view_key`], the query parts are encoded
-    /// structurally from the IR, so parameterized queries re-key per
-    /// binding exactly when the resolved literals differ.
+    /// adjustment columns, and the estimator-relevant configuration.
+    ///
+    /// Two query parts are deliberately absent. The update *functions*
+    /// are applied at evaluation time (Eqs. 35–40 reduce the post-update
+    /// conditional to a pre-update one queried at `f(b)`), so every value
+    /// of a how-to candidate or a swept parameter shares one model, and
+    /// `Update(status)` and `Update(STATUS)` resolve to the same column.
+    /// The `When` clause only masks rows at evaluation time (§3.3).
+    ///
+    /// The key opens, after the view key, with [`ESTIMATOR_KEY_FORMAT`]:
+    /// an estimator file spilled under an older key layout hashes to
+    /// another file name and is simply never read.
     pub(crate) fn estimator_key(
         view_key: &str,
+        update_cols: &[usize],
         q: &WhatIfQuery,
         backdoor_cols: &[usize],
         config: &EngineConfig,
@@ -508,9 +558,8 @@ impl ArtifactCache {
         let mut key = String::with_capacity(view_key.len() + 128);
         key.push_str(view_key);
         key.push('\u{1f}');
-        for u in &q.updates {
-            qkey::write_update_spec(&mut key, u);
-        }
+        key.push_str(ESTIMATOR_KEY_FORMAT);
+        let _ = write!(key, "{update_cols:?}");
         key.push('\u{1f}');
         qkey::write_output(&mut key, &q.output);
         key.push('\u{1f}');
@@ -531,8 +580,8 @@ impl ArtifactCache {
             config.seed,
             config.peer_summaries,
         );
-        // Same case discipline as `view_key`: exact text, no folding
-        // (`Update(color) = 'Red'` ≠ `= 'red'`).
+        // Same case discipline as `view_key` for the output and `For`
+        // parts: exact text, no folding (`Post(color) = 'Red'` ≠ `= 'red'`).
         key
     }
 
@@ -816,6 +865,59 @@ mod tests {
         let misses_before = m.load(Ordering::Relaxed);
         get("b", 2);
         assert_eq!(m.load(Ordering::Relaxed), misses_before + 1);
+    }
+
+    #[test]
+    fn clear_detaches_builds_in_flight() {
+        use super::KeyedCache;
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        let cache: KeyedCache<u32> = KeyedCache::new(Some(4));
+        let (h, m, e) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+        cache.get_or_build("a", &h, &m, &e, || Ok(1)).unwrap();
+        // A clear that lands while "b" is being built: the builder's
+        // caller still gets its value, but the cache keeps neither entry.
+        let b = cache
+            .get_or_build("b", &h, &m, &e, || {
+                cache.clear();
+                Ok(2)
+            })
+            .unwrap();
+        assert_eq!(*b, 2);
+        assert!(cache.is_empty(), "nothing built before the clear is kept");
+        // The next request builds afresh.
+        let misses = m.load(Ordering::Relaxed);
+        assert_eq!(*cache.get_or_build("b", &h, &m, &e, || Ok(3)).unwrap(), 3);
+        assert_eq!(m.load(Ordering::Relaxed), misses + 1);
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn failed_builds_leave_no_slot_behind() {
+        use super::KeyedCache;
+        use crate::error::EngineError;
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        let cache: KeyedCache<u32> = KeyedCache::new(Some(4));
+        let (h, m, e) = (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
+        // Far more distinct failing keys than the cap: none may stay in
+        // the map, built or not.
+        for i in 0..100 {
+            let key = format!("bad {i}");
+            let r =
+                cache.get_or_build(&key, &h, &m, &e, || Err(EngineError::Query("parse".into())));
+            assert!(r.is_err());
+        }
+        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.map.read().unwrap().len(), 0, "no empty slots kept");
+        assert_eq!(m.load(Ordering::Relaxed), 0);
+        // A key that failed once builds and caches normally afterwards.
+        assert_eq!(
+            *cache.get_or_build("bad 0", &h, &m, &e, || Ok(7)).unwrap(),
+            7
+        );
+        assert!(cache.peek("bad 0"));
+        assert_eq!(cache.map.read().unwrap().len(), 1);
     }
 
     #[test]

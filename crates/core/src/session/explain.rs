@@ -100,7 +100,7 @@ pub struct EstimatorPlan {
     pub sample_cap: Option<usize>,
     /// Training seed.
     pub seed: u64,
-    /// Full estimator cache key (view ⊕ updates ⊕ output ⊕ for ⊕
+    /// Full estimator cache key (view ⊕ update columns ⊕ output ⊕ for ⊕
     /// adjustment ⊕ config).
     pub key: String,
     /// Cache provenance (never `Miss`: explain does not train).

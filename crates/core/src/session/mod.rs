@@ -15,7 +15,8 @@
 //! * ad-hoc [`HyperSession::execute`] / [`HyperSession::whatif_text`] calls,
 //! * parallel [`HyperSession::execute_batch`] fan-out, and
 //! * candidate enumeration inside how-to optimization, whose hundreds of
-//!   candidate what-if queries all share one relevant view.
+//!   candidate what-if queries all share one relevant view, and whose
+//!   candidate values of one attribute share one fitted estimator.
 //!
 //! Queries enter as text, as parsed ASTs, or through the typed
 //! [`WhatIf`]/[`HowTo`] builders — all three share cache entries, because
@@ -82,7 +83,7 @@ use crate::howto::HowToResult;
 use crate::view::RelevantView;
 use crate::whatif::{evaluate_whatif_cached, evaluate_whatif_on_view, WhatIfResult};
 
-pub use cache::{ArtifactCache, CacheBudget};
+pub use cache::{ArtifactCache, CacheBudget, KeyedCache};
 pub use explain::{
     BlockPlan, EstimatorPlan, ExplainReport, HowToPlan, PhaseTiming, Provenance, QueryKind,
     QueryTimings, ViewPlan,
@@ -324,8 +325,9 @@ impl SessionBuilder {
     /// Bound the artifact cache: at most `budget.max_views` relevant views
     /// and `budget.max_estimators` fitted estimators are kept, evicting the
     /// least-recently-used entry past a cap. Unbounded by default — set
-    /// this for long-lived sessions running how-to optimization, which
-    /// otherwise accumulates one estimator per distinct candidate update.
+    /// this for long-lived sessions serving many distinct query shapes,
+    /// which accumulate one estimator per distinct (view, update columns,
+    /// output, `For` clause, adjustment set).
     pub fn cache_budget(mut self, budget: CacheBudget) -> SessionBuilder {
         self.cache_budget = budget;
         self
@@ -797,8 +799,9 @@ impl HyperSession {
     /// A prepared query may contain `Param(name)` placeholders; execute it
     /// with [`PreparedQuery::execute_with`], supplying a [`Bindings`] map
     /// per call. The view (and its cache entry) is shared across every
-    /// binding; only the estimator re-keys when the resolved update/output
-    /// literals actually differ.
+    /// binding; the estimator re-keys only when resolved output or `For`
+    /// literals differ — update values are applied at evaluation and never
+    /// retrain.
     pub fn prepare(&self, input: impl IntoQuery) -> Result<PreparedQuery> {
         self.traced(Phase::Execute, || self.prepare_inner(input))
     }
@@ -981,7 +984,7 @@ impl HyperSession {
 /// placeholders; [`PreparedQuery::execute_with`] resolves them against a
 /// [`Bindings`] map per call, keeping the relevant view (and, for how-to,
 /// the block decomposition) shared across the whole sweep while the
-/// estimator re-keys only when the resolved literals differ.
+/// estimator re-keys only when resolved output or `For` literals differ.
 #[derive(Clone)]
 pub struct PreparedQuery {
     session: HyperSession,
@@ -1054,8 +1057,8 @@ impl PreparedQuery {
     /// Resolve the template's `Param(…)` placeholders against `bindings`
     /// and execute. No parsing and no view resolution happens here — a
     /// sweep of N bindings over one prepared query costs one view build
-    /// total, plus one estimator training per *distinct* resolved
-    /// update/output combination.
+    /// total, plus one estimator training per *distinct* resolved output
+    /// and `For` clause (a sweep over update values alone trains once).
     pub fn execute_with(&self, bindings: &Bindings) -> Result<QueryOutcome> {
         let bound = self.query.bind(bindings).map_err(EngineError::from)?;
         self.execute_query(&bound)

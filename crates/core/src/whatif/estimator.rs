@@ -7,6 +7,12 @@
 //! regression model (§A.4's homogeneity assumption) — a random forest, as
 //! in the paper's implementation.
 //!
+//! The reduction is what lets one fitted model serve every update
+//! function over the same attributes: `f` enters only as the point the
+//! model is queried at. So [`CausalEstimator`] is the fitted model alone,
+//! and the update functions are passed to [`CausalEstimator::evaluate`]
+//! per query.
+//!
 //! The §3.3 support-index optimization appears here as prediction
 //! memoization: rows sharing the same (post-update) feature combination are
 //! predicted once.
@@ -48,10 +54,10 @@ impl PeerSummary {
     pub fn detect(
         view: &RelevantView,
         graph: Option<&CausalGraph>,
-        update_cols: &[(usize, UpdateFunc)],
+        update_cols: &[usize],
     ) -> Result<Option<PeerSummary>> {
         let Some(g) = graph else { return Ok(None) };
-        for &(uc, _) in update_cols {
+        for &uc in update_cols {
             let o = &view.origins[uc];
             let Ok(node) = g.node_id(&o.relation, &o.attribute) else {
                 continue;
@@ -110,8 +116,9 @@ impl PeerSummary {
 
 /// Everything needed to fit the estimator.
 pub struct EstimatorSpec<'a> {
-    /// Updated columns with their functions.
-    pub update_cols: &'a [(usize, UpdateFunc)],
+    /// Updated columns, in update order (the functions are not needed to
+    /// fit: they are applied at evaluation).
+    pub update_cols: &'a [usize],
     /// Backdoor adjustment columns.
     pub backdoor_cols: &'a [usize],
     /// Optional cross-tuple summary feature.
@@ -216,13 +223,18 @@ impl FittedModel {
     }
 }
 
-/// A fitted causal estimator for one what-if query. Fields are
+/// A fitted causal estimator: the model of one what-if query family over
+/// a fixed set of update *attributes*. It holds no update functions —
+/// every query that updates the same columns (in the same order) with the
+/// same output, `For` clause and adjustment set shares it, and supplies
+/// its own functions to [`CausalEstimator::evaluate`]. Fields are
 /// crate-visible so `crate::persist` can serialize a fitted estimator for
 /// the disk cache tier.
 pub struct CausalEstimator {
     pub(crate) agg: AggFunc,
     pub(crate) feature_cols: Vec<usize>,
-    pub(crate) update_cols: Vec<(usize, UpdateFunc)>,
+    /// The updated columns, in update order: the leading feature columns.
+    pub(crate) update_cols: Vec<usize>,
     pub(crate) encoder: TableEncoder,
     /// Main model: E[target | features] where target is `1{ψ}` (Count),
     /// `Y·1{ψ}` (Sum/Avg numerator).
@@ -230,8 +242,7 @@ pub struct CausalEstimator {
     /// Denominator model for Avg when ψ exists: E[1{ψ} | features].
     pub(crate) denom_model: Option<FittedModel>,
     /// ψ and Y bound expressions for unaffected-row evaluation — shared
-    /// with the caller via `Arc` (one estimator per candidate update would
-    /// otherwise deep-clone both trees per fit).
+    /// with the caller via `Arc`, so a fit never deep-clones either tree.
     pub(crate) psi: Option<Arc<BoundHExpr>>,
     pub(crate) y: Option<Arc<BoundHExpr>>,
     /// Peer summary state: pre-update peer means per row + post-update peer
@@ -268,7 +279,7 @@ impl CausalEstimator {
         }
 
         // Feature columns: updates first, then backdoor set.
-        let mut feature_cols: Vec<usize> = spec.update_cols.iter().map(|(c, _)| *c).collect();
+        let mut feature_cols: Vec<usize> = spec.update_cols.to_vec();
         feature_cols.extend_from_slice(spec.backdoor_cols);
         let names: Vec<String> = feature_cols
             .iter()
@@ -481,7 +492,7 @@ impl CausalEstimator {
         let ncols = view.table.num_columns();
         let nrows = view.table.num_rows();
         let cols_ok = self.feature_cols.iter().all(|&c| c < ncols)
-            && self.update_cols.iter().all(|&(c, _)| c < ncols);
+            && self.update_cols.iter().all(|&c| c < ncols);
         let exprs_ok = [&self.psi, &self.y].into_iter().all(|e| {
             e.as_ref().is_none_or(|b| {
                 b.pre_columns()
@@ -496,15 +507,18 @@ impl CausalEstimator {
         cols_ok && exprs_ok && peer_ok
     }
 
-    /// Evaluate the query value over the view given the update (`when`) and
-    /// scope (`for`-pre) masks.
+    /// Evaluate the query value over the view for the update `updates`
+    /// (column, function) — the columns must be this estimator's update
+    /// columns, in order — given the update (`when`) and scope (`for`-pre)
+    /// masks.
     pub fn evaluate(
         &self,
         view: &RelevantView,
+        updates: &[(usize, UpdateFunc)],
         when_mask: &[bool],
         scope_mask: &[bool],
     ) -> Result<f64> {
-        let (numerator, denominator) = self.evaluate_parts(view, when_mask, scope_mask)?;
+        let (numerator, denominator) = self.evaluate_parts(view, updates, when_mask, scope_mask)?;
         Ok(match self.agg {
             AggFunc::Avg => {
                 if denominator == 0.0 {
@@ -532,9 +546,18 @@ impl CausalEstimator {
     pub fn evaluate_parts(
         &self,
         view: &RelevantView,
+        updates: &[(usize, UpdateFunc)],
         when_mask: &[bool],
         scope_mask: &[bool],
     ) -> Result<(f64, f64)> {
+        if !updates.iter().map(|(c, _)| c).eq(&self.update_cols) {
+            return Err(EngineError::Plan(format!(
+                "estimator fitted for update columns {:?} cannot evaluate an update of {:?}",
+                self.update_cols,
+                updates.iter().map(|(c, _)| *c).collect::<Vec<_>>()
+            )));
+        }
+        let func_of = |c: usize| updates.iter().find(|(uc, _)| *uc == c).map(|(_, f)| f);
         let table = &view.table;
         let n = table.num_rows();
 
@@ -542,12 +565,7 @@ impl CausalEstimator {
         let peer_post: Option<Vec<f64>> = match &self.peer {
             Some((p, _, _)) => {
                 let update_col = table.column(p.update_col);
-                let func = &self
-                    .update_cols
-                    .iter()
-                    .find(|(c, _)| *c == p.update_col)
-                    .expect("peer summary over an updated column")
-                    .1;
+                let func = func_of(p.update_col).expect("peer summary over an updated column");
                 let mut post_vals = Vec::with_capacity(n);
                 for (i, &updated) in when_mask.iter().enumerate() {
                     let v = if updated {
@@ -622,9 +640,9 @@ impl CausalEstimator {
         let mut typed_ok = true;
         for (k, &c) in self.feature_cols.iter().enumerate() {
             let src = table.column(c);
-            match self.update_cols.iter().find(|(uc, _)| *uc == c) {
+            match func_of(c) {
                 None => feat_cols.push(src.gather(&affected)),
-                Some((_, func)) => {
+                Some(func) => {
                     // Typed kernel first: the common numeric / in-dictionary
                     // updates build the post column straight off the typed
                     // buffers. Falls back to per-row `Value`s when the
@@ -666,8 +684,8 @@ impl CausalEstimator {
                         Some(vals) => vals[row].clone(),
                         // Update columns the typed kernel handled have no
                         // materialized values; recompute the post value.
-                        None => match self.update_cols.iter().find(|(uc, _)| *uc == c) {
-                            Some((_, func)) if when_mask[i] => {
+                        None => match func_of(c) {
+                            Some(func) if when_mask[i] => {
                                 apply_update(func, &table.column(c).value(i))?
                             }
                             _ => table.column(c).value(i),

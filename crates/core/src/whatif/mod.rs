@@ -198,7 +198,13 @@ pub(crate) fn plan_whatif(
         &post_cols,
         &for_pre_cols,
     )?;
-    let estimator_key = ArtifactCache::estimator_key(view_key, q, &backdoor_cols, config);
+    let estimator_key = ArtifactCache::estimator_key(
+        view_key,
+        &column_indices(&update_cols),
+        q,
+        &backdoor_cols,
+        config,
+    );
     Ok(WhatIfQueryPlan {
         needs_estimation: true,
         backdoor: backdoor_cols
@@ -334,8 +340,8 @@ pub(crate) fn evaluate_whatif_on_view(
 
     // Output decomposition: ψ (post-world predicate) and Y (post value).
     let (psi_expr, y_expr) = output_decomposition(&q.output, &post_conj)?;
-    // ψ and Y are shared (not deep-cloned) by every estimator fitted from
-    // this query — one how-to run fits hundreds of candidate estimators.
+    // ψ and Y are shared (not deep-cloned) with the estimator fitted from
+    // this query.
     let psi: Option<Arc<BoundHExpr>> = psi_expr
         .as_ref()
         .map(|e| bind_hexpr(e, &schema, Temporal::Post).map(Arc::new))
@@ -398,15 +404,19 @@ pub(crate) fn evaluate_whatif_on_view(
     )?;
     drop(plan_span);
 
+    // The fitted model depends on the update columns, never on the
+    // functions (Eqs. 35–40): those are applied at evaluation.
+    let fit_cols = column_indices(&update_cols);
+
     // Optional cross-tuple peer summary (ψ of §2.2).
     let peer = if config.peer_summaries {
-        PeerSummary::detect(view, graph, &update_cols)?
+        PeerSummary::detect(view, graph, &fit_cols)?
     } else {
         None
     };
 
     let spec = EstimatorSpec {
-        update_cols: &update_cols,
+        update_cols: &fit_cols,
         backdoor_cols: &backdoor_cols,
         peer,
         sample_cap: config.sample_cap,
@@ -432,11 +442,12 @@ pub(crate) fn evaluate_whatif_on_view(
         }
     };
     // Inside a session, fitted estimators are cached under a fingerprint of
-    // (view, update set, output, adjustment set, estimator config): a
-    // repeated prepared query skips training entirely.
+    // (view, update columns, output, adjustment set, estimator config): a
+    // repeated prepared query — or any query updating the same columns
+    // with other functions — skips training entirely.
     let est: Arc<CausalEstimator> = match cache {
         Some(c) => {
-            let key = ArtifactCache::estimator_key(view_key, q, &backdoor_cols, config);
+            let key = ArtifactCache::estimator_key(view_key, &fit_cols, q, &backdoor_cols, config);
             // The `fits_view` vet applies to disk-recovered estimators
             // (untrusted bytes whose indices the context-free decoder
             // cannot range-check); a failing artifact is a plain miss
@@ -458,9 +469,19 @@ pub(crate) fn evaluate_whatif_on_view(
         }
     };
     let value = if config.use_blocks {
-        evaluate_by_blocks(db, graph, q, view, &est, &when_mask, &scope_mask, cache)?
+        evaluate_by_blocks(
+            db,
+            graph,
+            q,
+            view,
+            &est,
+            &update_cols,
+            &when_mask,
+            &scope_mask,
+            cache,
+        )?
     } else {
-        est.evaluate(view, &when_mask, &scope_mask)?
+        est.evaluate(view, &update_cols, &when_mask, &scope_mask)?
     };
 
     Ok(WhatIfResult {
@@ -492,6 +513,7 @@ fn evaluate_by_blocks(
     q: &WhatIfQuery,
     view: &RelevantView,
     est: &CausalEstimator,
+    updates: &[(usize, UpdateFunc)],
     when_mask: &[bool],
     scope_mask: &[bool],
     cache: Option<&ArtifactCache>,
@@ -513,7 +535,7 @@ fn evaluate_by_blocks(
     };
     let n = view.table.num_rows();
     let (num, den) = match blocks {
-        None => est.evaluate_parts(view, when_mask, scope_mask)?,
+        None => est.evaluate_parts(view, updates, when_mask, scope_mask)?,
         Some(blocks) => {
             let table_idx = match &q.use_clause {
                 hyper_query::UseClause::Table(name) => db
@@ -539,7 +561,7 @@ fn evaluate_by_blocks(
                 if !any {
                     continue;
                 }
-                let (bn, bd) = est.evaluate_parts(view, when_mask, &block_scope)?;
+                let (bn, bd) = est.evaluate_parts(view, updates, when_mask, &block_scope)?;
                 num += bn;
                 den += bd;
             }
@@ -644,6 +666,11 @@ fn deterministic_eval(
         }
         _ => total,
     })
+}
+
+/// The column indices of resolved updates, in update order.
+fn column_indices(update_cols: &[(usize, UpdateFunc)]) -> Vec<usize> {
+    update_cols.iter().map(|(c, _)| *c).collect()
 }
 
 /// Reject multi-updates whose attributes are causally connected (§3.1:

@@ -162,3 +162,49 @@ pub fn credit_db(n: usize, seed: u64) -> (Database, Scm, hyper_causal::CausalGra
     let graph = scm.to_causal_graph("d");
     (db, scm, graph)
 }
+
+/// Three independent causes `a`, `b`, `c` (uniform over {0, 1, 2}) of a
+/// binary outcome `y` whose success probability grows with `a + b + c`.
+/// No cause reaches another, so every subset of them is a valid
+/// multi-attribute update.
+pub fn three_cause_db(n: usize, seed: u64) -> (Database, Scm, hyper_causal::CausalGraph) {
+    let levels = [Value::Int(0), Value::Int(1), Value::Int(2)];
+    let mut scm = Scm::new();
+    for cause in ["a", "b", "c"] {
+        let prior = levels.iter().map(|v| (v.clone(), 1.0 / 3.0)).collect();
+        scm.add_node(
+            cause,
+            DataType::Int,
+            &[],
+            Mechanism::CategoricalPrior(prior),
+        )
+        .unwrap();
+    }
+    let mut y = HashMap::new();
+    for a in 0..3 {
+        for b in 0..3 {
+            for c in 0..3 {
+                let p1 = 0.1 + 0.1 * (a + b + c) as f64;
+                y.insert(
+                    vec![Value::Int(a), Value::Int(b), Value::Int(c)],
+                    vec![(Value::Int(0), 1.0 - p1), (Value::Int(1), p1)],
+                );
+            }
+        }
+    }
+    scm.add_node(
+        "y",
+        DataType::Int,
+        &["a", "b", "c"],
+        Mechanism::DiscreteCpd {
+            table: y,
+            default: vec![(Value::Int(0), 1.0)],
+        },
+    )
+    .unwrap();
+    let table = scm.sample("d", n, seed).unwrap();
+    let mut db = Database::new();
+    db.add_table(table).unwrap();
+    let graph = scm.to_causal_graph("d");
+    (db, scm, graph)
+}

@@ -8,8 +8,10 @@
 
 mod common;
 
-use common::credit_db;
-use hyper_core::{EngineConfig, HowToOptions, HyperEngine};
+use std::sync::Arc;
+
+use common::{credit_db, three_cause_db};
+use hyper_core::{EngineConfig, HowToOptions, HyperEngine, HyperSession};
 use hyper_query::{parse_query, HowToQuery, HypotheticalQuery, UpdateFunc};
 
 fn howto(text: &str) -> HowToQuery {
@@ -177,4 +179,49 @@ fn indep_config_changes_howto_choice_or_value() {
         .unwrap();
     assert!(hyper.objective >= hyper.baseline);
     assert!(indep.objective >= indep.baseline);
+}
+
+/// Candidate values share the model of their attribute: the IP trains one
+/// estimator per attribute plus one for the chosen joint update, and
+/// Opt-HowTo one per distinct attribute subset it enumerates — not one
+/// per value combination.
+#[test]
+fn trainings_follow_attribute_subsets_not_candidate_values() {
+    let (db, _, graph) = three_cause_db(3_000, 37);
+    let (db, graph) = (Arc::new(db), Arc::new(graph));
+    let q = howto("Use d HowToUpdate a, b, c ToMaximize Count(Post(y) = 1)");
+    let session = || {
+        HyperSession::builder(Arc::clone(&db))
+            .graph(Arc::clone(&graph))
+            .howto_options(HowToOptions {
+                buckets: 3,
+                max_attrs_updated: None,
+            })
+            .share_artifacts(false)
+            .build()
+    };
+
+    let s = session();
+    let ip = s.howto(&q).unwrap();
+    assert_eq!(ip.chosen.len(), 3, "every cause raises y: {:?}", ip.chosen);
+    assert!(
+        ip.whatif_evals > 4,
+        "{} candidate evaluations",
+        ip.whatif_evals
+    );
+    assert_eq!(
+        s.stats().estimator_misses,
+        3 + 1,
+        "one model per attribute, plus the joint (a, b, c) check"
+    );
+
+    let s = session();
+    let brute = s.howto_bruteforce(&q).unwrap();
+    assert!(brute.whatif_evals > 7, "{} evaluations", brute.whatif_evals);
+    assert_eq!(
+        s.stats().estimator_misses,
+        7,
+        "one model per non-empty subset of {{a, b, c}}"
+    );
+    assert!((ip.objective - brute.objective).abs() < 1e-6);
 }

@@ -208,9 +208,10 @@ fn byte_budget_evicts_to_disk() {
         .graph(graph)
         .persist_dir(dir.path())
         .build();
-    // Distinct update constants → distinct estimator cache entries (the
-    // update set is part of the key).
-    let query = |c: i64| format!("Use d Update(b) = {c} Output Count(Post(y) = 1)");
+    // Distinct outputs → distinct estimator cache entries (the output is
+    // part of the key; the update constant is not — every `Update(b) = c`
+    // shares one model).
+    let query = |c: i64| format!("Use d Update(b) = 1 Output Count(Post(y) = {c})");
 
     let store = SharedArtifactStore::global();
     session.whatif_text(&query(0)).unwrap();
@@ -270,4 +271,123 @@ fn walk(dir: &std::path::Path) -> Vec<PathBuf> {
         }
     }
     out
+}
+
+/// Run `queries` on a fresh isolated session over `dir`, on the
+/// `confounded_db(n, seed)` data, and return the values with the
+/// session's stats.
+fn run_isolated(
+    dir: &TempDir,
+    data: (usize, u64),
+    queries: &[&str],
+) -> (Vec<f64>, hyper_core::SessionStats) {
+    let (n, seed) = data;
+    let (db, _, graph) = confounded_db(n, seed);
+    let session = HyperSession::builder(db)
+        .graph(graph)
+        .share_artifacts(false)
+        .persist_dir(dir.path())
+        .build();
+    let values = queries
+        .iter()
+        .map(|q| session.whatif_text(q).unwrap().value)
+        .collect();
+    (values, session.stats())
+}
+
+/// The estimator payload holds no update function: one spilled file
+/// serves `Set`, `Scale` and `Shift` updates of the same column after a
+/// restart, bit-identical to the process that trained it.
+#[test]
+fn function_free_estimator_round_trips_through_disk() {
+    let _guard = store_lock();
+    let dir = TempDir::new("function_free");
+    let queries = [
+        "Use d Update(b) = 1 Output Count(Post(y) = 1)",
+        "Use d Update(b) = 0 Output Count(Post(y) = 1)",
+        "Use d Update(b) = 0.5 * Pre(b) Output Count(Post(y) = 1)",
+        "Use d Update(b) = 1 + Pre(b) Output Count(Post(y) = 1)",
+    ];
+
+    let (trained, first) = run_isolated(&dir, (1607, 47), &queries);
+    assert_eq!(first.estimator_misses, 1, "one model for every update of b");
+    let files: Vec<PathBuf> = walk(dir.path())
+        .into_iter()
+        .filter(|p| p.to_string_lossy().contains("estimators"))
+        .collect();
+    assert_eq!(files.len(), 1, "one estimator file: {files:?}");
+
+    let (restored, second) = run_isolated(&dir, (1607, 47), &queries);
+    assert_eq!(second.estimator_misses, 0, "nothing retrains");
+    assert_eq!(
+        second.estimator_disk_hits, 1,
+        "the one file is decoded once"
+    );
+    for (a, b) in trained.iter().zip(&restored) {
+        assert_eq!(a.to_bits(), b.to_bits(), "{trained:?} vs {restored:?}");
+    }
+}
+
+/// An estimator file in the pre-change payload layout (update functions
+/// stored after each update column, no layout byte) is a miss and a
+/// retrain, never a panic or a wrong value. Such a file normally sits
+/// under the old key's hash, which the current key never produces; this
+/// test plants the old layout under the *current* key — the worst case —
+/// to check the decoder refuses it.
+#[test]
+fn pre_change_estimator_file_is_a_miss() {
+    use hyper_store::{read_artifact, write_artifact, ArtifactKind, ArtifactMeta, ByteWriter};
+
+    let _guard = store_lock();
+    let dir = TempDir::new("pre_change");
+    let (expected, _) = run_isolated(&dir, (1608, 48), &[WHATIF]);
+
+    // Locate the spilled estimator and its identity.
+    let path = walk(dir.path())
+        .into_iter()
+        .find(|p| p.to_string_lossy().contains("estimators"))
+        .expect("an estimator file was spilled");
+    let shard = path.parent().and_then(|p| p.parent()).unwrap();
+    let shard_name = shard.file_name().unwrap().to_string_lossy().into_owned();
+    let (db_fp, graph_fp) = shard_name.split_once('-').unwrap();
+    let (db, _, graph) = confounded_db(1608, 48);
+    let key = HyperSession::builder(db)
+        .graph(graph)
+        .share_artifacts(false)
+        .build()
+        .explain(WHATIF)
+        .unwrap()
+        .estimator
+        .unwrap()
+        .key;
+    let meta = ArtifactMeta {
+        kind: ArtifactKind::Estimator,
+        key,
+        db_fingerprint: u64::from_str_radix(db_fp, 16).unwrap(),
+        graph_fingerprint: u64::from_str_radix(graph_fp, 16).unwrap(),
+    };
+    let payload = read_artifact(&path, &meta).unwrap();
+
+    // Rewrite it in the old layout: drop the layout byte, and store
+    // `Set(1)` after the single update column.
+    let body = &payload[1..];
+    let n_features = u64::from_le_bytes(body[1..9].try_into().unwrap()) as usize;
+    let after_update_col = 1 + 8 + 8 * n_features + 8 + 8;
+    let mut func = ByteWriter::new();
+    func.write_u8(0);
+    func.write_value(&hyper_storage::Value::Int(1));
+    let mut old = body[..after_update_col].to_vec();
+    old.extend_from_slice(&func.into_bytes());
+    old.extend_from_slice(&body[after_update_col..]);
+    write_artifact(&path, &meta, old).unwrap();
+
+    let (got, st) = run_isolated(&dir, (1608, 48), &[WHATIF]);
+    assert_eq!(st.estimator_disk_hits, 0, "the old layout never loads");
+    assert_eq!(st.estimator_misses, 1, "…so the estimator retrains");
+    assert_eq!(got[0].to_bits(), expected[0].to_bits());
+
+    // The retrain overwrote the file: the next restart warm-starts.
+    let (again, st) = run_isolated(&dir, (1608, 48), &[WHATIF]);
+    assert_eq!(st.estimator_disk_hits, 1);
+    assert_eq!(again[0].to_bits(), expected[0].to_bits());
 }

@@ -174,9 +174,16 @@ fn concurrent_prepared_executions_agree() {
 fn cold_concurrent_identical_queries_build_each_artifact_once() {
     // Eight copies of the same query hitting an empty cache from parallel
     // workers: the single-flight slots must hand seven of them the one
-    // view/estimator the eighth builds.
+    // view/estimator the eighth builds. Isolated from the process-wide
+    // store, so the session's own tier is the single-flight point and
+    // every waiter counts as a local hit (with the store attached, a
+    // waiter that reaches the shared slot before the builder installs
+    // the model locally counts as a shared hit instead).
     let (db, _, graph) = confounded_db(600, 17);
-    let session = HyperSession::builder(db).graph(graph).build();
+    let session = HyperSession::builder(db)
+        .graph(graph)
+        .share_artifacts(false)
+        .build();
     let queries = vec![WHATIF; 8];
     let out = session.execute_batch(&queries);
     let mut values = Vec::new();
@@ -230,7 +237,7 @@ fn howto_through_a_session_reuses_one_view_and_matches_the_shim() {
     );
     assert!(stats.view_hits as usize >= cached.whatif_evals - 1);
 
-    // Re-running the same how-to hits the per-candidate estimator cache.
+    // Re-running the same how-to hits the per-attribute estimator cache.
     let before = session.stats().estimator_misses;
     let rerun = session.howto_text(text).unwrap();
     assert_eq!(rerun.objective, cached.objective);
@@ -274,8 +281,9 @@ fn sessions_with_different_configs_do_not_share_estimators() {
 #[test]
 fn string_literal_case_differences_do_not_share_cache_entries() {
     // Value comparison is case-sensitive, so `= 'Good'` and `= 'GOOD'`
-    // are different queries: the cache must key them separately (while
-    // identifier/keyword case still folds into one entry).
+    // are different queries: the cache must key them separately. Update
+    // attributes are keyed by resolved column, so their case folds into
+    // one entry.
     let (db, _, graph) = credit_db(600, 8);
     let session = HyperSession::builder(db).graph(graph).build();
     let good = session
@@ -293,13 +301,13 @@ fn string_literal_case_differences_do_not_share_cache_entries() {
     );
 
     // Attribute-name case variants agree in value (the engine resolves
-    // attributes case-insensitively) but keys are exact text, so the
-    // variant trains its own estimator over the same shared view.
+    // attributes case-insensitively), and the estimator key holds the
+    // resolved update column, so the variant reuses the `status` model.
     let upper = session
         .whatif_text("Use d Update(STATUS) = 1 Output Count(Post(credit) = 'Good')")
         .unwrap();
     assert_eq!(upper.value, good.value);
-    assert_eq!(session.stats().estimator_misses, 3);
+    assert_eq!(session.stats().estimator_misses, 2);
     assert_eq!(
         session.stats().views_cached,
         1,
@@ -326,7 +334,8 @@ fn string_literal_case_differences_do_not_share_cache_entries() {
 
 /// The acceptance scenario of the typed-builder redesign: one prepared
 /// parameterized query swept over ≥ 20 bindings costs exactly one view
-/// build and zero text parses; only the estimator re-keys per binding.
+/// build, one estimator training and zero text parses — the binding
+/// changes the update function, which is applied at evaluation.
 #[test]
 fn parameterized_sweep_reuses_view_and_never_parses() {
     let (db, _, graph) = confounded_db(700, 7);
@@ -357,8 +366,8 @@ fn parameterized_sweep_reuses_view_and_never_parses() {
     assert_eq!(stats.view_misses, 1, "whole sweep shares one view");
     assert_eq!(stats.texts_parsed, 0, "no text was ever parsed");
     assert_eq!(
-        stats.estimator_misses, 24,
-        "each distinct binding re-keys (and trains) its estimator"
+        stats.estimator_misses, 1,
+        "every binding shares the one model fitted over `b`"
     );
     assert_eq!(stats.queries_executed, 24);
 
@@ -368,7 +377,7 @@ fn parameterized_sweep_reuses_view_and_never_parses() {
         .unwrap();
     assert_eq!(again.value, values[0]);
     let done = session.stats();
-    assert_eq!(done.estimator_misses, 24, "no new training on a re-run");
+    assert_eq!(done.estimator_misses, 1, "no new training on a re-run");
     assert!(done.estimator_hits >= 1);
 }
 
@@ -496,16 +505,20 @@ fn cache_budget_evicts_least_recently_used_estimators() {
     session.whatif_text(&q("income", 1)).unwrap();
     // Touch the first estimator so `income` becomes least-recent…
     session.whatif_text(&q("status", 1)).unwrap();
-    // …then overflow the budget: `income` is evicted.
-    session.whatif_text(&q("status", 0)).unwrap();
+    // …then overflow the budget with a third attribute: `income` is
+    // evicted. (Another `status` value would not do: it shares the
+    // `status` model.)
+    session.whatif_text(&q("edu", 1)).unwrap();
 
     let stats = session.stats();
     assert_eq!(stats.estimator_misses, 3);
     assert_eq!(stats.estimator_evictions, 1);
     assert_eq!(stats.estimators_cached, 2);
 
-    // The survivor still hits; the evicted query retrains.
+    // The survivor still hits, for any update value; the evicted query
+    // retrains.
     session.whatif_text(&q("status", 1)).unwrap();
+    session.whatif_text(&q("status", 0)).unwrap();
     assert_eq!(session.stats().estimator_misses, 3);
     session.whatif_text(&q("income", 1)).unwrap();
     let done = session.stats();
@@ -546,7 +559,7 @@ fn prepare_rejects_invalid_queries_eagerly() {
 /// A how-to template with `Param(…)` Limit bounds sweeps candidate grids
 /// through `Bindings`: the relevant view is built once at prepare time and
 /// shared by every bound combination — only the optimizer (candidate
-/// enumeration + per-candidate estimators) re-runs per binding.
+/// enumeration + candidate evaluation) re-runs per binding.
 #[test]
 fn howto_limit_bound_sweep_rebuilds_only_the_optimizer() {
     use hyper_query::{Bound, HowTo};

@@ -16,10 +16,13 @@
 //! `*_shared_hits`. When the server is configured with a persist
 //! directory, sessions also warm-start from the disk tier.
 //!
-//! Repeat queries hit the **prepared path**: each tenant keeps a map
-//! from raw query text to its [`PreparedQuery`], so a query text seen
-//! before skips parsing and view resolution entirely and goes straight
-//! to the estimator cache (`Bindings` are applied per execution).
+//! Repeat queries hit the **prepared path**: each tenant keeps a
+//! [`KeyedCache`] from raw query text to its [`PreparedQuery`], so a query
+//! text seen before skips parsing and view resolution entirely and goes
+//! straight to the estimator cache (`Bindings` are applied per
+//! execution). Concurrent first requests for one text prepare it once,
+//! and past the per-tenant cap the least-recently-used template is
+//! dropped.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -27,15 +30,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use hyper_core::{
-    EngineConfig, EngineError, HyperSession, PreparedQuery, RefreshReport, Result as CoreResult,
+    EngineConfig, EngineError, HyperSession, KeyedCache, PreparedQuery, RefreshReport,
+    Result as CoreResult,
 };
 use hyper_ingest::DeltaBatch;
 use hyper_store::{AppendLog, SnapshotRegistry};
 
-/// Cap on distinct prepared templates kept per tenant. Exceeding it
-/// clears the map (a rare, self-healing event for workloads that
-/// generate unbounded distinct query texts; artifact-level caches keep
-/// the expensive state).
+/// Cap on distinct prepared templates kept per tenant. Past it the
+/// least-recently-used template is evicted (artifact-level caches keep
+/// the expensive state, so a re-prepare is cheap).
 const MAX_PREPARED_PER_TENANT: usize = 256;
 
 /// One loaded tenant: its current session version, the prepared-template
@@ -49,7 +52,7 @@ const MAX_PREPARED_PER_TENANT: usize = 256;
 pub struct Tenant {
     id: String,
     session: RwLock<HyperSession>,
-    prepared: Mutex<HashMap<String, Arc<PreparedQuery>>>,
+    prepared: KeyedCache<PreparedQuery>,
     /// Serializes ingests for this tenant and owns the append-log path.
     /// Queries are never blocked by this lock.
     ingest: Mutex<PathBuf>,
@@ -88,43 +91,30 @@ impl Tenant {
             .map_err(|e| EngineError::Storage(e.to_string()))?;
         *self.session.write().unwrap_or_else(|e| e.into_inner()) = out.session;
         // Prepared templates captured the old session; drop them so the
-        // next prepare binds the refreshed one.
-        self.prepared
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
+        // next prepare binds the refreshed one. A prepare racing this
+        // swap finishes into a slot the clear detached, so its template
+        // is never cached.
+        self.prepared.clear();
         Ok(out.report)
     }
 
     /// The prepared query for `text`, preparing (parse + validate +
-    /// view resolution) only on first sight of this exact text.
+    /// view resolution) only on first sight of this exact text. Concurrent
+    /// first requests for one text wait for a single prepare; other texts
+    /// are never blocked by it.
     pub fn prepared(&self, text: &str) -> CoreResult<Arc<PreparedQuery>> {
-        if let Some(p) = self
-            .prepared
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(text)
-        {
-            return Ok(Arc::clone(p));
-        }
-        // Prepare outside the lock: view builds can be slow and must not
-        // serialize unrelated queries. A racing duplicate prepare is
-        // harmless — the artifact cache single-flights the real work —
-        // and the first insert wins.
-        let p = Arc::new(self.session().prepare(text)?);
-        let mut map = self.prepared.lock().unwrap_or_else(|e| e.into_inner());
-        if map.len() >= MAX_PREPARED_PER_TENANT {
-            map.clear();
-        }
-        Ok(Arc::clone(map.entry(text.to_string()).or_insert(p)))
+        // Template hits and misses are not reported; the session's
+        // `texts_parsed` counter already shows every prepare.
+        let uncounted = AtomicU64::new(0);
+        self.prepared
+            .get_or_build(text, &uncounted, &uncounted, &uncounted, || {
+                self.session().prepare(text)
+            })
     }
 
     /// Number of distinct templates currently cached.
     pub fn prepared_cached(&self) -> usize {
-        self.prepared
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
+        self.prepared.len()
     }
 }
 
@@ -284,7 +274,7 @@ impl Tenants {
         let tenant = Arc::new(Tenant {
             id: id.to_string(),
             session: RwLock::new(session),
-            prepared: Mutex::new(HashMap::new()),
+            prepared: KeyedCache::new(Some(MAX_PREPARED_PER_TENANT)),
             ingest: Mutex::new(log_path),
         });
         slot.cell

@@ -36,9 +36,6 @@ pub enum StoreError {
         /// What was being validated (table name, "database", …).
         what: String,
     },
-    /// The value cannot be serialized (e.g. an estimator still carrying an
-    /// unresolved `Param(…)` placeholder).
-    Unsupported(String),
     /// A relational operation over paged data failed (bad predicate,
     /// schema drift between chunks, …) — see [`crate::paging`].
     Query(String),
@@ -61,7 +58,6 @@ impl fmt::Display for StoreError {
                 f,
                 "fingerprint mismatch for {what}: expected {expected:#018x}, found {found:#018x}"
             ),
-            StoreError::Unsupported(msg) => write!(f, "cannot serialize: {msg}"),
             StoreError::Query(msg) => write!(f, "query over paged data failed: {msg}"),
         }
     }

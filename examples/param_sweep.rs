@@ -3,8 +3,9 @@
 //! Builds the German-Syn credit workload, prepares ONE parameterized
 //! what-if template (`Update(status) = Param(level)`), explains its plan,
 //! then sweeps the binding over the whole domain — the relevant view and
-//! block decomposition are built once for the entire sweep, nothing is
-//! ever parsed, and only the estimator re-keys per binding.
+//! the estimator are built once for the entire sweep and nothing is ever
+//! parsed: a binding changes only the update function, which is applied
+//! when the one fitted model is evaluated.
 //!
 //! ```sh
 //! cargo run --release --example param_sweep
@@ -14,12 +15,7 @@ use hyper_repro::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let data = hyper_repro::datasets::german_syn(10_000, 1);
-    let session = HyperSession::builder(data.db)
-        .graph(data.graph)
-        // How-to-style workloads grow one estimator per candidate; bound
-        // the cache so a long-lived session cannot grow without limit.
-        .cache_budget(CacheBudget::estimators(256))
-        .build();
+    let session = HyperSession::builder(data.db).graph(data.graph).build();
 
     // "If everyone's checking-account status were set to <level>, how many
     // people would have good credit?" — status level is a placeholder.
@@ -59,5 +55,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert_eq!(stats.view_misses, 1, "one view for the whole sweep");
     assert_eq!(stats.texts_parsed, 0, "no SQL text anywhere");
+    assert_eq!(
+        stats.estimator_misses, 1,
+        "one training for the whole sweep"
+    );
     Ok(())
 }

@@ -172,7 +172,7 @@ fn exit_code_for(e: &StoreError) -> ExitCode {
         StoreError::Io(_) => 1,
         StoreError::Corrupt(_) | StoreError::FingerprintMismatch { .. } => 3,
         StoreError::VersionMismatch { .. } => 4,
-        StoreError::Unsupported(_) | StoreError::Query(_) => 2,
+        StoreError::Query(_) => 2,
     })
 }
 

@@ -166,6 +166,90 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// One fitted model per update column: update values are applied at
+// evaluation, so a shared model must answer exactly like a fresh fit.
+// ---------------------------------------------------------------------
+
+/// An update binding of the template `Update(b) = <mode>(v)`.
+#[derive(Debug, Clone)]
+enum UpdateBinding {
+    Set(i64),
+    Scale(f64),
+    Shift(f64),
+}
+
+fn arb_binding() -> impl Strategy<Value = UpdateBinding> {
+    (0u32..3, 0i64..2, -20i64..=20).prop_map(|(mode, level, k)| match mode {
+        0 => UpdateBinding::Set(level),
+        1 => UpdateBinding::Scale(k as f64 / 10.0),
+        _ => UpdateBinding::Shift(k as f64 / 10.0),
+    })
+}
+
+/// The prepared template and bindings for one [`UpdateBinding`] mode.
+fn bound_template(b: &UpdateBinding) -> (WhatIf, Bindings) {
+    let base = WhatIf::over("d");
+    let (template, value): (WhatIf, Value) = match b {
+        UpdateBinding::Set(v) => (base.set_param("b", "v"), Value::Int(*v)),
+        UpdateBinding::Scale(v) => (base.scale_param("b", "v"), Value::Float(*v)),
+        UpdateBinding::Shift(v) => (base.shift_param("b", "v"), Value::Float(*v)),
+    };
+    let template = template
+        .when(HExpr::attr("z").eq(1))
+        .output_count(HExpr::post("y").eq(1));
+    (template, Bindings::new().set("v", value))
+}
+
+fn isolated_session(db: &Database, graph: &CausalGraph) -> HyperSession {
+    HyperSession::builder(db.clone())
+        .graph(graph.clone())
+        .config(EngineConfig {
+            n_trees: 8,
+            max_depth: 6,
+            ..EngineConfig::hyper()
+        })
+        .share_artifacts(false)
+        .build()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every `Set`/`Scale`/`Shift` binding evaluated on a session that
+    /// already holds the model fitted for `b` — by an earlier binding of
+    /// another mode and value — is bit-identical to the value a fresh
+    /// session trains for that binding alone.
+    #[test]
+    fn shared_model_matches_fresh_fit(
+        spec in arb_scm(),
+        bindings in prop::collection::vec(arb_binding(), 1..5),
+    ) {
+        let (scm, db) = build(&spec);
+        let graph = scm.to_causal_graph("d");
+        let shared = isolated_session(&db, &graph);
+        let (warm, warm_bind) = bound_template(&UpdateBinding::Shift(0.5));
+        shared.prepare(warm).unwrap().execute_whatif_with(&warm_bind).unwrap();
+        for b in &bindings {
+            let (template, bind) = bound_template(b);
+            let reused = shared
+                .prepare(template.clone())
+                .unwrap()
+                .execute_whatif_with(&bind)
+                .unwrap()
+                .value;
+            let fresh = isolated_session(&db, &graph)
+                .prepare(template)
+                .unwrap()
+                .execute_whatif_with(&bind)
+                .unwrap()
+                .value;
+            prop_assert_eq!(reused.to_bits(), fresh.to_bits(), "{:?}: {} vs {}", b, reused, fresh);
+        }
+        prop_assert_eq!(shared.stats().estimator_misses, 1);
+    }
+}
+
+// ---------------------------------------------------------------------
 // Storage-operator algebra on random tables.
 // ---------------------------------------------------------------------
 
