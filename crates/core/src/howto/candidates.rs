@@ -196,6 +196,7 @@ mod tests {
             provenance: crate::view::ViewProvenance::AllRows {
                 relation: "v".into(),
             },
+            support: Default::default(),
         }
     }
 

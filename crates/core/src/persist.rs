@@ -44,6 +44,7 @@ use hyper_store::{
 use crate::hexpr::BoundHExpr;
 use crate::view::{ColumnOrigin, RelevantView, ViewProvenance};
 use crate::whatif::estimator::{CausalEstimator, CellTable, FittedModel, PeerSummary};
+use crate::whatif::support::SupportIndexes;
 
 type SResult<T> = hyper_store::Result<T>;
 
@@ -427,6 +428,7 @@ fn decode_view(r: &mut ByteReader<'_>) -> SResult<RelevantView> {
         origins,
         use_clause,
         provenance,
+        support: SupportIndexes::default(),
     })
 }
 
@@ -720,7 +722,9 @@ impl DiskArtifact for RelevantView {
     }
 
     fn approx_bytes(&self) -> usize {
-        self.table.approx_bytes() + self.origins.len() * 64
+        self.table.approx_bytes()
+            + self.origins.len() * 64
+            + self.table.num_rows() * SupportIndexes::BYTES_PER_ROW
     }
 }
 
@@ -921,6 +925,7 @@ mod tests {
             provenance: ViewProvenance::Opaque {
                 relations: vec!["product".into()],
             },
+            support: Default::default(),
         }
     }
 

@@ -6,11 +6,13 @@
 //! from other relations aggregated to `R`'s grain.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use hyper_query::{QualifiedName, SelectItem, SelectStmt, UseClause, UseCondition};
 use hyper_storage::{col, AggExpr, AggFunc, BinOp, Database, Expr, LogicalPlan, Table};
 
 use crate::error::{EngineError, Result};
+use crate::whatif::support::{SupportIndex, SupportIndexes};
 
 /// Where a view column came from.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,6 +76,10 @@ pub struct RelevantView {
     pub use_clause: UseClause,
     /// Row-level provenance class, for block-scoped invalidation.
     pub provenance: ViewProvenance,
+    /// §3.3 support indexes over this view's rows, built on first use per
+    /// estimator feature-column list (derived data: never serialized, and
+    /// a clone starts without them).
+    pub(crate) support: SupportIndexes,
 }
 
 impl RelevantView {
@@ -91,6 +97,12 @@ impl RelevantView {
             .iter()
             .map(|f| f.name.clone())
             .collect()
+    }
+
+    /// The support index of this view over the columns `cols`, built on
+    /// first use.
+    pub(crate) fn support_index(&self, cols: &[usize]) -> Result<Arc<SupportIndex>> {
+        self.support.get(&self.table, cols)
     }
 }
 
@@ -117,6 +129,7 @@ pub fn build_relevant_view(db: &Database, use_clause: &UseClause) -> Result<Rele
                 provenance: ViewProvenance::AllRows {
                     relation: name.clone(),
                 },
+                support: SupportIndexes::default(),
             })
         }
         UseClause::Select(stmt) => lower_select(db, stmt),
@@ -399,6 +412,7 @@ fn lower_select(db: &Database, stmt: &SelectStmt) -> Result<RelevantView> {
         origins,
         use_clause: UseClause::Select(stmt.clone()),
         provenance,
+        support: SupportIndexes::default(),
     })
 }
 

@@ -13,9 +13,15 @@
 //! and the update functions are passed to [`CausalEstimator::evaluate`]
 //! per query.
 //!
-//! The §3.3 support-index optimization appears here as prediction
-//! memoization: rows sharing the same (post-update) feature combination are
-//! predicted once.
+//! Evaluation follows §3.3's "iterating only over combinations with
+//! non-zero support": the view's [`SupportIndex`] numbers the distinct raw
+//! feature combinations (cells) once, and [`CausalEstimator::evaluate_parts`]
+//! builds post-update features and predicts once per cell (refined by the
+//! `When` bit and any peer summary), not once per row. The per-row float
+//! sums still fold in row order, so the value is bit-identical to a
+//! row-at-a-time pass.
+//!
+//! [`SupportIndex`]: crate::whatif::support::SupportIndex
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,7 +32,7 @@ use hyper_ml::{
     TableEncoder, TrainStreamStats, TreeParams, MAX_BINS,
 };
 use hyper_query::UpdateFunc;
-use hyper_storage::{AggFunc, Column, Value, DEFAULT_MORSEL_ROWS};
+use hyper_storage::{AggFunc, Column, Table, Value, DEFAULT_MORSEL_ROWS};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -538,11 +544,20 @@ impl CausalEstimator {
     /// be accumulated per independent block and recombined (Definition 6's
     /// `g = Sum`, Proposition 1).
     ///
-    /// Vectorized evaluation: unaffected rows contribute deterministically
-    /// via typed-column reads; affected rows are gathered, their
-    /// post-update feature columns assembled as typed buffers, encoded
-    /// column-wise, deduplicated per feature combination (the §3.3 support
-    /// index), and predicted in **one batch** per model.
+    /// Evaluation runs over the §3.3 support, not the rows:
+    /// 1. One pass over the scoped rows adds every unaffected row's
+    ///    deterministic contribution (typed-column reads) and gives each
+    ///    affected row a key — its cell in the view's [`SupportIndex`]
+    ///    over the feature columns, its `When` bit, and its post-update
+    ///    peer mean — that fixes its post-update features. The first row
+    ///    with each key represents it.
+    /// 2. The post-update feature columns are assembled and encoded for
+    ///    the representatives only, deduplicated by encoded bits, and
+    ///    predicted in **one batch** per model.
+    /// 3. A second pass adds each affected row's prediction in row order,
+    ///    so the float sums fold exactly as a row-at-a-time pass would.
+    ///
+    /// [`SupportIndex`]: crate::whatif::support::SupportIndex
     pub fn evaluate_parts(
         &self,
         view: &RelevantView,
@@ -550,84 +565,184 @@ impl CausalEstimator {
         when_mask: &[bool],
         scope_mask: &[bool],
     ) -> Result<(f64, f64)> {
-        if !updates.iter().map(|(c, _)| c).eq(&self.update_cols) {
-            return Err(EngineError::Plan(format!(
-                "estimator fitted for update columns {:?} cannot evaluate an update of {:?}",
-                self.update_cols,
-                updates.iter().map(|(c, _)| *c).collect::<Vec<_>>()
-            )));
-        }
-        let func_of = |c: usize| updates.iter().find(|(uc, _)| *uc == c).map(|(_, f)| f);
+        self.check_updates(updates)?;
         let table = &view.table;
-        let n = table.num_rows();
+        let peer_post = self.peer_post_means(table, updates, when_mask)?;
+        let support = view.support_index(&self.feature_cols)?;
 
-        // Post-update peer means (summary features see the updated world).
-        let peer_post: Option<Vec<f64>> = match &self.peer {
-            Some((p, _, _)) => {
-                let update_col = table.column(p.update_col);
-                let func = func_of(p.update_col).expect("peer summary over an updated column");
-                let mut post_vals = Vec::with_capacity(n);
-                for (i, &updated) in when_mask.iter().enumerate() {
-                    let v = if updated {
-                        apply_update(func, &update_col.value(i))?
-                    } else {
-                        update_col.value(i)
-                    };
-                    post_vals.push(v.as_f64().unwrap_or(0.0));
-                }
-                Some(p.peer_means(table.column(p.group_col), &post_vals))
-            }
-            None => None,
+        // Pass one. Without peer features a key is `2 · cell + When bit`,
+        // a direct index; the post peer mean refines it through a map.
+        let mut reps: Vec<usize> = Vec::new();
+        let mut row_keys: Vec<u32> = Vec::new();
+        let mut key_of_cell: Vec<u32> = vec![u32::MAX; 2 * support.cells()];
+        let mut key_of_peer: HashMap<(usize, u64), u32> = HashMap::new();
+        let mut parts =
+            self.fold_unaffected(table, when_mask, scope_mask, peer_post.as_deref(), |i| {
+                let cell_key = 2 * support.cell(i) + usize::from(when_mask[i]);
+                let mut new_key = || {
+                    reps.push(i);
+                    reps.len() as u32 - 1
+                };
+                let key = match &peer_post {
+                    None => {
+                        let slot = &mut key_of_cell[cell_key];
+                        if *slot == u32::MAX {
+                            *slot = new_key();
+                        }
+                        *slot
+                    }
+                    Some(post) => *key_of_peer
+                        .entry((cell_key, post[i].to_bits()))
+                        .or_insert_with(new_key),
+                };
+                row_keys.push(key);
+            })?;
+        if reps.is_empty() {
+            return Ok(parts);
+        }
+
+        // Step two, over the representatives only.
+        let predicted =
+            self.predict_rows(table, updates, when_mask, peer_post.as_deref(), &reps)?;
+
+        // Pass two: affected rows in row order.
+        for &key in &row_keys {
+            predicted.add(predicted.slot_of_row[key as usize], &mut parts);
+        }
+        Ok(parts)
+    }
+
+    /// Row-at-a-time reference for [`CausalEstimator::evaluate_parts`]:
+    /// assembles, encodes and deduplicates the post-update features of
+    /// every affected row.
+    #[cfg(test)]
+    pub(crate) fn evaluate_parts_rowwise(
+        &self,
+        view: &RelevantView,
+        updates: &[(usize, UpdateFunc)],
+        when_mask: &[bool],
+        scope_mask: &[bool],
+    ) -> Result<(f64, f64)> {
+        self.check_updates(updates)?;
+        let table = &view.table;
+        let peer_post = self.peer_post_means(table, updates, when_mask)?;
+        let mut affected: Vec<usize> = Vec::new();
+        let mut parts =
+            self.fold_unaffected(table, when_mask, scope_mask, peer_post.as_deref(), |i| {
+                affected.push(i)
+            })?;
+        if affected.is_empty() {
+            return Ok(parts);
+        }
+        let predicted =
+            self.predict_rows(table, updates, when_mask, peer_post.as_deref(), &affected)?;
+        for &slot in &predicted.slot_of_row {
+            predicted.add(slot, &mut parts);
+        }
+        Ok(parts)
+    }
+
+    /// Reject updates of columns other than this estimator's update
+    /// columns (in order).
+    fn check_updates(&self, updates: &[(usize, UpdateFunc)]) -> Result<()> {
+        if updates.iter().map(|(c, _)| c).eq(&self.update_cols) {
+            return Ok(());
+        }
+        Err(EngineError::Plan(format!(
+            "estimator fitted for update columns {:?} cannot evaluate an update of {:?}",
+            self.update_cols,
+            updates.iter().map(|(c, _)| *c).collect::<Vec<_>>()
+        )))
+    }
+
+    /// Post-update peer means per view row (summary features see the
+    /// updated world); `None` without a peer summary.
+    fn peer_post_means(
+        &self,
+        table: &Table,
+        updates: &[(usize, UpdateFunc)],
+        when_mask: &[bool],
+    ) -> Result<Option<Vec<f64>>> {
+        let Some((p, _, _)) = &self.peer else {
+            return Ok(None);
         };
+        let update_col = table.column(p.update_col);
+        let func = func_of(updates, p.update_col).expect("peer summary over an updated column");
+        let mut post_vals = Vec::with_capacity(table.num_rows());
+        for (i, &updated) in when_mask.iter().enumerate() {
+            let v = if updated {
+                apply_update(func, &update_col.value(i))?
+            } else {
+                update_col.value(i)
+            };
+            post_vals.push(v.as_f64().unwrap_or(0.0));
+        }
+        Ok(Some(p.peer_means(table.column(p.group_col), &post_vals)))
+    }
 
-        // Partition scoped rows: deterministic (unaffected) vs predicted
-        // (affected directly by the update or indirectly through a changed
-        // peer mean).
+    /// Walk the scoped rows in order: fold each unaffected row's
+    /// deterministic contribution (post = pre) into `(numerator,
+    /// denominator)` and hand each affected row — updated, or moved
+    /// through a changed peer mean — to `on_affected`.
+    fn fold_unaffected(
+        &self,
+        table: &Table,
+        when_mask: &[bool],
+        scope_mask: &[bool],
+        peer_post: Option<&[f64]>,
+        mut on_affected: impl FnMut(usize),
+    ) -> Result<(f64, f64)> {
         let mut numerator = 0.0;
         let mut denominator = 0.0;
-        let mut affected: Vec<usize> = Vec::new();
-        for i in 0..n {
+        for i in 0..table.num_rows() {
             if !scope_mask[i] {
                 continue;
             }
-            let peer_changed = match (&self.peer, &peer_post) {
+            let peer_changed = match (&self.peer, peer_post) {
                 (Some((_, pre_means, _)), Some(post_means)) => {
                     (pre_means[i] - post_means[i]).abs() > 1e-12
                 }
                 _ => false,
             };
-            if !when_mask[i] && !peer_changed {
-                // Unaffected: deterministic contribution (post = pre).
-                let sat = match &self.psi {
-                    Some(p) => p.eval_bool_at(table, table, i)?,
-                    None => true,
-                };
-                if sat {
-                    match (self.agg, &self.y) {
-                        (AggFunc::Count, _) => {
-                            numerator += 1.0;
-                            denominator += 1.0;
-                        }
-                        (_, Some(yv)) => {
-                            numerator +=
-                                yv.eval_at(table, table, i)?.as_f64().ok_or_else(|| {
-                                    EngineError::Plan("Output expression is not numeric".into())
-                                })?;
-                            denominator += 1.0;
-                        }
-                        _ => unreachable!(),
+            if when_mask[i] || peer_changed {
+                on_affected(i);
+                continue;
+            }
+            let sat = match &self.psi {
+                Some(p) => p.eval_bool_at(table, table, i)?,
+                None => true,
+            };
+            if sat {
+                match (self.agg, &self.y) {
+                    (AggFunc::Count, _) => {
+                        numerator += 1.0;
+                        denominator += 1.0;
                     }
+                    (_, Some(yv)) => {
+                        numerator += yv.eval_at(table, table, i)?.as_f64().ok_or_else(|| {
+                            EngineError::Plan("Output expression is not numeric".into())
+                        })?;
+                        denominator += 1.0;
+                    }
+                    _ => unreachable!(),
                 }
-            } else {
-                affected.push(i);
             }
         }
-        if affected.is_empty() {
-            return Ok((numerator, denominator));
-        }
+        Ok((numerator, denominator))
+    }
 
-        // Assemble post-update feature columns for the affected rows:
-        // non-updated features are a typed gather; updated features are
+    /// Predict the post-update world of `rows`: assemble their post-update
+    /// feature columns, encode them, deduplicate the encoded feature
+    /// combinations, and batch-predict the distinct ones once per model.
+    fn predict_rows(
+        &self,
+        table: &Table,
+        updates: &[(usize, UpdateFunc)],
+        when_mask: &[bool],
+        peer_post: Option<&[f64]>,
+        rows: &[usize],
+    ) -> Result<Predictions> {
+        // Non-updated features are a typed gather; updated features are
         // rebuilt with the update applied where `When` holds (re-typed, as
         // e.g. scaling an integer column produces floats). When a `Set`
         // update mixes value types within one column (e.g. a string
@@ -640,19 +755,19 @@ impl CausalEstimator {
         let mut typed_ok = true;
         for (k, &c) in self.feature_cols.iter().enumerate() {
             let src = table.column(c);
-            match func_of(c) {
-                None => feat_cols.push(src.gather(&affected)),
+            match func_of(updates, c) {
+                None => feat_cols.push(src.gather(rows)),
                 Some(func) => {
                     // Typed kernel first: the common numeric / in-dictionary
                     // updates build the post column straight off the typed
                     // buffers. Falls back to per-row `Value`s when the
                     // update mixes types or touches NULLs.
-                    if let Some(col) = post_update_column(src, func, &affected, when_mask) {
+                    if let Some(col) = post_update_column(src, func, rows, when_mask) {
                         feat_cols.push(col);
                         continue;
                     }
-                    let mut post_vals = Vec::with_capacity(affected.len());
-                    for &i in &affected {
+                    let mut post_vals = Vec::with_capacity(rows.len());
+                    for &i in rows {
                         let v = src.value(i);
                         post_vals.push(if when_mask[i] {
                             apply_update(func, &v)?
@@ -664,7 +779,7 @@ impl CausalEstimator {
                         Ok(col) => feat_cols.push(col),
                         Err(_) => {
                             typed_ok = false;
-                            feat_cols.push(src.gather(&affected)); // placeholder
+                            feat_cols.push(src.gather(rows)); // placeholder
                         }
                     }
                     post_value_cols[k] = Some(post_vals);
@@ -677,14 +792,14 @@ impl CausalEstimator {
         } else {
             let mut m = Matrix::zeros(0, 0);
             let mut buf: Vec<Value> = Vec::with_capacity(self.feature_cols.len());
-            for (row, &i) in affected.iter().enumerate() {
+            for (row, &i) in rows.iter().enumerate() {
                 buf.clear();
                 for (k, &c) in self.feature_cols.iter().enumerate() {
                     buf.push(match &post_value_cols[k] {
                         Some(vals) => vals[row].clone(),
                         // Update columns the typed kernel handled have no
                         // materialized values; recompute the post value.
-                        None => match func_of(c) {
+                        None => match func_of(updates, c) {
                             Some(func) if when_mask[i] => {
                                 apply_update(func, &table.column(c).value(i))?
                             }
@@ -697,25 +812,25 @@ impl CausalEstimator {
             }
             m
         };
-        if let Some(post_means) = &peer_post {
-            let peer_vals: Vec<f64> = affected.iter().map(|&i| post_means[i]).collect();
+        if let Some(post_means) = peer_post {
+            let peer_vals: Vec<f64> = rows.iter().map(|&i| post_means[i]).collect();
             x = x
                 .with_appended_column(&peer_vals)
                 .map_err(EngineError::from)?;
         }
 
-        // §3.3 support index: deduplicate feature combinations, then
-        // batch-predict the unique rows once per model. Keys are borrowed
-        // slices into one flat bit-pattern buffer (filled before the map
-        // exists, so the borrows are stable) — no per-row allocation, one
-        // hash per row via the entry API.
+        // Deduplicate encoded feature combinations, then batch-predict the
+        // unique rows once per model. Keys are borrowed slices into one
+        // flat bit-pattern buffer (filled before the map exists, so the
+        // borrows are stable) — no per-row allocation, one hash per row
+        // via the entry API.
         let width = x.cols();
         let mut flat: Vec<u64> = Vec::with_capacity(x.rows() * width);
         for k in 0..x.rows() {
             flat.extend(x.row(k).iter().map(|f| f.to_bits()));
         }
         let mut unique: HashMap<&[u64], usize> = HashMap::new();
-        let mut row_slot: Vec<usize> = Vec::with_capacity(affected.len());
+        let mut slot_of_row: Vec<usize> = Vec::with_capacity(rows.len());
         let mut unique_x = Matrix::zeros(0, 0);
         for k in 0..x.rows() {
             let next = unique_x.rows();
@@ -727,7 +842,7 @@ impl CausalEstimator {
                     next
                 }
             };
-            row_slot.push(slot);
+            slot_of_row.push(slot);
         }
         let mut nums = self.model.predict(&unique_x);
         if self.agg == AggFunc::Count {
@@ -742,13 +857,38 @@ impl CausalEstimator {
             }
             d
         });
-        for &slot in &row_slot {
-            numerator += nums[slot];
-            denominator += dens.as_ref().map_or(1.0, |d| d[slot]);
-        }
-
-        Ok((numerator, denominator))
+        Ok(Predictions {
+            nums,
+            dens,
+            slot_of_row,
+        })
     }
+}
+
+/// Batch predictions for a list of rows, one slot per distinct encoded
+/// feature combination.
+struct Predictions {
+    /// Numerator model predictions (clamped to `[0, 1]` for Count).
+    nums: Vec<f64>,
+    /// Avg denominator model predictions (clamped), when that model
+    /// exists; otherwise every row counts 1.
+    dens: Option<Vec<f64>>,
+    /// Each input row's slot.
+    slot_of_row: Vec<usize>,
+}
+
+impl Predictions {
+    /// Add the contribution of the prediction at `slot` to the running
+    /// `(numerator, denominator)`.
+    fn add(&self, slot: usize, parts: &mut (f64, f64)) {
+        parts.0 += self.nums[slot];
+        parts.1 += self.dens.as_ref().map_or(1.0, |d| d[slot]);
+    }
+}
+
+/// The function `updates` applies to column `c`, if any.
+fn func_of(updates: &[(usize, UpdateFunc)], c: usize) -> Option<&UpdateFunc> {
+    updates.iter().find(|(uc, _)| *uc == c).map(|(_, f)| f)
 }
 
 /// Typed fast path for assembling a post-update feature column over the
@@ -836,3 +976,6 @@ fn subset(
     }
     Ok((xs, ys, ds))
 }
+
+#[cfg(test)]
+mod tests;

@@ -16,6 +16,7 @@
 
 pub mod estimator;
 pub mod exact;
+pub(crate) mod support;
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -500,9 +501,12 @@ pub(crate) fn evaluate_whatif_on_view(
 
 /// Decomposed computation (Proposition 1): partition scoped tuples into
 /// independent blocks, evaluate the decomposed parts per block, and
-/// recombine with `g = Sum`. Yields the same value as the monolithic pass
-/// (the estimator's per-tuple contributions don't cross blocks) — this path
-/// exists to exercise and measure the paper's optimization.
+/// recombine with `g = Sum`. The per-tuple contributions are the
+/// monolithic pass's (they don't cross blocks), but they are summed per
+/// block and the block sums then added, a different float order from the
+/// monolithic row-order fold: the value agrees with it to rounding (a
+/// relative difference of order 1e-15), not bit for bit. This path exists
+/// to exercise and measure the paper's optimization.
 ///
 /// Only available for single-table `Use` clauses (view rows correspond 1:1
 /// to base-table rows in order); other shapes fall back to one block.

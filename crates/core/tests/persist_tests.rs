@@ -391,3 +391,33 @@ fn pre_change_estimator_file_is_a_miss() {
     assert_eq!(st.estimator_disk_hits, 1);
     assert_eq!(again[0].to_bits(), expected[0].to_bits());
 }
+
+/// Artifacts recovered from the disk tier carry no support index (it is
+/// derived data, never spilled): the recovered view rebuilds it on first
+/// use, and the recovered estimator then answers every `When` mask
+/// bit-identically to a session that never touched the disk.
+#[test]
+fn disk_recovered_estimator_rebuilds_the_support_index() {
+    let _guard = store_lock();
+    let dir = TempDir::new("support_index");
+    let queries = [
+        "Use d Update(b) = 1 Output Count(Post(y) = 1)",
+        "Use d When z = 0 Update(b) = 1 Output Count(Post(y) = 1)",
+        "Use d When z = 1 Update(b) = 0.5 * Pre(b) Output Count(Post(y) = 1)",
+    ];
+    run_isolated(&dir, (1609, 49), &queries);
+    let (restored, st) = run_isolated(&dir, (1609, 49), &queries);
+    assert_eq!(st.view_disk_hits, 1, "the view came from disk");
+    assert_eq!(st.estimator_disk_hits, 1, "the estimator came from disk");
+    assert_eq!(st.estimator_misses, 0);
+
+    let (db, _, graph) = confounded_db(1609, 49);
+    let fresh = HyperSession::builder(db)
+        .graph(graph)
+        .share_artifacts(false)
+        .build();
+    for (q, got) in queries.iter().zip(&restored) {
+        let want = fresh.whatif_text(q).unwrap().value;
+        assert_eq!(got.to_bits(), want.to_bits(), "{q}: {got:?} vs {want:?}");
+    }
+}

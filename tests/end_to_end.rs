@@ -244,3 +244,30 @@ fn variants_run_on_the_same_query() {
     assert!(indep.backdoor.is_empty());
     assert_eq!(sampled.trained_rows, 2000);
 }
+
+#[test]
+fn block_decomposition_agrees_with_the_monolithic_pass() {
+    // Proposition 1's per-block evaluation sums each block's parts and
+    // then adds the block sums, so its float order differs from the
+    // monolithic row-order fold: the values agree to rounding, not bits.
+    let data = hyper_repro::datasets::german_syn(20_000, 3);
+    let q = "Use german_syn When age = 1 Update(status) = 3 Output Count(Post(credit) = 'Good')";
+    let value = |use_blocks: bool| {
+        HyperSession::builder(data.db.clone())
+            .graph(data.graph.clone())
+            .config(EngineConfig {
+                use_blocks,
+                ..EngineConfig::hyper()
+            })
+            .build()
+            .whatif_text(q)
+            .unwrap()
+            .value
+    };
+    let (mono, blocked) = (value(false), value(true));
+    let rel = (mono - blocked).abs() / mono.abs();
+    assert!(
+        rel <= 1e-12,
+        "monolithic {mono:?} vs blocked {blocked:?} (relative difference {rel:e})"
+    );
+}
