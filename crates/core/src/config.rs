@@ -19,10 +19,10 @@ pub enum BackdoorMode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EstimatorKind {
     /// Bagged CART forest (the paper's choice; handles non-linearities).
+    /// Fitted on the encoded view through [`hyper_ml::RandomForest::fit_on`]:
+    /// one cell layout over the resident matrix, with row-wise trees when
+    /// continuous features leave too many cells.
     Forest,
-    /// Ridge-regularized linear model — much faster, exact when the
-    /// structural equations are linear. Used for ablations.
-    Linear,
     /// Empirical cell means over supported `(B, C)` value combinations —
     /// the literal computation of §3.3/Eqs. 35–40 for discrete data
     /// (`Pr_D(ψ | B = f(b), C = c)` as a conditional frequency, iterating
@@ -47,24 +47,11 @@ pub struct EngineConfig {
     pub n_trees: usize,
     /// Maximum tree depth.
     pub max_depth: usize,
-    /// Evaluate per independent block and recombine (Prop. 1) instead of in
-    /// one pass. Results are identical; the flag exists to measure the
-    /// decomposition and to exercise the code path.
-    pub use_blocks: bool,
     /// Include cross-tuple summary features (the ψ functions of §2.2) when
     /// the causal graph has same-value edges from an updated attribute.
     pub peer_summaries: bool,
     /// RNG seed for estimator training and sampling.
     pub seed: u64,
-    /// Resident-byte budget for estimator training. When the dense
-    /// encoded feature matrix would exceed this many bytes, forest
-    /// training streams the view through the two-pass binned layout
-    /// ([`hyper_ml::StreamedLayout`]) instead of materializing the
-    /// matrix — bit-identical results, O(bins + cells) peak memory.
-    /// `None` (the default) always materializes. Only the forest
-    /// estimator without peer summaries or row sampling can stream;
-    /// other shapes ignore the budget.
-    pub train_budget_bytes: Option<usize>,
 }
 
 impl Default for EngineConfig {
@@ -75,10 +62,8 @@ impl Default for EngineConfig {
             sample_cap: None,
             n_trees: 16,
             max_depth: 10,
-            use_blocks: false,
             peer_summaries: true,
             seed: 0,
-            train_budget_bytes: None,
         }
     }
 }

@@ -240,7 +240,7 @@ fn evaluate_identity_objective(
 
 /// Solve a how-to query with the IP formulation (uncached single-shot
 /// path; sessions share their artifact cache across the candidate
-/// what-if evaluations via [`evaluate_howto_cached`]).
+/// what-if evaluations via `evaluate_howto_cached`).
 pub fn evaluate_howto(
     db: &Database,
     graph: Option<&CausalGraph>,

@@ -491,10 +491,6 @@ fn encode_model(w: &mut ByteWriter, m: &FittedModel) {
             w.write_u8(0);
             mlcodec::encode_forest(w, f);
         }
-        FittedModel::Linear(l) => {
-            w.write_u8(1);
-            mlcodec::encode_linear(w, l);
-        }
         FittedModel::Cells(c) => {
             w.write_u8(2);
             encode_cell_table(w, c);
@@ -502,10 +498,12 @@ fn encode_model(w: &mut ByteWriter, m: &FittedModel) {
     }
 }
 
+/// Tag 1 (a linear model, a family the engine no longer fits) is an
+/// invalid tag: a file holding one is a disk miss, and the estimator
+/// refits.
 fn decode_model(r: &mut ByteReader<'_>) -> SResult<FittedModel> {
     Ok(match r.read_u8("model tag")? {
         0 => FittedModel::Forest(mlcodec::decode_forest(r)?),
-        1 => FittedModel::Linear(mlcodec::decode_linear(r)?),
         2 => FittedModel::Cells(decode_cell_table(r)?),
         t => return Err(corrupt(format!("invalid model tag {t}"))),
     })
@@ -658,7 +656,6 @@ fn decode_estimator(r: &mut ByteReader<'_>) -> SResult<CausalEstimator> {
     let expected_width = encoder.width() + usize::from(peer.is_some());
     let model_width = |m: &FittedModel| match m {
         FittedModel::Forest(f) => f.trees().first().map(|t| t.n_features()),
-        FittedModel::Linear(l) => Some(l.coefs.len()),
         // Cell tables clamp their key slices to the row width; any skip
         // is safe.
         FittedModel::Cells(_) => None,
@@ -684,9 +681,6 @@ fn decode_estimator(r: &mut ByteReader<'_>) -> SResult<CausalEstimator> {
         y,
         peer,
         trained_rows,
-        // Stream counters describe a training run, not the model; a
-        // disk-recovered estimator never trained in this process.
-        stream_stats: None,
     })
 }
 
@@ -747,7 +741,6 @@ impl DiskArtifact for CausalEstimator {
     fn approx_bytes(&self) -> usize {
         let model_bytes = |m: &FittedModel| match m {
             FittedModel::Forest(f) => f.approx_bytes(),
-            FittedModel::Linear(l) => 16 + l.coefs.len() * 8,
             FittedModel::Cells(c) => (c.cells.len() + c.marginal.len()) * 64,
         };
         let peer_bytes = self
@@ -958,6 +951,18 @@ mod tests {
             back.eval_bool(&row, &row).unwrap(),
             bound.eval_bool(&row, &row).unwrap()
         );
+    }
+
+    #[test]
+    fn retired_linear_model_tag_is_invalid() {
+        let mut w = ByteWriter::new();
+        w.write_u8(1);
+        let bytes = w.into_bytes();
+        match decode_model(&mut ByteReader::new(&bytes)) {
+            Err(StoreError::Corrupt(m)) => assert!(m.contains("invalid model tag 1"), "{m}"),
+            Err(e) => panic!("expected a corrupt-tag error, got {e}"),
+            Ok(_) => panic!("tag 1 must not decode"),
+        }
     }
 
     #[test]

@@ -149,15 +149,6 @@ pub(crate) struct CacheCounters {
     pub block_misses: AtomicU64,
     pub block_shared_hits: AtomicU64,
     pub block_disk_hits: AtomicU64,
-    /// Estimator trainings that ran through the streaming two-pass
-    /// layout instead of materializing the dense encoded matrix.
-    pub trainings_streamed: AtomicU64,
-    /// Chunks streamed across all streaming trainings (both binner
-    /// passes count).
-    pub train_chunks_streamed: AtomicU64,
-    /// High-water mark of any single streaming training's peak resident
-    /// bytes (`fetch_max`, not a sum).
-    pub train_peak_resident_bytes: AtomicU64,
 }
 
 /// The counter set of one artifact kind, bundled so the tiered fetch

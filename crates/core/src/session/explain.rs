@@ -79,9 +79,6 @@ pub struct ViewPlan {
 pub struct BlockPlan {
     /// Number of mutually independent blocks.
     pub count: usize,
-    /// Whether evaluation actually decomposes by blocks
-    /// ([`EngineConfig::use_blocks`]).
-    pub used_in_evaluation: bool,
     /// Cache provenance.
     pub provenance: Provenance,
 }
@@ -255,17 +252,7 @@ impl fmt::Display for ExplainReport {
         }
         writeln!(f, " [{}]", self.view.provenance)?;
         match &self.blocks {
-            Some(b) => writeln!(
-                f,
-                "  blocks: {}{} [{}]",
-                b.count,
-                if b.used_in_evaluation {
-                    ""
-                } else {
-                    " (not used: use_blocks=false)"
-                },
-                b.provenance
-            )?,
+            Some(b) => writeln!(f, "  blocks: {} [{}]", b.count, b.provenance)?,
             None => writeln!(f, "  blocks: n/a")?,
         }
         if self.deterministic {
@@ -366,15 +353,14 @@ impl HyperSession {
         };
 
         // Prop.-1 block decomposition: available exactly when a graph is
-        // bound and the view is a single base relation (the evaluator's
-        // own precondition).
+        // bound and the view is a single base relation (blocks are sets of
+        // base-table rows; ingest invalidation keys on them).
         let blocks = match (self.graph(), &use_clause) {
             (Some(g), UseClause::Table(_)) => {
                 let cached = cache.has_blocks();
                 let decomposition = cache.blocks(self.database(), g)?;
                 Some(BlockPlan {
                     count: decomposition.num_blocks(),
-                    used_in_evaluation: config.use_blocks,
                     provenance: if cached {
                         Provenance::Hit
                     } else {

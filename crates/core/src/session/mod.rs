@@ -166,16 +166,9 @@ pub struct SessionStats {
     /// The data version this session serves: the number of delta batches
     /// applied since the base snapshot (0 = the snapshot itself).
     pub data_version: u64,
-    /// Estimator trainings that streamed through the two-pass binned
-    /// layout under [`EngineConfig::train_budget_bytes`] instead of
-    /// materializing the dense encoded matrix (bit-identical results).
+    /// Always 0: estimators train on the resident encoded view, never
+    /// from a stream. The benchmark report still reads it.
     pub trainings_streamed: u64,
-    /// Chunks streamed across all streaming trainings (both binner
-    /// passes count each chunk once).
-    pub train_chunks_streamed: u64,
-    /// High-water mark of any single streaming training's peak resident
-    /// bytes — the footprint the budget actually bought.
-    pub train_peak_resident_bytes: u64,
     /// Out-of-core chunk loads (disk reads) by [`hyper_store::PagedTable`]
     /// scans, **process-wide** (paged tables are not session-scoped).
     pub paging_loads: u64,
@@ -307,18 +300,6 @@ impl SessionBuilder {
     /// Override the how-to options.
     pub fn howto_options(mut self, opts: HowToOptions) -> SessionBuilder {
         self.howto_opts = opts;
-        self
-    }
-
-    /// Bound estimator training's resident footprint at `bytes`
-    /// (shorthand for [`EngineConfig::train_budget_bytes`]): forest
-    /// trainings whose dense encoded feature matrix would exceed the
-    /// budget stream the view through the two-pass binned layout
-    /// instead — bit-identical fitted forests, peak memory O(bins +
-    /// cells) rather than O(rows × features).
-    /// [`SessionStats::trainings_streamed`] counts the reroutes.
-    pub fn train_budget_bytes(mut self, bytes: usize) -> SessionBuilder {
-        self.config.train_budget_bytes = Some(bytes);
         self
     }
 
@@ -756,9 +737,7 @@ impl HyperSession {
             blocks_invalidated: self.inner.exec.blocks_invalidated.load(Ordering::Relaxed),
             refreshes: self.inner.exec.refreshes.load(Ordering::Relaxed),
             data_version: self.inner.data_version,
-            trainings_streamed: c.trainings_streamed.load(Ordering::Relaxed),
-            train_chunks_streamed: c.train_chunks_streamed.load(Ordering::Relaxed),
-            train_peak_resident_bytes: c.train_peak_resident_bytes.load(Ordering::Relaxed),
+            trainings_streamed: 0,
             paging_loads: paging.loads,
             paging_hits: paging.hits,
             paging_evictions: paging.evictions,

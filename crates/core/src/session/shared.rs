@@ -5,7 +5,7 @@
 //! input (query parts, adjustment set, estimator configuration) into
 //! their cache string — so none of them is inherently *session* state.
 //! This module hoists them to process scope: a [`SharedArtifactStore`]
-//! holds one [`SharedShard`] per `(database fingerprint, graph
+//! holds one `SharedShard` per `(database fingerprint, graph
 //! fingerprint)` pair, and every [`super::ArtifactCache`] whose session
 //! opted in (the default) resolves misses through its shard.
 //!

@@ -14,25 +14,20 @@
 //! per query.
 //!
 //! Evaluation follows §3.3's "iterating only over combinations with
-//! non-zero support": the view's [`SupportIndex`] numbers the distinct raw
+//! non-zero support": the view's `SupportIndex` numbers the distinct raw
 //! feature combinations (cells) once, and [`CausalEstimator::evaluate_parts`]
 //! builds post-update features and predicts once per cell (refined by the
 //! `When` bit and any peer summary), not once per row. The per-row float
 //! sums still fold in row order, so the value is bit-identical to a
 //! row-at-a-time pass.
-//!
-//! [`SupportIndex`]: crate::whatif::support::SupportIndex
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use hyper_causal::{CausalGraph, EdgeKind};
-use hyper_ml::{
-    EncodedTableSource, ForestParams, LinearModel, Matrix, RandomForest, StreamedLayout,
-    TableEncoder, TrainStreamStats, TreeParams, MAX_BINS,
-};
+use hyper_ml::{ForestParams, Matrix, RandomForest, TableEncoder, TreeParams};
 use hyper_query::UpdateFunc;
-use hyper_storage::{AggFunc, Column, Table, Value, DEFAULT_MORSEL_ROWS};
+use hyper_storage::{AggFunc, Column, Table, Value};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -139,11 +134,6 @@ pub struct EstimatorSpec<'a> {
     pub seed: u64,
     /// Regression family.
     pub kind: crate::config::EstimatorKind,
-    /// Resident-byte budget for training
-    /// ([`crate::EngineConfig::train_budget_bytes`]): when the dense
-    /// encoded matrix would exceed it, forest training streams through
-    /// [`StreamedLayout`] instead of materializing the matrix.
-    pub train_budget_bytes: Option<usize>,
     /// Worker pool forest training fans out over (results are
     /// worker-count-independent, so sharing fitted estimators across
     /// sessions with different runtimes is safe).
@@ -213,7 +203,6 @@ impl CellTable {
 /// Either regression family, behind one prediction interface.
 pub(crate) enum FittedModel {
     Forest(RandomForest),
-    Linear(LinearModel),
     Cells(CellTable),
 }
 
@@ -223,7 +212,6 @@ impl FittedModel {
     fn predict(&self, x: &Matrix) -> Vec<f64> {
         match self {
             FittedModel::Forest(m) => m.predict(x),
-            FittedModel::Linear(m) => m.predict(x),
             FittedModel::Cells(m) => (0..x.rows()).map(|i| m.predict_row(x.row(i))).collect(),
         }
     }
@@ -255,12 +243,6 @@ pub struct CausalEstimator {
     /// means per row (computed at fit time over the whole view).
     pub(crate) peer: Option<(PeerSummary, Vec<f64>, Vec<f64>)>,
     pub(crate) trained_rows: usize,
-    /// Streaming counters when this estimator trained through the
-    /// budgeted [`StreamedLayout`] route; `None` for resident training
-    /// and for estimators recovered from the disk tier (the counters
-    /// describe a training run, not the model, so they are never
-    /// serialized).
-    pub(crate) stream_stats: Option<TrainStreamStats>,
 }
 
 impl CausalEstimator {
@@ -347,66 +329,6 @@ impl CausalEstimator {
             denom_target.push(if sat { 1.0 } else { 0.0 });
         }
 
-        // Streaming route: when a training budget is set and the dense
-        // encoded matrix would blow past it, stream the view through the
-        // two-pass binned layout instead of materializing the matrix.
-        // Only the forest family without peer features or row sampling
-        // can take it (peer columns are appended post-encode; sampling
-        // permutes rows) — and the layout itself declines data that is
-        // not cell-trainable (`build` returns `None`), in which case the
-        // resident path below handles it exactly as without a budget.
-        // Either way the fitted forest is bit-identical to resident
-        // training, so the cache key need not mention the budget.
-        let stream_eligible = spec.kind == crate::config::EstimatorKind::Forest
-            && peer.is_none()
-            && spec.sample_cap.is_none_or(|cap| cap >= n);
-        if let Some(budget) = spec.train_budget_bytes {
-            let matrix_bytes = n.saturating_mul(encoder.width()).saturating_mul(8);
-            if stream_eligible && matrix_bytes > budget {
-                let mut src = EncodedTableSource::new(&encoder, table, DEFAULT_MORSEL_ROWS);
-                if let Some(layout) = StreamedLayout::build(&mut src, MAX_BINS, (n / 4).max(64))
-                    .map_err(EngineError::from)?
-                {
-                    let params = ForestParams {
-                        n_trees: spec.n_trees,
-                        tree: TreeParams {
-                            max_depth: spec.max_depth,
-                            ..TreeParams::default()
-                        },
-                        bootstrap: true,
-                        seed: spec.seed,
-                    };
-                    let model = FittedModel::Forest(
-                        layout
-                            .fit_forest(spec.runtime, &target, &params)
-                            .map_err(EngineError::from)?,
-                    );
-                    let denom_model = if agg == AggFunc::Avg && psi.is_some() {
-                        Some(FittedModel::Forest(
-                            layout
-                                .fit_forest(spec.runtime, &denom_target, &params)
-                                .map_err(EngineError::from)?,
-                        ))
-                    } else {
-                        None
-                    };
-                    return Ok(CausalEstimator {
-                        agg,
-                        feature_cols,
-                        update_cols: spec.update_cols.to_vec(),
-                        encoder,
-                        model,
-                        denom_model,
-                        psi: psi.clone(),
-                        y: y.clone(),
-                        peer: None,
-                        trained_rows: n,
-                        stream_stats: Some(layout.stats()),
-                    });
-                }
-            }
-        }
-
         // Feature matrix (with optional peer column appended).
         let mut x = encoder.encode_table(table)?;
         if let Some((_, pre_means, _)) = &peer {
@@ -453,9 +375,6 @@ impl CausalEstimator {
                             .map_err(EngineError::from)?,
                     )
                 }
-                crate::config::EstimatorKind::Linear => FittedModel::Linear(
-                    LinearModel::fit(&xt, targets, 1e-6).map_err(EngineError::from)?,
-                ),
                 crate::config::EstimatorKind::Cells => {
                     FittedModel::Cells(CellTable::fit(&xt, targets, update_dims))
                 }
@@ -479,7 +398,6 @@ impl CausalEstimator {
             y: y.clone(),
             peer,
             trained_rows,
-            stream_stats: None,
         })
     }
 
@@ -547,7 +465,7 @@ impl CausalEstimator {
     /// Evaluation runs over the §3.3 support, not the rows:
     /// 1. One pass over the scoped rows adds every unaffected row's
     ///    deterministic contribution (typed-column reads) and gives each
-    ///    affected row a key — its cell in the view's [`SupportIndex`]
+    ///    affected row a key — its cell in the view's `SupportIndex`
     ///    over the feature columns, its `When` bit, and its post-update
     ///    peer mean — that fixes its post-update features. The first row
     ///    with each key represents it.
@@ -556,8 +474,6 @@ impl CausalEstimator {
     ///    predicted in **one batch** per model.
     /// 3. A second pass adds each affected row's prediction in row order,
     ///    so the float sums fold exactly as a row-at-a-time pass would.
-    ///
-    /// [`SupportIndex`]: crate::whatif::support::SupportIndex
     pub fn evaluate_parts(
         &self,
         view: &RelevantView,

@@ -11,8 +11,7 @@
 //!    the backdoor criterion (Eq. 1, Eqs. 35–40) and estimate them with a
 //!    regression model trained on `D`,
 //! 5. sum per-tuple contributions — iterating only over value combinations
-//!    with support (§3.3's index optimization), decomposing by blocks when
-//!    requested (Prop. 1).
+//!    with support (§3.3's index optimization).
 
 pub mod estimator;
 pub mod exact;
@@ -222,7 +221,7 @@ pub(crate) fn plan_whatif(
 /// This is the uncached single-shot path: the relevant view is built and
 /// the estimator trained from scratch. Sessions
 /// ([`crate::HyperSession::whatif`]) go through
-/// [`evaluate_whatif_cached`] instead and reuse both artifacts.
+/// `evaluate_whatif_cached` instead and reuse both artifacts.
 pub fn evaluate_whatif(
     db: &Database,
     graph: Option<&CausalGraph>,
@@ -425,22 +424,7 @@ pub(crate) fn evaluate_whatif_on_view(
         max_depth: config.max_depth,
         seed: config.seed,
         kind: config.estimator,
-        train_budget_bytes: config.train_budget_bytes,
         runtime,
-    };
-    // When a fresh fit took the streaming route, fold its counters into
-    // the session stats (inside the miss closure: cache hits must not
-    // re-count a training that never ran).
-    let record_stream = |est: &CausalEstimator| {
-        if let (Some(c), Some(s)) = (cache, est.stream_stats) {
-            use std::sync::atomic::Ordering;
-            let k = &c.counters;
-            k.trainings_streamed.fetch_add(1, Ordering::Relaxed);
-            k.train_chunks_streamed
-                .fetch_add(s.chunks_streamed, Ordering::Relaxed);
-            k.train_peak_resident_bytes
-                .fetch_max(s.peak_resident_bytes, Ordering::Relaxed);
-        }
     };
     // Inside a session, fitted estimators are cached under a fingerprint of
     // (view, update columns, output, adjustment set, estimator config): a
@@ -456,34 +440,12 @@ pub(crate) fn evaluate_whatif_on_view(
             c.estimator(
                 &key,
                 |e| e.fits_view(view),
-                || {
-                    let est = CausalEstimator::fit(view, &spec, &psi, &y, q.output.agg)?;
-                    record_stream(&est);
-                    Ok(est)
-                },
+                || CausalEstimator::fit(view, &spec, &psi, &y, q.output.agg),
             )?
         }
-        None => {
-            let est = CausalEstimator::fit(view, &spec, &psi, &y, q.output.agg)?;
-            record_stream(&est);
-            Arc::new(est)
-        }
+        None => Arc::new(CausalEstimator::fit(view, &spec, &psi, &y, q.output.agg)?),
     };
-    let value = if config.use_blocks {
-        evaluate_by_blocks(
-            db,
-            graph,
-            q,
-            view,
-            &est,
-            &update_cols,
-            &when_mask,
-            &scope_mask,
-            cache,
-        )?
-    } else {
-        est.evaluate(view, &update_cols, &when_mask, &scope_mask)?
-    };
+    let value = est.evaluate(view, &update_cols, &when_mask, &scope_mask)?;
 
     Ok(WhatIfResult {
         value,
@@ -496,91 +458,6 @@ pub(crate) fn evaluate_whatif_on_view(
             .collect(),
         trained_rows: est.trained_rows(),
         elapsed: started.elapsed(),
-    })
-}
-
-/// Decomposed computation (Proposition 1): partition scoped tuples into
-/// independent blocks, evaluate the decomposed parts per block, and
-/// recombine with `g = Sum`. The per-tuple contributions are the
-/// monolithic pass's (they don't cross blocks), but they are summed per
-/// block and the block sums then added, a different float order from the
-/// monolithic row-order fold: the value agrees with it to rounding (a
-/// relative difference of order 1e-15), not bit for bit. This path exists
-/// to exercise and measure the paper's optimization.
-///
-/// Only available for single-table `Use` clauses (view rows correspond 1:1
-/// to base-table rows in order); other shapes fall back to one block.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_by_blocks(
-    db: &Database,
-    graph: Option<&CausalGraph>,
-    q: &WhatIfQuery,
-    view: &RelevantView,
-    est: &CausalEstimator,
-    updates: &[(usize, UpdateFunc)],
-    when_mask: &[bool],
-    scope_mask: &[bool],
-    cache: Option<&ArtifactCache>,
-) -> Result<f64> {
-    use hyper_causal::BlockDecomposition;
-
-    let single_table = matches!(&q.use_clause, hyper_query::UseClause::Table(_));
-    let blocks = match (graph, single_table) {
-        // The decomposition depends only on (database, graph), both fixed
-        // for a session's lifetime: compute it once and cache it.
-        (Some(g), true) => Some(match cache {
-            Some(c) => c.blocks(db, g)?,
-            None => {
-                let _span = hyper_trace::span(hyper_trace::Phase::BlockDecomp);
-                Arc::new(BlockDecomposition::compute(db, g).map_err(EngineError::from)?)
-            }
-        }),
-        _ => None,
-    };
-    let n = view.table.num_rows();
-    let (num, den) = match blocks {
-        None => est.evaluate_parts(view, updates, when_mask, scope_mask)?,
-        Some(blocks) => {
-            let table_idx = match &q.use_clause {
-                hyper_query::UseClause::Table(name) => db
-                    .tables()
-                    .iter()
-                    .position(|t| t.name() == name.as_str())
-                    .ok_or_else(|| EngineError::Plan(format!("unknown table `{name}`")))?,
-                _ => unreachable!("single_table checked above"),
-            };
-            let mut num = 0.0;
-            let mut den = 0.0;
-            let mut block_scope = vec![false; n];
-            for bi in 0..blocks.num_blocks() {
-                // Restrict the scope mask to this block's rows.
-                block_scope.iter_mut().for_each(|b| *b = false);
-                let mut any = false;
-                for t in blocks.block(bi) {
-                    if t.table == table_idx && scope_mask[t.row] {
-                        block_scope[t.row] = true;
-                        any = true;
-                    }
-                }
-                if !any {
-                    continue;
-                }
-                let (bn, bd) = est.evaluate_parts(view, updates, when_mask, &block_scope)?;
-                num += bn;
-                den += bd;
-            }
-            (num, den)
-        }
-    };
-    Ok(match q.output.agg {
-        hyper_storage::AggFunc::Avg => {
-            if den == 0.0 {
-                0.0
-            } else {
-                num / den
-            }
-        }
-        _ => num,
     })
 }
 

@@ -213,53 +213,6 @@ fn engine_execute_dispatches_by_query_kind() {
 }
 
 #[test]
-fn block_decomposed_evaluation_matches_monolithic() {
-    // Proposition 1: evaluating per independent block and recombining with
-    // g = Sum gives the same result as the single pass, for every
-    // decomposable aggregate.
-    let (db, _, graph) = confounded_db(6000, 61);
-    for query in [
-        "Use d Update(b) = 1 Output Count(Post(y) = 1)",
-        "Use d Update(b) = 1 Output Sum(Post(y))",
-        "Use d Update(b) = 1 Output Avg(Post(y)) For Pre(z) = 0",
-    ] {
-        let q = whatif(query);
-        let mono = HyperEngine::new(&db, Some(&graph)).whatif(&q).unwrap();
-        let blocked = HyperEngine::new(&db, Some(&graph))
-            .with_config(EngineConfig {
-                use_blocks: true,
-                ..EngineConfig::hyper()
-            })
-            .whatif(&q)
-            .unwrap();
-        assert!(
-            (mono.value - blocked.value).abs() < 1e-9,
-            "{query}: monolithic {} vs blocked {}",
-            mono.value,
-            blocked.value
-        );
-    }
-}
-
-#[test]
-fn linear_estimator_tracks_oracle_on_discrete_model() {
-    let (db, scm, graph) = confounded_db(N, 67);
-    let q = whatif("Use d Update(b) = 1 Output Count(Post(y) = 1)");
-    let exact = exact_whatif(&scm, db.table("d").unwrap(), &q).unwrap();
-    let linear = HyperEngine::new(&db, Some(&graph))
-        .with_config(EngineConfig {
-            estimator: hyper_core::EstimatorKind::Linear,
-            ..EngineConfig::hyper()
-        })
-        .whatif(&q)
-        .unwrap();
-    // With binary z and b, the saturated linear model is… not saturated
-    // (no interaction term), but the adjustment is close on this model.
-    let rel = (linear.value - exact).abs() / exact;
-    assert!(rel < 0.08, "linear estimator err {rel:.3}");
-}
-
-#[test]
 fn multi_update_tracks_oracle() {
     // Update two causally independent attributes simultaneously.
     let (db, scm, graph) = credit_db(N, 71);
@@ -334,43 +287,4 @@ fn cells_estimator_handles_unseen_update_values() {
         .whatif(&q)
         .unwrap();
     assert!(cells.value >= 0.0 && cells.value <= 2000.0);
-}
-
-#[test]
-fn budgeted_training_streams_and_matches_resident() {
-    // A 1-byte budget forces every forest training through the streaming
-    // two-pass layout; the what-if value must be bit-identical to the
-    // resident trainer's, and the session counters must show the reroute.
-    use hyper_core::HyperSession;
-    use std::sync::Arc;
-    let (db, _, graph) = confounded_db(N, 29);
-    let db = Arc::new(db);
-    let graph = Arc::new(graph);
-    let q = whatif("Use d Update(b) = 1 Output Count(Post(y) = 1)");
-
-    let resident = HyperSession::builder(Arc::clone(&db))
-        .graph(Arc::clone(&graph))
-        .share_artifacts(false)
-        .build();
-    let streamed = HyperSession::builder(db)
-        .graph(graph)
-        .share_artifacts(false)
-        .train_budget_bytes(1)
-        .build();
-
-    let a = resident.whatif(&q).unwrap();
-    let b = streamed.whatif(&q).unwrap();
-    assert_eq!(
-        a.value.to_bits(),
-        b.value.to_bits(),
-        "streamed training must be bit-identical to resident"
-    );
-    assert_eq!(b.trained_rows, N);
-
-    let stats = streamed.stats();
-    assert_eq!(stats.trainings_streamed, 1);
-    // Two binner passes, each over at least ⌈N / morsel⌉ chunks.
-    assert!(stats.train_chunks_streamed >= 2 * (N as u64 / 4096));
-    assert!(stats.train_peak_resident_bytes > 0);
-    assert_eq!(resident.stats().trainings_streamed, 0);
 }

@@ -3,7 +3,7 @@
 //! A [`DeltaBatch`] is a set of typed per-relation mutations — appended
 //! rows built through the columnar [`hyper_storage::TableBuilder`] path
 //! plus row deletes — applied **transactionally**: [`DeltaBatch::apply`]
-//! produces a complete new [`Database`] (the caller swaps its
+//! produces a complete new [`Database`](hyper_storage::Database) (the caller swaps its
 //! `Arc<Database>` on success) and never mutates the input, so a failed
 //! delta leaves every reader untouched.
 //!

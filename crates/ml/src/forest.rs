@@ -5,13 +5,21 @@
 //! one of these per conditional-probability estimate — it dominates cold
 //! what-if latency, so training is the engine's hottest cold path.
 //!
-//! Training is histogram-based and parallel: the feature matrix is binned
-//! **once** ([`crate::hist::BinnedMatrix`]) and every tree fits over the
-//! shared bins with per-node histogram split search; trees train
-//! concurrently over a [`hyper_runtime::HyperRuntime`] worker pool. Each
-//! tree derives its own RNG from `(seed, tree_index)`, so a fitted forest
-//! is **bit-identical for a fixed seed regardless of worker count** —
-//! including the zero-worker sequential fallback.
+//! Every fit goes through one cell layout
+//! ([`crate::stream::StreamedLayout`]), built from the feature matrix as a
+//! one-chunk source: each feature is binned once into at most
+//! [`MAX_BINS`] histogram bins, and rows sharing one bin vector collapse
+//! into weighted cells. Over HypeR's discrete adjustment sets a view has
+//! a few hundred cells, so each tree costs one O(rows) bootstrap
+//! accumulation plus an O(cells) build. When the cells exceed the cap
+//! (continuous features), trees fit row-wise over per-row bins
+//! ([`crate::hist::BinnedMatrix`]) derived from the same splits, with
+//! per-node histogram split search.
+//!
+//! Trees train concurrently over a [`hyper_runtime::HyperRuntime`] worker
+//! pool. Each tree derives its own RNG from `(seed, tree_index)`, so a
+//! fitted forest is **bit-identical for a fixed seed regardless of worker
+//! count** — including the zero-worker sequential fallback.
 
 use std::sync::OnceLock;
 
@@ -20,14 +28,15 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::{MlError, Result};
-use crate::hist::{BinnedMatrix, CellIndex, MAX_BINS};
+use crate::hist::MAX_BINS;
 use crate::matrix::Matrix;
+use crate::stream::{Attempt, StreamedLayout};
 use crate::tree::{RegressionTree, TreeParams};
 
 /// Derive the per-tree RNG seed: a SplitMix64 scramble of the forest seed
 /// and the tree index, so tree streams are independent and assignment of
 /// trees to worker threads cannot change any tree's randomness.
-pub(crate) fn tree_seed(seed: u64, tree: usize) -> u64 {
+fn tree_seed(seed: u64, tree: usize) -> u64 {
     let mut z = seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(tree as u64 + 1);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -59,6 +68,59 @@ impl Default for ForestParams {
     }
 }
 
+impl ForestParams {
+    /// Reject a fit over `rows` feature rows with targets `y` that cannot
+    /// produce a forest.
+    pub(crate) fn check(&self, rows: usize, y: &[f64]) -> Result<()> {
+        if rows == 0 {
+            return Err(MlError::InvalidInput("empty training set".into()));
+        }
+        if rows != y.len() {
+            return Err(MlError::InvalidInput(format!(
+                "x has {rows} rows, y has {}",
+                y.len()
+            )));
+        }
+        if self.n_trees == 0 {
+            return Err(MlError::InvalidInput("n_trees must be ≥ 1".into()));
+        }
+        Ok(())
+    }
+
+    /// Per-tree parameters over `d` features: unless set, feature
+    /// subsampling defaults to ⌈√d⌉ above three features.
+    pub(crate) fn tree_params(&self, d: usize) -> TreeParams {
+        let mut tree = self.tree.clone();
+        if tree.max_features.is_none() && d > 3 {
+            tree.max_features = Some((d as f64).sqrt().ceil() as usize);
+        }
+        tree
+    }
+}
+
+/// Fit `params.n_trees` trees in parallel over `runtime`; tree `t` draws
+/// from its own RNG seeded by `(params.seed, t)`.
+pub(crate) fn grow_trees<F>(
+    runtime: &HyperRuntime,
+    params: &ForestParams,
+    fit_tree: F,
+) -> Result<RandomForest>
+where
+    F: Fn(&mut StdRng) -> Result<RegressionTree> + Sync,
+{
+    let slots: Vec<OnceLock<Result<RegressionTree>>> =
+        (0..params.n_trees).map(|_| OnceLock::new()).collect();
+    runtime.for_each_parallel(params.n_trees, |t| {
+        let mut rng = StdRng::seed_from_u64(tree_seed(params.seed, t));
+        let _ = slots[t].set(fit_tree(&mut rng));
+    });
+    let trees = slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every tree slot is filled"))
+        .collect::<Result<Vec<_>>>()?;
+    Ok(RandomForest { trees })
+}
+
 /// A fitted random forest.
 #[derive(Debug, Clone)]
 pub struct RandomForest {
@@ -66,8 +128,7 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Fit on `(x, y)` over the process-wide
-    /// [`HyperRuntime`](hyper_runtime::HyperRuntime).
+    /// Fit on `(x, y)` over the process-wide [`HyperRuntime`].
     pub fn fit(x: &Matrix, y: &[f64], params: &ForestParams) -> Result<RandomForest> {
         Self::fit_on(HyperRuntime::global(), x, y, params)
     }
@@ -76,69 +137,27 @@ impl RandomForest {
     /// result depends only on `(x, y, params)` — never on the runtime's
     /// worker count (each tree's randomness is derived from
     /// `(params.seed, tree_index)`).
+    ///
+    /// `x` is read as a one-chunk [`StreamedLayout`] source with a cap of
+    /// `max(rows / 4, 64)` joint cells, so the forest is bit-identical to
+    /// [`StreamedLayout::fit_forest`] over any chunking of the same rows.
+    /// Above the cap, trees fit row-wise over the per-row bins the
+    /// layout's second pass already derived — no column is sorted twice.
     pub fn fit_on(
         runtime: &HyperRuntime,
         x: &Matrix,
         y: &[f64],
         params: &ForestParams,
     ) -> Result<RandomForest> {
-        if x.rows() == 0 {
-            return Err(MlError::InvalidInput("empty training set".into()));
-        }
-        if x.rows() != y.len() {
-            return Err(MlError::InvalidInput(format!(
-                "x has {} rows, y has {}",
-                x.rows(),
-                y.len()
-            )));
-        }
-        if params.n_trees == 0 {
-            return Err(MlError::InvalidInput("n_trees must be ≥ 1".into()));
-        }
+        params.check(x.rows(), y)?;
         let _span = hyper_trace::span(hyper_trace::Phase::ForestTrain);
-        let mut tree_params = params.tree.clone();
-        if tree_params.max_features.is_none() && x.cols() > 3 {
-            tree_params.max_features = Some((x.cols() as f64).sqrt().ceil() as usize);
-        }
         let n = x.rows();
-        // Bin once, share across every tree (the expensive sort happens
-        // here, not per node). When the joint bin vectors collapse into
-        // few distinct cells — always true over HypeR's discrete
-        // adjustment sets — trees additionally fit over weighted cells
-        // instead of rows, so per-tree cost drops to one O(n) bootstrap
-        // accumulation plus an O(cells) tree build.
-        let binned = BinnedMatrix::from_matrix(x, MAX_BINS);
-        let cells = CellIndex::build(&binned, (n / 4).max(64));
-        let slots: Vec<OnceLock<Result<RegressionTree>>> =
-            (0..params.n_trees).map(|_| OnceLock::new()).collect();
-        runtime.for_each_parallel(params.n_trees, |t| {
-            let mut rng = StdRng::seed_from_u64(tree_seed(params.seed, t));
-            let tree = match &cells {
-                Some(cells) => {
-                    // Accumulate this tree's bootstrap directly into
-                    // per-cell (count, Σy, Σy²) statistics.
-                    let mut stats = vec![(0u32, 0.0f64, 0.0f64); cells.num_cells()];
-                    let cell_of_row = cells.cell_of_row();
-                    if params.bootstrap {
-                        for _ in 0..n {
-                            let r = rng.gen_range(0..n);
-                            let slot = &mut stats[cell_of_row[r] as usize];
-                            let yv = y[r];
-                            slot.0 += 1;
-                            slot.1 += yv;
-                            slot.2 += yv * yv;
-                        }
-                    } else {
-                        for (r, &yv) in y.iter().enumerate() {
-                            let slot = &mut stats[cell_of_row[r] as usize];
-                            slot.0 += 1;
-                            slot.1 += yv;
-                            slot.2 += yv * yv;
-                        }
-                    }
-                    RegressionTree::fit_cells(&binned, cells, &stats, &tree_params, &mut rng)
-                }
-                None => {
+        let mut source = x;
+        match StreamedLayout::attempt(&mut source, MAX_BINS, (n / 4).max(64), usize::MAX)? {
+            Attempt::Cells(layout) => layout.fit_forest(runtime, y, params),
+            Attempt::Rows(Some(binned)) => {
+                let tree_params = params.tree_params(binned.cols());
+                grow_trees(runtime, params, |rng| {
                     let idx: Vec<u32> = if params.bootstrap {
                         let mut idx: Vec<u32> =
                             (0..n).map(|_| rng.gen_range(0..n) as u32).collect();
@@ -150,16 +169,13 @@ impl RandomForest {
                     } else {
                         (0..n as u32).collect()
                     };
-                    RegressionTree::fit_binned(&binned, y, idx, &tree_params, &mut rng)
-                }
-            };
-            let _ = slots[t].set(tree);
-        });
-        let mut trees = Vec::with_capacity(params.n_trees);
-        for slot in slots {
-            trees.push(slot.into_inner().expect("every tree slot is filled")?);
+                    RegressionTree::fit_binned(&binned, y, idx, &tree_params, rng)
+                })
+            }
+            Attempt::Rows(None) | Attempt::TooManyDistinct => {
+                unreachable!("a resident matrix is one chunk with no distinct cap")
+            }
         }
-        Ok(RandomForest { trees })
     }
 
     /// Mean prediction across trees for one sample.
@@ -318,6 +334,69 @@ mod tests {
         let f = RandomForest::fit(&x, &y, &ForestParams::default()).unwrap();
         let p = f.predict_proba_row(&[2.5]);
         assert!((0.0..=1.0).contains(&p));
+    }
+
+    /// Three discrete features (4 × 3 × 2 joint cells) with a noisy
+    /// additive target: far under the cell cap, so trees fit per cell.
+    fn discrete(n: usize, seed: u64) -> (Matrix, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rows = Vec::with_capacity(n);
+        let mut y = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (a, b, c) = (
+                rng.gen_range(0..4) as f64,
+                rng.gen_range(0..3) as f64,
+                rng.gen_range(0..2) as f64,
+            );
+            rows.push(vec![a, b, c]);
+            y.push(0.5 * a + b - c + rng.gen_range(-1.0..1.0));
+        }
+        (Matrix::from_rows(&rows).unwrap(), y)
+    }
+
+    /// Pinned prediction bits for one cell-mode and one row-wise fit.
+    /// The constants were captured from the trainer before it moved onto
+    /// a single cell layout; binning, cell ids, bootstrap order and the
+    /// per-tree RNG must all stay exactly as they were.
+    #[test]
+    fn golden_prediction_bits() {
+        let bits = |f: &RandomForest, probes: &[Vec<f64>]| -> Vec<u64> {
+            probes.iter().map(|p| f.predict_row(p).to_bits()).collect()
+        };
+
+        let (x, y) = discrete(2000, 5);
+        let cells = RandomForest::fit(&x, &y, &ForestParams::default()).unwrap();
+        let probes = [
+            vec![0.0, 0.0, 0.0],
+            vec![3.0, 2.0, 1.0],
+            vec![1.0, 1.0, 0.0],
+            vec![2.0, 0.0, 1.0],
+        ];
+        assert_eq!(
+            bits(&cells, &probes),
+            [
+                0x3fa2fe0528aa7b0b,
+                0x4003f3884786da5e,
+                0x3ff958db4e11bfb2,
+                0x3fb613ba8f734b6b,
+            ],
+            "cell-mode fit"
+        );
+
+        let (x, y) = quadratic(600, 1);
+        let rows = RandomForest::fit(&x, &y, &ForestParams::default()).unwrap();
+        let probes = [vec![-1.5], vec![-0.3], vec![0.0], vec![0.7], vec![1.9]];
+        assert_eq!(
+            bits(&rows, &probes),
+            [
+                0x40018970fbd01b23,
+                0x3fb5117e30907682,
+                0x3f73694df0fdd766,
+                0x3fde42ddcd65ac35,
+                0x400d0ad1e17b9a55,
+            ],
+            "row-wise fit"
+        );
     }
 
     #[test]

@@ -19,8 +19,6 @@
 /// Maximum number of bins per feature; bin ids fit in a `u8`.
 pub const MAX_BINS: usize = 255;
 
-use crate::matrix::Matrix;
-
 /// One binned feature: a per-row bin id plus the real-valued thresholds
 /// between adjacent bins (`splits()[b]` separates bin `b` from bin
 /// `b + 1`; a tree split "bin ≤ b" is the predicate `value ≤ splits[b]`).
@@ -36,8 +34,8 @@ pub struct BinnedFeature {
 }
 
 impl BinnedFeature {
-    /// A splits-only view with **no per-row bins**, for the streaming
-    /// trainer (`crate::stream`): cell-mode tree fitting reads only
+    /// A splits-only view with **no per-row bins**, for the cell layout
+    /// (`crate::stream`): cell-mode tree fitting reads only
     /// `num_bins()` / `splits()` plus the [`CellIndex`], never the
     /// per-row bin ids, so the dense bin vector need not exist.
     pub(crate) fn from_splits(splits: Vec<f64>) -> BinnedFeature {
@@ -45,6 +43,11 @@ impl BinnedFeature {
             bins: Vec::new(),
             splits,
         }
+    }
+
+    /// Attach per-row bin ids (each `< num_bins()`) to a splits-only view.
+    pub(crate) fn with_bins(self, bins: Vec<u8>) -> BinnedFeature {
+        BinnedFeature { bins, ..self }
     }
 
     /// Number of bins (`splits().len() + 1`, or 1 for a constant feature).
@@ -73,26 +76,7 @@ pub struct BinnedMatrix {
 }
 
 impl BinnedMatrix {
-    /// Bin every column of `x` into at most `max_bins` ordered bins.
-    pub fn from_matrix(x: &Matrix, max_bins: usize) -> BinnedMatrix {
-        let max_bins = max_bins.clamp(2, MAX_BINS);
-        let n = x.rows();
-        let mut features = Vec::with_capacity(x.cols());
-        let mut column = vec![0.0f64; n];
-        for j in 0..x.cols() {
-            for (i, slot) in column.iter_mut().enumerate() {
-                *slot = x.get(i, j);
-            }
-            features.push(bin_column(&column, max_bins));
-        }
-        BinnedMatrix {
-            n_rows: n,
-            features,
-        }
-    }
-
-    /// Assemble from pre-built (possibly splits-only) features — the
-    /// streaming trainer's constructor.
+    /// Assemble from binned features — the cell layout's constructor.
     pub(crate) fn from_features(features: Vec<BinnedFeature>, n_rows: usize) -> BinnedMatrix {
         BinnedMatrix { n_rows, features }
     }
@@ -122,8 +106,8 @@ impl BinnedMatrix {
 /// the cells in microseconds after one O(rows) weighted pass.
 ///
 /// Built only when the distinct-cell count stays under the requested cap
-/// ([`CellIndex::build`] returns `None` otherwise — continuous features
-/// keep the row-wise path).
+/// ([`crate::stream::StreamedLayout`] declines otherwise — continuous
+/// features keep the row-wise path).
 pub struct CellIndex {
     /// Cell id of each row.
     cell_of_row: Vec<u32>,
@@ -133,42 +117,8 @@ pub struct CellIndex {
 }
 
 impl CellIndex {
-    /// Group the rows of `data` by their joint bin vector; `None` when
-    /// more than `max_cells` distinct cells exist.
-    pub fn build(data: &BinnedMatrix, max_cells: usize) -> Option<CellIndex> {
-        use std::collections::HashMap;
-        let n = data.rows();
-        let d = data.cols();
-        let mut key = vec![0u8; d];
-        let mut ids: HashMap<Vec<u8>, u32> = HashMap::new();
-        let mut cell_of_row = Vec::with_capacity(n);
-        let mut cell_bins: Vec<Vec<u8>> = vec![Vec::new(); d];
-        for i in 0..n {
-            for (f, k) in key.iter_mut().enumerate() {
-                *k = data.features[f].bins[i];
-            }
-            let next_id = ids.len() as u32;
-            let id = *ids.entry(key.clone()).or_insert(next_id);
-            if id == next_id {
-                if ids.len() > max_cells {
-                    return None;
-                }
-                for (f, bins) in cell_bins.iter_mut().enumerate() {
-                    bins.push(key[f]);
-                }
-            }
-            cell_of_row.push(id);
-        }
-        Some(CellIndex {
-            cell_of_row,
-            cell_bins,
-            num_cells: ids.len(),
-        })
-    }
-
-    /// Assemble from pre-computed parts (the streaming builder replays
-    /// [`CellIndex::build`]'s exact first-occurrence id assignment
-    /// chunk-at-a-time; see `crate::stream`).
+    /// Assemble from pre-computed parts (the layout's pass two numbers
+    /// cells in first-occurrence row order; see `crate::stream`).
     pub(crate) fn from_parts(
         cell_of_row: Vec<u32>,
         cell_bins: Vec<Vec<u8>>,
@@ -197,23 +147,8 @@ impl CellIndex {
     }
 }
 
-/// Bin one feature column: distinct values become bins (midpoint
-/// thresholds); above `max_bins` distinct values, thresholds thin to
-/// evenly-spaced distinct-value quantiles.
-fn bin_column(values: &[f64], max_bins: usize) -> BinnedFeature {
-    let mut distinct: Vec<f64> = values.to_vec();
-    distinct.sort_unstable_by(f64::total_cmp);
-    distinct.dedup_by(|a, b| a.total_cmp(b).is_eq());
-
-    let splits = splits_from_distinct(&distinct, max_bins);
-    let bins: Vec<u8> = values.iter().map(|&v| bin_value(&splits, v)).collect();
-    BinnedFeature { bins, splits }
-}
-
 /// Thresholds for a feature whose sorted (by `total_cmp`), deduplicated
-/// distinct values are `distinct` — shared by the resident
-/// [`bin_column`] and the streaming pass-one binner so both produce the
-/// same splits from the same distinct set.
+/// distinct values are `distinct` (the layout's pass one).
 pub(crate) fn splits_from_distinct(distinct: &[f64], max_bins: usize) -> Vec<f64> {
     let m = distinct.len();
     if m <= 1 {
@@ -238,8 +173,7 @@ pub(crate) fn splits_from_distinct(distinct: &[f64], max_bins: usize) -> Vec<f64
     }
 }
 
-/// The bin id of `v` under `splits` (the same `partition_point` the
-/// resident binner uses).
+/// The bin id of `v` under `splits`: the number of splits below it.
 pub(crate) fn bin_value(splits: &[f64], v: f64) -> u8 {
     splits.partition_point(|s| *s < v) as u8
 }
@@ -263,6 +197,22 @@ fn midpoint(lo: f64, hi: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
+    use crate::stream::{Attempt, StreamedLayout};
+
+    /// Bin `x` as the row-wise trainer sees it: a zero-cell cap declines
+    /// every layout and hands back its per-row bins.
+    fn bin_matrix(x: &Matrix, max_bins: usize) -> BinnedMatrix {
+        match StreamedLayout::attempt(&mut &*x, max_bins, 0, usize::MAX).unwrap() {
+            Attempt::Rows(Some(binned)) => binned,
+            _ => panic!("a zero-cell cap declines with the matrix's bins"),
+        }
+    }
+
+    fn bin_column(values: &[f64], max_bins: usize) -> BinnedFeature {
+        let x = Matrix::from_vec(values.len(), 1, values.to_vec()).unwrap();
+        bin_matrix(&x, max_bins).features.remove(0)
+    }
 
     #[test]
     fn small_domain_bins_are_exact_distinct_values() {
@@ -313,7 +263,7 @@ mod tests {
     #[test]
     fn matrix_binning_is_column_aligned() {
         let x = Matrix::from_rows(&[vec![1.0, 10.0], vec![2.0, 10.0], vec![1.0, 20.0]]).unwrap();
-        let b = BinnedMatrix::from_matrix(&x, 255);
+        let b = bin_matrix(&x, 255);
         assert_eq!(b.rows(), 3);
         assert_eq!(b.cols(), 2);
         assert_eq!(b.feature(0).bins(), &[0, 1, 0]);

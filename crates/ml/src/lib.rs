@@ -14,37 +14,37 @@
 //!   (trees train in parallel over the
 //!   [`hyper_runtime::HyperRuntime`] worker pool, deterministically for a
 //!   fixed seed whatever the worker count);
-//! * [`stream`] — streaming, two-pass construction of the histogram
-//!   training layout over chunked sources, so the dense encoded matrix
-//!   never materializes for cell-trainable workloads;
-//! * [`linear`] — OLS/ridge for the how-to objective linearization (§4.3);
+//! * [`stream`] — the cell layout every forest trains through, built in
+//!   two passes over a chunked source of encoded rows;
 //! * [`discretize`] — equi-width/equi-frequency bucketization (§4.3, Fig 9);
 //! * [`metrics`] — MSE/MAE/R².
 //!
 //! ## The training pipeline
 //!
-//! Forest training has two equivalent routes:
+//! Every forest trains through one layout, [`StreamedLayout`], read from
+//! a [`TrainChunkSource`] in two passes: pass one merges each feature's
+//! exact distinct-value set to fix the histogram bin splits, pass two
+//! bins rows against those splits and numbers the joint cells (rows
+//! sharing one bin vector). Trees then fit over per-cell statistics,
+//! fanned out over the [`hyper_runtime::HyperRuntime`] worker pool.
 //!
-//! * **Resident**: encode the view to a dense `rows × width`
-//!   [`Matrix`], bin it ([`BinnedMatrix`]), collapse rows into joint
-//!   cells ([`hist::CellIndex`]), fit every tree over per-cell
-//!   statistics ([`RandomForest::fit_on`]). Trees fan out over the
-//!   [`hyper_runtime::HyperRuntime`] worker pool.
-//! * **Streaming** ([`StreamedLayout`]): two chunk-at-a-time passes
-//!   over a [`TrainChunkSource`] — pass one merges each feature's exact
-//!   distinct-value set to fix the bin splits, pass two bins rows
-//!   against the fixed splits and replays the cell-id assignment — so
-//!   peak resident bytes are O(bins × features + cells) + O(rows) for
-//!   cell ids and targets, never O(rows × width).
+//! * **Resident**: [`RandomForest::fit_on`] reads an encoded
+//!   [`Matrix`] as a source with one chunk.
+//! * **Out of core**: `hyper-store`'s `PagedTrainSource` streams a paged
+//!   table morsel by morsel, so peak resident bytes are
+//!   O(bins × features + cells) + O(rows) for cell ids and targets, never
+//!   O(rows × width).
 //!
-//! Both routes are **bit-identical** (`f64::to_bits`) for any worker
-//! count and chunk size: splits derive from the same distinct sets,
-//! cell ids from the same first-occurrence order, and each tree's RNG
-//! from the same `(seed, tree_index)` scramble. The streaming route
-//! declines (returns `None`) when a feature exceeds
-//! [`STREAM_DISTINCT_CAP`] distinct values or the joint cells exceed
-//! the resident trainer's cell cap — callers then fall back to the
-//! resident route, which handles continuous features row-wise.
+//! The layout depends only on the rows, not on the chunking, so both are
+//! **bit-identical** (`f64::to_bits`) for any worker count and chunk
+//! size: splits derive from the same distinct sets, cell ids from the
+//! same first-occurrence order, and each tree's RNG from the same
+//! `(seed, tree_index)` scramble. When the joint cells exceed the cap —
+//! continuous features — [`RandomForest::fit_on`] falls back to row-wise
+//! trees over per-row bins ([`BinnedMatrix`]) derived from pass one's
+//! splits. A streamed build instead returns `None` (also when a feature
+//! exceeds [`STREAM_DISTINCT_CAP`] distinct values), and the caller
+//! materializes the matrix.
 
 #![warn(missing_docs)]
 
@@ -53,7 +53,6 @@ pub mod encode;
 pub mod error;
 pub mod forest;
 pub mod hist;
-pub mod linear;
 pub mod matrix;
 pub mod metrics;
 pub mod stream;
@@ -64,9 +63,6 @@ pub use encode::{ColumnEncoding, EncoderFitState, TableEncoder};
 pub use error::{MlError, Result};
 pub use forest::{ForestParams, RandomForest};
 pub use hist::{BinnedMatrix, MAX_BINS};
-pub use linear::LinearModel;
 pub use matrix::Matrix;
-pub use stream::{
-    EncodedTableSource, StreamedLayout, TrainChunkSource, TrainStreamStats, STREAM_DISTINCT_CAP,
-};
+pub use stream::{StreamedLayout, TrainChunkSource, TrainStreamStats, STREAM_DISTINCT_CAP};
 pub use tree::{RegressionTree, TreeNode, TreeParams};

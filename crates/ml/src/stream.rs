@@ -1,68 +1,60 @@
-//! Streaming, two-pass construction of the histogram training layout —
-//! forest training without ever materializing the dense encoded matrix.
+//! The cell layout every forest trains through, built in two passes over
+//! a chunked source of encoded rows.
 //!
-//! The resident trainer ([`crate::forest::RandomForest::fit_on`]) takes a
-//! fully materialized `rows × width` feature [`Matrix`], bins it
-//! ([`crate::hist::BinnedMatrix`]), collapses the rows into joint cells
-//! ([`crate::hist::CellIndex`]), and fits every tree over the cells. The
-//! matrix exists only to be binned: once the cell layout is built, tree
-//! fitting reads per-cell statistics plus a per-row cell id. For a 1M-row
-//! view with a 60-wide one-hot encoding that transient matrix is ~480 MB
-//! — the last resident-memory cliff in the cold-query path.
-//!
-//! This module streams the encoded rows **twice** in fixed-row chunks
-//! (chunk granularity = morsel granularity, so out-of-core chunk layouts
-//! line up) and builds the identical layout directly:
+//! A [`TrainChunkSource`] yields encoded feature rows in global row order,
+//! one chunk at a time. A resident [`Matrix`] is a source with a single
+//! chunk — the [`RandomForest::fit_on`] route. `hyper-store`'s
+//! `PagedTrainSource` streams an out-of-core table morsel by morsel, so
+//! its dense encoded matrix (8 B × width per row) never exists. Either
+//! way the layout is built by reading the source twice:
 //!
 //! 1. **Pass one** merges each feature's *exact* distinct-value set
-//!    across chunks (sorted by `total_cmp`, deduplicated — the same set
-//!    the resident binner sorts out of the whole column) and derives the
-//!    identical split thresholds. An approximate quantile sketch would be
-//!    cheaper but could pick different thresholds; exactness is what buys
-//!    the bit-identity guarantee below. Features with more than
-//!    [`STREAM_DISTINCT_CAP`] distinct values abort the stream (`None`),
-//!    and the caller falls back to the resident path.
-//! 2. **Pass two** re-streams the chunks, bins each row against the
-//!    fixed splits, and replays [`crate::hist::CellIndex::build`]'s
-//!    first-occurrence cell-id assignment in global row order. More than
-//!    `max_cells` distinct cells also aborts to the resident path
-//!    (continuous features keep the row-wise trainer).
+//!    across chunks (sorted by `total_cmp`, deduplicated) and derives the
+//!    split thresholds from it. An approximate quantile sketch would be
+//!    cheaper but could pick different thresholds; exactness is what
+//!    makes the layout independent of the chunking. On a streamed source
+//!    a feature with more than [`STREAM_DISTINCT_CAP`] distinct values
+//!    aborts the build (`None`) — its distinct set alone would approach
+//!    O(rows) — and the caller materializes the matrix instead. A
+//!    resident matrix already holds every value, so it has no cap.
+//! 2. **Pass two** bins each row against the fixed splits and numbers the
+//!    joint cells (rows sharing one bin vector, which no split can
+//!    separate) in first-occurrence row order. More than `max_cells`
+//!    cells declines the layout: continuous features keep the row-wise
+//!    trainer, which reuses the resident matrix's bins from this pass.
 //!
-//! Peak resident footprint is O(bins × features + cells) for the layout
-//! plus O(rows) for the per-row cell ids (4 B/row) and the caller's
-//! target vectors (8 B/row each) — the dense matrix (8 B × width/row)
-//! never exists.
+//! Trees then fit over per-cell statistics
+//! ([`StreamedLayout::fit_forest`]): one O(rows) bootstrap accumulation
+//! per tree plus an O(cells) tree build. Peak resident footprint is
+//! O(bins × features + cells) for the layout plus O(rows) for the per-row
+//! cell ids (4 B/row) and the caller's target vectors (8 B/row each).
 //!
 //! ## Determinism contract
 //!
-//! [`StreamedLayout::fit_forest`] is **bit-identical** (`f64::to_bits`)
-//! to [`crate::forest::RandomForest::fit_on`] over the materialized
-//! matrix, for any worker count and any chunk size, whenever the stream
-//! succeeds: the distinct sets (hence splits), the cell ids, and the
-//! per-tree `(seed, tree_index)` RNG derivation all match the resident
-//! trainer exactly, and per-tree bootstrap accumulation into disjoint
-//! cell-stat slabs is the same code in the same order. This is
-//! property-tested across workers × chunk sizes × budgets in
-//! `hyper-store`'s `prop_stream_train` suite.
+//! The layout depends only on the concatenated rows, never on how they
+//! are chunked: the distinct sets (hence splits) and the first-occurrence
+//! cell ids are the same for one chunk or many, and each tree's RNG
+//! derives from `(seed, tree_index)`. So a forest fitted over a streamed
+//! source is **bit-identical** (`f64::to_bits`) to
+//! [`RandomForest::fit_on`] over the collected matrix, for any worker
+//! count and any chunk size. `hyper-store`'s `prop_stream_train` suite
+//! checks this across workers × chunk sizes × paging budgets.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 use hyper_runtime::HyperRuntime;
-use hyper_storage::Table;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use crate::encode::TableEncoder;
 use crate::error::{MlError, Result};
-use crate::forest::{tree_seed, ForestParams, RandomForest};
+use crate::forest::{grow_trees, ForestParams, RandomForest};
 use crate::hist::{bin_value, splits_from_distinct, BinnedFeature, BinnedMatrix, CellIndex};
 use crate::matrix::Matrix;
 use crate::tree::RegressionTree;
 
-/// Pass-one cap on tracked distinct values per feature. Beyond this the
-/// distinct set itself approaches O(rows) resident bytes, so the stream
-/// aborts and the caller uses the resident trainer instead.
+/// Pass-one cap on tracked distinct values per feature of a streamed
+/// source. Beyond this the distinct set itself approaches O(rows)
+/// resident bytes, so [`StreamedLayout::build`] declines and the caller
+/// trains on the materialized matrix instead.
 pub const STREAM_DISTINCT_CAP: usize = 1 << 16;
 
 /// A restartable source of encoded feature chunks in global row order.
@@ -82,11 +74,25 @@ pub trait TrainChunkSource {
     fn for_each_chunk(&mut self, f: &mut dyn FnMut(&Matrix) -> Result<()>) -> Result<()>;
 }
 
-/// Counters from one streaming layout build, surfaced through
-/// `SessionStats` so out-of-core training is observable in serving.
+/// A resident matrix is a source with one chunk: itself.
+impl TrainChunkSource for &Matrix {
+    fn num_rows(&self) -> usize {
+        self.rows()
+    }
+
+    fn num_cols(&self) -> usize {
+        self.cols()
+    }
+
+    fn for_each_chunk(&mut self, f: &mut dyn FnMut(&Matrix) -> Result<()>) -> Result<()> {
+        f(self)
+    }
+}
+
+/// Counters from one layout build.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrainStreamStats {
-    /// Encoded chunks streamed across both passes.
+    /// Chunks read across both passes.
     pub chunks_streamed: u64,
     /// Peak resident bytes of the builder (distinct sets, splits, cell
     /// ids, cell bins, and the one in-flight chunk — never the dense
@@ -94,10 +100,9 @@ pub struct TrainStreamStats {
     pub peak_resident_bytes: u64,
 }
 
-/// The streaming trainer's materialized state: a splits-only
-/// [`BinnedMatrix`] plus the joint-[`CellIndex`] — everything cell-mode
-/// forest fitting needs, with no dense matrix and no per-row bin
-/// vectors.
+/// The cell layout: a splits-only [`BinnedMatrix`] plus the joint
+/// [`CellIndex`] — everything cell-mode forest fitting needs, with no
+/// dense matrix and no per-row bin vectors.
 pub struct StreamedLayout {
     binned: BinnedMatrix,
     cells: CellIndex,
@@ -105,114 +110,119 @@ pub struct StreamedLayout {
     stats: TrainStreamStats,
 }
 
+/// What one layout attempt over a source produced.
+pub(crate) enum Attempt {
+    /// Every row maps to one of at most `max_cells` joint cells.
+    Cells(StreamedLayout),
+    /// More joint cells than the cap. When the source was one chunk,
+    /// pass two's per-row bins, for the row-wise trainer.
+    Rows(Option<BinnedMatrix>),
+    /// A feature passed the distinct cap in pass one.
+    TooManyDistinct,
+}
+
 impl StreamedLayout {
     /// Build the layout from two streaming passes over `source`.
     ///
-    /// Returns `Ok(None)` when the workload is not cell-trainable under
-    /// the caps — some feature exceeds [`STREAM_DISTINCT_CAP`] distinct
-    /// values, or the joint cells exceed `max_cells` (the same cap
-    /// [`crate::hist::CellIndex::build`] enforces) — in which case the
-    /// caller should materialize the matrix and use the resident
-    /// trainer. `max_bins` is clamped exactly as
-    /// [`BinnedMatrix::from_matrix`] clamps it.
+    /// Returns `Ok(None)` when the source is empty or the workload is not
+    /// cell-trainable under the caps — some feature exceeds
+    /// [`STREAM_DISTINCT_CAP`] distinct values, or the joint cells exceed
+    /// `max_cells` — in which case the caller should materialize the
+    /// matrix and use [`RandomForest::fit_on`]. `max_bins` is clamped to
+    /// `2..=`[`crate::hist::MAX_BINS`].
     pub fn build<S: TrainChunkSource + ?Sized>(
         source: &mut S,
         max_bins: usize,
         max_cells: usize,
     ) -> Result<Option<StreamedLayout>> {
-        let max_bins = max_bins.clamp(2, crate::hist::MAX_BINS);
-        let n = source.num_rows();
-        let d = source.num_cols();
-        if n == 0 || d == 0 {
+        if source.num_rows() == 0 {
             return Ok(None);
         }
         let _span = hyper_trace::span(hyper_trace::Phase::ForestTrain);
-        let mut stats = TrainStreamStats::default();
+        Ok(
+            match Self::attempt(source, max_bins, max_cells, STREAM_DISTINCT_CAP)? {
+                Attempt::Cells(layout) => Some(layout),
+                Attempt::Rows(_) | Attempt::TooManyDistinct => None,
+            },
+        )
+    }
 
-        // Pass one: exact per-feature distinct sets, merged chunk by
-        // chunk.
-        let mut distinct: Vec<Vec<f64>> = vec![Vec::new(); d];
-        let mut chunk_vals: Vec<f64> = Vec::new();
-        let mut merged: Vec<f64> = Vec::new();
-        let mut overflow = false;
-        source.for_each_chunk(&mut |chunk| {
-            if chunk.cols() != d {
-                return Err(MlError::InvalidInput(format!(
-                    "chunk has {} columns, source declares {d}",
-                    chunk.cols()
-                )));
-            }
-            stats.chunks_streamed += 1;
-            if overflow {
-                return Ok(());
-            }
-            for (j, dj) in distinct.iter_mut().enumerate() {
-                chunk_vals.clear();
-                chunk_vals.extend((0..chunk.rows()).map(|i| chunk.get(i, j)));
-                chunk_vals.sort_unstable_by(f64::total_cmp);
-                chunk_vals.dedup_by(|a, b| a.total_cmp(b).is_eq());
-                merge_distinct(dj, &chunk_vals, &mut merged);
-                std::mem::swap(dj, &mut merged);
-                if dj.len() > STREAM_DISTINCT_CAP {
-                    overflow = true;
-                    break;
-                }
-            }
-            let resident = distinct.iter().map(|v| v.len() as u64 * 8).sum::<u64>()
-                + (chunk.rows() * d) as u64 * 8;
-            stats.peak_resident_bytes = stats.peak_resident_bytes.max(resident);
-            Ok(())
-        })?;
-        if overflow {
-            return Ok(None);
-        }
-        let features: Vec<BinnedFeature> = distinct
-            .iter()
-            .map(|dv| BinnedFeature::from_splits(splits_from_distinct(dv, max_bins)))
-            .collect();
-        drop(distinct);
+    /// Both passes over `source`, with pass one's per-feature distinct
+    /// sets capped at `distinct_cap` values.
+    pub(crate) fn attempt<S: TrainChunkSource + ?Sized>(
+        source: &mut S,
+        max_bins: usize,
+        max_cells: usize,
+        distinct_cap: usize,
+    ) -> Result<Attempt> {
+        let max_bins = max_bins.clamp(2, crate::hist::MAX_BINS);
+        let n = source.num_rows();
+        let d = source.num_cols();
+        let mut stats = TrainStreamStats::default();
+        let Some(features) = split_pass(source, max_bins, distinct_cap, &mut stats)? else {
+            return Ok(Attempt::TooManyDistinct);
+        };
         let splits_bytes: u64 = features.iter().map(|f| f.splits().len() as u64 * 8).sum();
 
-        // Pass two: bin each row against the fixed splits and replay
-        // `CellIndex::build`'s first-occurrence id assignment in global
-        // row order.
+        // Pass two: bin each chunk against the fixed splits, column by
+        // column, and number the joint cells in first-occurrence row order.
         let mut key = vec![0u8; d];
         let mut ids: HashMap<Vec<u8>, u32> = HashMap::new();
         let mut cell_of_row: Vec<u32> = Vec::with_capacity(n);
         let mut cell_bins: Vec<Vec<u8>> = vec![Vec::new(); d];
+        let mut chunk_bins: Vec<Vec<u8>> = vec![Vec::new(); d];
+        let mut chunk_rows = 0;
         let mut too_many_cells = false;
         source.for_each_chunk(&mut |chunk| {
+            check_width(chunk, d)?;
             stats.chunks_streamed += 1;
             if too_many_cells {
                 return Ok(());
             }
-            for i in 0..chunk.rows() {
-                for (f, k) in key.iter_mut().enumerate() {
-                    *k = bin_value(features[f].splits(), chunk.get(i, f));
+            chunk_rows = chunk.rows();
+            for (f, bins) in chunk_bins.iter_mut().enumerate() {
+                let splits = features[f].splits();
+                bins.clear();
+                bins.extend((0..chunk_rows).map(|i| bin_value(splits, chunk.get(i, f))));
+            }
+            for i in 0..chunk_rows {
+                for (k, bins) in key.iter_mut().zip(&chunk_bins) {
+                    *k = bins[i];
                 }
-                let next_id = ids.len() as u32;
-                let id = *ids.entry(key.clone()).or_insert(next_id);
-                if id == next_id {
-                    if ids.len() > max_cells {
+                let id = match ids.get(key.as_slice()) {
+                    Some(&id) => id,
+                    None if ids.len() == max_cells => {
                         too_many_cells = true;
                         return Ok(());
                     }
-                    for (f, bins) in cell_bins.iter_mut().enumerate() {
-                        bins.push(key[f]);
+                    None => {
+                        let id = ids.len() as u32;
+                        ids.insert(key.clone(), id);
+                        for (bins, &k) in cell_bins.iter_mut().zip(&key) {
+                            bins.push(k);
+                        }
+                        id
                     }
-                }
+                };
                 cell_of_row.push(id);
             }
             let resident = splits_bytes
                 + cell_of_row.len() as u64 * 4
                 + ids.len() as u64 * (d as u64 + 48)
                 + (ids.len() * d) as u64
-                + (chunk.rows() * d) as u64 * 8;
+                + (chunk_rows * d) as u64 * 9;
             stats.peak_resident_bytes = stats.peak_resident_bytes.max(resident);
             Ok(())
         })?;
         if too_many_cells {
-            return Ok(None);
+            // A source read as one chunk leaves every row's bins behind:
+            // the row-wise trainer's input, binned once.
+            let binned = (chunk_rows == n).then(|| {
+                let features = features.into_iter().zip(chunk_bins);
+                let features = features.map(|(f, bins)| f.with_bins(bins)).collect();
+                BinnedMatrix::from_features(features, n)
+            });
+            return Ok(Attempt::Rows(binned));
         }
         if cell_of_row.len() != n {
             return Err(MlError::InvalidInput(format!(
@@ -221,7 +231,7 @@ impl StreamedLayout {
             )));
         }
         let num_cells = ids.len();
-        Ok(Some(StreamedLayout {
+        Ok(Attempt::Cells(StreamedLayout {
             binned: BinnedMatrix::from_features(features, n),
             cells: CellIndex::from_parts(cell_of_row, cell_bins, num_cells),
             rows: n,
@@ -239,17 +249,14 @@ impl StreamedLayout {
         self.cells.num_cells()
     }
 
-    /// Streaming counters from the build.
+    /// Counters from the build.
     pub fn stats(&self) -> TrainStreamStats {
         self.stats
     }
 
-    /// Fit a forest over the streamed layout — the exact cell-mode
-    /// training loop of [`RandomForest::fit_on`] (same validation, same
-    /// √d feature-subsampling default, same `(seed, tree_index)` RNG
-    /// derivation, same per-tree bootstrap accumulation), so the result
-    /// is bit-identical to the resident trainer for any worker count.
-    /// One layout can fit several forests (e.g. a numerator and a
+    /// Fit a forest over the layout: each tree accumulates its bootstrap
+    /// into per-cell `(count, Σy, Σy²)` statistics and fits over the
+    /// cells. One layout can fit several forests (e.g. a numerator and a
     /// denominator model over different targets).
     pub fn fit_forest(
         &self,
@@ -257,59 +264,91 @@ impl StreamedLayout {
         y: &[f64],
         params: &ForestParams,
     ) -> Result<RandomForest> {
-        if self.rows == 0 {
-            return Err(MlError::InvalidInput("empty training set".into()));
-        }
-        if self.rows != y.len() {
-            return Err(MlError::InvalidInput(format!(
-                "x has {} rows, y has {}",
-                self.rows,
-                y.len()
-            )));
-        }
-        if params.n_trees == 0 {
-            return Err(MlError::InvalidInput("n_trees must be ≥ 1".into()));
-        }
+        params.check(self.rows, y)?;
         let _span = hyper_trace::span(hyper_trace::Phase::ForestTrain);
-        let mut tree_params = params.tree.clone();
-        if tree_params.max_features.is_none() && self.binned.cols() > 3 {
-            tree_params.max_features = Some((self.binned.cols() as f64).sqrt().ceil() as usize);
-        }
+        let tree_params = params.tree_params(self.binned.cols());
         let n = self.rows;
-        let cells = &self.cells;
-        let slots: Vec<OnceLock<Result<RegressionTree>>> =
-            (0..params.n_trees).map(|_| OnceLock::new()).collect();
-        runtime.for_each_parallel(params.n_trees, |t| {
-            let mut rng = StdRng::seed_from_u64(tree_seed(params.seed, t));
-            let mut stats = vec![(0u32, 0.0f64, 0.0f64); cells.num_cells()];
-            let cell_of_row = cells.cell_of_row();
+        let cell_of_row = self.cells.cell_of_row();
+        grow_trees(runtime, params, |rng| {
+            let mut stats = vec![(0u32, 0.0f64, 0.0f64); self.cells.num_cells()];
+            let mut add = |r: usize| {
+                let slot = &mut stats[cell_of_row[r] as usize];
+                let yv = y[r];
+                slot.0 += 1;
+                slot.1 += yv;
+                slot.2 += yv * yv;
+            };
             if params.bootstrap {
                 for _ in 0..n {
-                    let r = rng.gen_range(0..n);
-                    let slot = &mut stats[cell_of_row[r] as usize];
-                    let yv = y[r];
-                    slot.0 += 1;
-                    slot.1 += yv;
-                    slot.2 += yv * yv;
+                    add(rng.gen_range(0..n));
                 }
             } else {
-                for (r, &yv) in y.iter().enumerate() {
-                    let slot = &mut stats[cell_of_row[r] as usize];
-                    slot.0 += 1;
-                    slot.1 += yv;
-                    slot.2 += yv * yv;
-                }
+                (0..n).for_each(add);
             }
-            let tree =
-                RegressionTree::fit_cells(&self.binned, cells, &stats, &tree_params, &mut rng);
-            let _ = slots[t].set(tree);
-        });
-        let mut trees = Vec::with_capacity(params.n_trees);
-        for slot in slots {
-            trees.push(slot.into_inner().expect("every tree slot is filled")?);
-        }
-        RandomForest::from_trees(trees)
+            RegressionTree::fit_cells(&self.binned, &self.cells, &stats, &tree_params, rng)
+        })
     }
+}
+
+/// Pass one: each feature's exact distinct-value set, merged chunk by
+/// chunk, turned into split thresholds. `None` when a feature passes
+/// `distinct_cap` values.
+fn split_pass<S: TrainChunkSource + ?Sized>(
+    source: &mut S,
+    max_bins: usize,
+    distinct_cap: usize,
+    stats: &mut TrainStreamStats,
+) -> Result<Option<Vec<BinnedFeature>>> {
+    let d = source.num_cols();
+    let mut distinct: Vec<Vec<f64>> = vec![Vec::new(); d];
+    let mut chunk_vals: Vec<f64> = Vec::new();
+    let mut merged: Vec<f64> = Vec::new();
+    let mut overflow = false;
+    source.for_each_chunk(&mut |chunk| {
+        check_width(chunk, d)?;
+        stats.chunks_streamed += 1;
+        if overflow {
+            return Ok(());
+        }
+        for (j, dj) in distinct.iter_mut().enumerate() {
+            chunk_vals.clear();
+            chunk_vals.extend((0..chunk.rows()).map(|i| chunk.get(i, j)));
+            chunk_vals.sort_unstable_by(f64::total_cmp);
+            chunk_vals.dedup_by(|a, b| a.total_cmp(b).is_eq());
+            merge_distinct(dj, &chunk_vals, &mut merged);
+            std::mem::swap(dj, &mut merged);
+            if dj.len() > distinct_cap {
+                overflow = true;
+                break;
+            }
+        }
+        let resident = distinct.iter().map(|v| v.len() as u64 * 8).sum::<u64>()
+            + (chunk.rows() * d) as u64 * 8;
+        stats.peak_resident_bytes = stats.peak_resident_bytes.max(resident);
+        Ok(())
+    })?;
+    if overflow {
+        return Ok(None);
+    }
+    Ok(Some(
+        distinct
+            .iter()
+            .map(|dv| BinnedFeature::from_splits(splits_from_distinct(dv, max_bins)))
+            .collect(),
+    ))
+}
+
+/// Every chunk must be exactly as wide as the source declares: a
+/// narrower one would read past its rows (`Matrix::get` indexes the flat
+/// row-major buffer).
+fn check_width(chunk: &Matrix, d: usize) -> Result<()> {
+    if chunk.cols() != d {
+        return Err(MlError::InvalidInput(format!(
+            "chunk has {} columns, source declares {d}",
+            chunk.cols()
+        )));
+    }
+    Ok(())
 }
 
 /// Merge two `total_cmp`-sorted deduplicated runs into `out` (cleared
@@ -339,62 +378,11 @@ fn merge_distinct(a: &[f64], b: &[f64], out: &mut Vec<f64>) {
     out.extend_from_slice(&b[j..]);
 }
 
-/// [`TrainChunkSource`] over a resident table: slices `chunk_rows`-row
-/// windows (chunk granularity = morsel granularity when callers pass
-/// `DEFAULT_MORSEL_ROWS`) and encodes each through a fitted
-/// [`TableEncoder`]. Every encoded cell depends only on its own row, so
-/// the chunked encode is bit-identical to encoding the whole table —
-/// this is the `train_budget_bytes` route, where the *table* fits in
-/// memory but the much wider one-hot matrix must not be materialized.
-pub struct EncodedTableSource<'a> {
-    encoder: &'a TableEncoder,
-    table: &'a Table,
-    chunk_rows: usize,
-}
-
-impl<'a> EncodedTableSource<'a> {
-    /// Stream `table` through `encoder` in `chunk_rows`-row chunks
-    /// (clamped to ≥ 1).
-    pub fn new(
-        encoder: &'a TableEncoder,
-        table: &'a Table,
-        chunk_rows: usize,
-    ) -> EncodedTableSource<'a> {
-        EncodedTableSource {
-            encoder,
-            table,
-            chunk_rows: chunk_rows.max(1),
-        }
-    }
-}
-
-impl TrainChunkSource for EncodedTableSource<'_> {
-    fn num_rows(&self) -> usize {
-        self.table.num_rows()
-    }
-
-    fn num_cols(&self) -> usize {
-        self.encoder.width()
-    }
-
-    fn for_each_chunk(&mut self, f: &mut dyn FnMut(&Matrix) -> Result<()>) -> Result<()> {
-        let n = self.table.num_rows();
-        let mut start = 0usize;
-        while start < n {
-            let len = self.chunk_rows.min(n - start);
-            let slice = self.table.slice(start, len);
-            let m = self.encoder.encode_table(&slice)?;
-            f(&m)?;
-            start += len;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hyper_storage::{DataType, Field, Schema, TableBuilder, Value};
+    use crate::encode::TableEncoder;
+    use hyper_storage::{DataType, Field, Schema, Table, TableBuilder, Value};
 
     fn sample(n: usize) -> Table {
         let schema = Schema::new(vec![
@@ -422,16 +410,66 @@ mod tests {
         b.build()
     }
 
-    fn cols() -> Vec<String> {
-        vec!["a".into(), "b".into(), "c".into()]
+    /// The encoded features and target of `sample(n)`.
+    fn encoded(n: usize) -> (Matrix, Vec<f64>) {
+        let t = sample(n);
+        let cols: Vec<String> = vec!["a".into(), "b".into(), "c".into()];
+        let enc = TableEncoder::fit(&t, &cols).unwrap();
+        let y = TableEncoder::target_vector(&t, "y").unwrap();
+        (enc.encode_table(&t).unwrap(), y)
+    }
+
+    /// A resident matrix served in `chunk_rows`-row chunks; from pass
+    /// `narrow_from` on (counting from 0), every chunk loses its last
+    /// column.
+    struct Chunked<'a> {
+        x: &'a Matrix,
+        chunk_rows: usize,
+        pass: usize,
+        narrow_from: usize,
+    }
+
+    impl<'a> Chunked<'a> {
+        fn new(x: &'a Matrix, chunk_rows: usize) -> Chunked<'a> {
+            Chunked {
+                x,
+                chunk_rows,
+                pass: 0,
+                narrow_from: usize::MAX,
+            }
+        }
+    }
+
+    impl TrainChunkSource for Chunked<'_> {
+        fn num_rows(&self) -> usize {
+            self.x.rows()
+        }
+
+        fn num_cols(&self) -> usize {
+            self.x.cols()
+        }
+
+        fn for_each_chunk(&mut self, f: &mut dyn FnMut(&Matrix) -> Result<()>) -> Result<()> {
+            let width = if self.pass >= self.narrow_from {
+                self.x.cols() - 1
+            } else {
+                self.x.cols()
+            };
+            self.pass += 1;
+            let mut start = 0;
+            while start < self.x.rows() {
+                let end = (start + self.chunk_rows).min(self.x.rows());
+                let data = (start..end).flat_map(|i| self.x.row(i)[..width].iter().copied());
+                f(&Matrix::from_vec(end - start, width, data.collect())?)?;
+                start = end;
+            }
+            Ok(())
+        }
     }
 
     #[test]
-    fn streamed_forest_is_bit_identical_to_resident() {
-        let t = sample(500);
-        let enc = TableEncoder::fit(&t, &cols()).unwrap();
-        let x = enc.encode_table(&t).unwrap();
-        let y = TableEncoder::target_vector(&t, "y").unwrap();
+    fn layout_is_independent_of_chunking() {
+        let (x, y) = encoded(500);
         let params = ForestParams {
             n_trees: 7,
             seed: 42,
@@ -440,17 +478,18 @@ mod tests {
         let rt = HyperRuntime::with_workers(0);
         let resident = RandomForest::fit_on(&rt, &x, &y, &params).unwrap();
         for chunk_rows in [1usize, 7, 4096] {
-            let mut src = EncodedTableSource::new(&enc, &t, chunk_rows);
+            let mut src = Chunked::new(&x, chunk_rows);
             let layout = StreamedLayout::build(&mut src, crate::hist::MAX_BINS, 500 / 4)
                 .unwrap()
                 .expect("discrete features stay cell-trainable");
             let streamed = layout.fit_forest(&rt, &y, &params).unwrap();
-            let probe: Vec<f64> = (0..x.cols()).map(|j| x.get(3, j)).collect();
-            assert_eq!(
-                resident.predict_row(&probe).to_bits(),
-                streamed.predict_row(&probe).to_bits(),
-                "chunk_rows={chunk_rows}"
-            );
+            for i in [0, 3, 499] {
+                assert_eq!(
+                    resident.predict_row(x.row(i)).to_bits(),
+                    streamed.predict_row(x.row(i)).to_bits(),
+                    "chunk_rows={chunk_rows} row={i}"
+                );
+            }
             assert_eq!(resident.num_trees(), streamed.num_trees());
             assert!(layout.stats().chunks_streamed >= 2);
             assert!(layout.stats().peak_resident_bytes > 0);
@@ -459,20 +498,45 @@ mod tests {
 
     #[test]
     fn cell_cap_overflow_falls_back_to_none() {
-        let t = sample(200);
-        let enc = TableEncoder::fit(&t, &cols()).unwrap();
-        let mut src = EncodedTableSource::new(&enc, &t, 64);
+        let (x, _) = encoded(200);
         // A 1-cell cap cannot hold the joint distinct cells.
-        let layout = StreamedLayout::build(&mut src, crate::hist::MAX_BINS, 1).unwrap();
+        let layout = StreamedLayout::build(&mut &x, crate::hist::MAX_BINS, 1).unwrap();
         assert!(layout.is_none());
     }
 
     #[test]
     fn empty_source_is_none() {
-        let t = sample(0);
-        let enc = TableEncoder::fit(&t, &cols()).unwrap();
-        let mut src = EncodedTableSource::new(&enc, &t, 64);
-        assert!(StreamedLayout::build(&mut src, 255, 64).unwrap().is_none());
+        let x = Matrix::zeros(0, 3);
+        assert!(StreamedLayout::build(&mut &x, 255, 64).unwrap().is_none());
+    }
+
+    #[test]
+    fn distinct_cap_binds_streamed_sources_only() {
+        // One feature with more distinct values than the streaming cap,
+        // but few bins and so few cells.
+        let n = STREAM_DISTINCT_CAP + 10;
+        let x = Matrix::from_vec(n, 1, (0..n).map(|i| i as f64).collect()).unwrap();
+        assert!(StreamedLayout::build(&mut &x, 8, n).unwrap().is_none());
+        match StreamedLayout::attempt(&mut &x, 8, n, usize::MAX).unwrap() {
+            Attempt::Cells(layout) => assert_eq!(layout.num_cells(), 8),
+            _ => panic!("a resident matrix has no distinct cap"),
+        }
+    }
+
+    #[test]
+    fn narrower_chunk_in_pass_two_is_rejected() {
+        let (x, _) = encoded(50);
+        let mut src = Chunked {
+            narrow_from: 1,
+            ..Chunked::new(&x, 16)
+        };
+        match StreamedLayout::build(&mut src, crate::hist::MAX_BINS, 50) {
+            Err(MlError::InvalidInput(msg)) => assert!(msg.contains("columns"), "{msg}"),
+            other => panic!(
+                "expected InvalidInput, got {:?}",
+                other.map(|l| l.is_some())
+            ),
+        }
     }
 
     #[test]

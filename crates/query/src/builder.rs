@@ -1,7 +1,7 @@
 //! Typed, fluent construction of hypothetical queries.
 //!
 //! The builders produce exactly the ASTs the parser yields — validated by
-//! the same [`crate::validate`] rules at [`WhatIf::build`] /
+//! the same [`crate::validate`](mod@crate::validate) rules at [`WhatIf::build`] /
 //! [`HowTo::build`] — so programmatic callers compose queries without
 //! rendering and re-parsing text, and a built query and its parsed
 //! rendering are interchangeable everywhere (including cache keys:

@@ -3,7 +3,7 @@
 //!
 //! Every `/query` and `/explain` request becomes a [`Job`] — a closure
 //! producing `(status, body)` — and is offered to a
-//! [`FairQueue`](hyper_runtime::FairQueue) keyed by tenant id:
+//! [`FairQueue`] keyed by tenant id:
 //!
 //! * **Bounded**: at most `queue_depth` jobs wait; an offer beyond that
 //!   is refused *immediately* and the connection answers a typed `503`

@@ -3,7 +3,7 @@
 //!
 //! Integers and floats are kept distinct ([`Json::Int`] vs
 //! [`Json::Float`]) because they bind to distinct
-//! [`Value`](hyper_storage::Value) types, and floats are rendered with
+//! [`Value`] types, and floats are rendered with
 //! Rust's shortest-round-trip formatting (`{:?}`), so a value written
 //! by the server parses back **bit-identically** — the integration
 //! tests compare server responses to library-path results with `==`,

@@ -6,7 +6,7 @@
 //! keep-alive and pipeline requests), and a fixed executor pool (see
 //! [`crate::admission`]) that runs all engine work. Connection threads
 //! never touch the engine directly: they parse, route, admit, and wait
-//! on a [`ResponseSlot`](crate::admission::ResponseSlot) with the
+//! on a [`ResponseSlot`] with the
 //! configured request timeout.
 //!
 //! Routes:
@@ -756,7 +756,6 @@ fn explain_json(r: &hyper_core::ExplainReport) -> Json {
     let blocks = r.blocks.as_ref().map_or(Json::Null, |b| {
         Json::obj([
             ("count", b.count.into()),
-            ("used_in_evaluation", b.used_in_evaluation.into()),
             ("provenance", b.provenance.to_string().into()),
         ])
     });

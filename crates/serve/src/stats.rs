@@ -276,12 +276,6 @@ pub fn session_json(s: &hyper_core::SessionStats) -> Json {
         ("blocks_invalidated", s.blocks_invalidated.into()),
         ("refreshes", s.refreshes.into()),
         ("data_version", s.data_version.into()),
-        ("trainings_streamed", s.trainings_streamed.into()),
-        ("train_chunks_streamed", s.train_chunks_streamed.into()),
-        (
-            "train_peak_resident_bytes",
-            s.train_peak_resident_bytes.into(),
-        ),
         ("paging_loads", s.paging_loads.into()),
         ("paging_hits", s.paging_hits.into()),
         ("paging_evictions", s.paging_evictions.into()),
@@ -311,18 +305,12 @@ mod tests {
     }
 
     #[test]
-    fn session_json_carries_training_and_paging_counters() {
+    fn session_json_carries_paging_counters() {
         let s = hyper_core::SessionStats {
-            trainings_streamed: 2,
-            train_chunks_streamed: 44,
-            train_peak_resident_bytes: 1024,
             paging_loads: 7,
             ..Default::default()
         };
         let json = session_json(&s).render();
-        assert!(json.contains("\"trainings_streamed\":2"));
-        assert!(json.contains("\"train_chunks_streamed\":44"));
-        assert!(json.contains("\"train_peak_resident_bytes\":1024"));
         assert!(json.contains("\"paging_loads\":7"));
         assert!(json.contains("\"paging_hits\":0"));
         assert!(json.contains("\"paging_evictions\":0"));

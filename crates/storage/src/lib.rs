@@ -42,9 +42,9 @@
 //! order, join match order) runs over the merged stream in global row
 //! order, so the parallel paths are **bit-identical** (`f64::to_bits`)
 //! to the sequential ones for any worker count. Concretely:
-//! [`ops::filter`] concatenates per-morsel selection vectors;
+//! [`ops::filter()`] concatenates per-morsel selection vectors;
 //! [`ops::hash_join`] extracts key parts and probes per morsel and
-//! partitions the build side by key hash; [`ops::aggregate`] encodes
+//! partitions the build side by key hash; [`ops::aggregate()`] encodes
 //! group keys and evaluates agg inputs per morsel but folds accumulators
 //! sequentially in row order; [`BoundExpr::eval_column`] evaluates
 //! ranges via [`Column::slice`] leaves and re-concatenates (widening

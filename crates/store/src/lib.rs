@@ -4,7 +4,7 @@
 //! versioned **`HYPR1`** format (no serde — the build environment is
 //! offline) that serializes typed columnar [`Table`]s and whole
 //! [`Database`]s, [`CausalGraph`]s, Prop.-1 block decompositions, and
-//! fitted models ([`RandomForest`], [`LinearModel`], [`TableEncoder`]),
+//! fitted models ([`RandomForest`], [`TableEncoder`]),
 //! plus the per-artifact file format backing `hyper-core`'s disk cache
 //! tier.
 //!
@@ -12,7 +12,6 @@
 //! [`Database`]: hyper_storage::Database
 //! [`CausalGraph`]: hyper_causal::CausalGraph
 //! [`RandomForest`]: hyper_ml::RandomForest
-//! [`LinearModel`]: hyper_ml::LinearModel
 //! [`TableEncoder`]: hyper_ml::TableEncoder
 //!
 //! ## The `HYPR1` container
@@ -67,8 +66,9 @@
 //!   unreferenced column's payload.
 //! * [`train`] — streaming forest training over paged tables:
 //!   [`PagedTrainSource`] feeds projected, encoded chunks to
-//!   [`hyper_ml::StreamedLayout`], bit-identical to resident training
-//!   without ever materializing the dense feature matrix.
+//!   [`hyper_ml::StreamedLayout`] — the layout resident training reads
+//!   as a single chunk — so the forest is bit-identical to resident
+//!   training without ever materializing the dense feature matrix.
 
 #![warn(missing_docs)]
 
@@ -92,8 +92,7 @@ pub use container::{Container, ContainerWriter, FORMAT_VERSION, MAGIC};
 pub use deltalog::{AppendLog, DELTA_LOG_EXT};
 pub use error::{Result, StoreError};
 pub use mlcodec::{
-    decode_encoder, decode_forest, decode_linear, decode_tree, encode_encoder, encode_forest,
-    encode_linear, encode_tree,
+    decode_encoder, decode_forest, decode_tree, encode_encoder, encode_forest, encode_tree,
 };
 pub use paging::{global_paging_stats, PagedTable, PagingStats};
 pub use registry::SnapshotRegistry;

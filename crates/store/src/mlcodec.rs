@@ -1,5 +1,4 @@
-//! Codecs for fitted models: random forests, linear models, and table
-//! encoders.
+//! Codecs for fitted models: random forests and table encoders.
 //!
 //! Forest trees serialize their flattened arenas with exact `f64` bit
 //! patterns for thresholds and leaf values, so a reloaded forest predicts
@@ -9,7 +8,7 @@
 //! child indices), so hostile bytes cannot build a tree whose prediction
 //! walk fails to terminate.
 
-use hyper_ml::{ColumnEncoding, LinearModel, RandomForest, RegressionTree, TableEncoder, TreeNode};
+use hyper_ml::{ColumnEncoding, RandomForest, RegressionTree, TableEncoder, TreeNode};
 
 use crate::codec::{ByteReader, ByteWriter};
 use crate::error::{Result, StoreError};
@@ -83,26 +82,6 @@ pub fn decode_forest(r: &mut ByteReader<'_>) -> Result<RandomForest> {
         trees.push(decode_tree(r)?);
     }
     RandomForest::from_trees(trees).map_err(|e| corrupt(format!("invalid forest: {e}")))
-}
-
-/// Encode a fitted linear model.
-pub fn encode_linear(w: &mut ByteWriter, model: &LinearModel) {
-    w.write_f64(model.intercept);
-    w.write_u64(model.coefs.len() as u64);
-    for &c in &model.coefs {
-        w.write_f64(c);
-    }
-}
-
-/// Decode a fitted linear model.
-pub fn decode_linear(r: &mut ByteReader<'_>) -> Result<LinearModel> {
-    let intercept = r.read_f64("linear intercept")?;
-    let n = r.read_len(8, "linear coefficient count")?;
-    let mut coefs = Vec::with_capacity(n);
-    for _ in 0..n {
-        coefs.push(r.read_f64("linear coefficient")?);
-    }
-    Ok(LinearModel { intercept, coefs })
 }
 
 /// Encode a fitted table encoder (column names + per-column encodings).
@@ -226,18 +205,7 @@ mod tests {
     }
 
     #[test]
-    fn linear_and_encoder_round_trip() {
-        let m = LinearModel {
-            intercept: -1.25,
-            coefs: vec![0.5, f64::MIN_POSITIVE, -3.0],
-        };
-        let mut w = ByteWriter::new();
-        encode_linear(&mut w, &m);
-        let bytes = w.into_bytes();
-        let back = decode_linear(&mut ByteReader::new(&bytes)).unwrap();
-        assert_eq!(back.intercept, m.intercept);
-        assert_eq!(back.coefs, m.coefs);
-
+    fn encoder_round_trip() {
         let enc = TableEncoder::from_parts(
             vec!["a".into(), "b".into()],
             vec![

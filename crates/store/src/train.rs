@@ -9,9 +9,10 @@
 //! only on their own row and chunks arrive in global row order, the
 //! concatenated chunks equal the resident encode bit for bit — so a
 //! forest trained through this source is bit-identical to
-//! [`hyper_ml::RandomForest::fit_on`] over the collected table (the
-//! property suite in `tests/prop_stream_train.rs` drives this across
-//! worker counts, chunk sizes, and budgets).
+//! [`hyper_ml::RandomForest::fit_on`], which reads the collected table's
+//! matrix as a single chunk of the same layout (the property suite in
+//! `tests/prop_stream_train.rs` drives this across worker counts, chunk
+//! sizes, and budgets).
 //!
 //! [`fit_encoder_paged`] and [`target_vector_paged`] cover the two other
 //! resident inputs training needs — the encoder statistics and the

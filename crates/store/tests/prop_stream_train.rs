@@ -1,11 +1,13 @@
 //! Property suite for streaming forest training over paged tables.
 //!
-//! The contract under test: a forest trained through the out-of-core
+//! Every forest trains through one cell layout
+//! ([`hyper_ml::StreamedLayout`]); [`hyper_ml::RandomForest::fit_on`] reads
+//! its resident matrix as a single chunk. So the contract under test is
+//! **chunking invariance**: a forest trained through the out-of-core
 //! pipeline — [`hyper_store::fit_encoder_paged`] +
 //! [`hyper_store::PagedTrainSource`] + [`hyper_ml::StreamedLayout`] — is
-//! **bit-identical** (`f64::to_bits` on predictions) to
-//! [`hyper_ml::RandomForest::fit_on`] over the collected resident table,
-//! for every combination of
+//! bit-identical (`f64::to_bits` on predictions) to the one-chunk fit over
+//! the collected resident table, for every combination of
 //!
 //! * worker count ∈ {0, 1, 3} (sequential, one worker, oversubscribed),
 //! * spill chunk size ∈ {1, 7, 4096} (degenerate, ragged, one-chunk),

@@ -15,7 +15,7 @@
 //!   spans (on the same thread) are subtracted from it, so the
 //!   per-phase totals of a single-threaded query partition the root
 //!   span exactly — they sum to the measured total. Work fanned out
-//!   over [`hyper-runtime`] workers is attributed to the same tree via
+//!   over `hyper-runtime` workers is attributed to the same tree via
 //!   [`current_context`]/[`TraceContext::with`] (the pool captures the
 //!   submitter's context and installs it around each task), so on a
 //!   multi-worker pool the per-phase totals are CPU-time-like sums

@@ -9,7 +9,7 @@
 //! |--------|----------|
 //! | [`storage`] | in-memory relational engine (typed columnar tables, joins, group-by, stats, content fingerprints) |
 //! | [`causal`]  | causal graphs, ground graphs, blocks, backdoor sets, SCMs |
-//! | [`ml`]      | regression forests (parallel histogram training), linear models, encoders, discretizers |
+//! | [`ml`]      | regression forests (parallel histogram training over one cell layout), encoders, discretizers |
 //! | [`ip`]      | simplex LP + branch-and-bound 0-1 ILP + enumeration oracle |
 //! | [`query`]   | the extended SQL language (`Use`/`When`/`Update`/`Output`/`For`, `HowToUpdate`/`Limit`/`ToMaximize`) |
 //! | [`runtime`] | the shared execution runtime: one persistent worker pool for every parallel path |
@@ -166,9 +166,9 @@
 //!
 //! `POST /ingest` is the write path: a typed
 //! [`DeltaBatch`](ingest::DeltaBatch) (appends and/or deletes against
-//! one table) is applied through [`HyperSession::refresh`]
-//! (core::HyperSession::refresh), which swaps in a post-delta session
-//! MVCC-style while keeping — as pure cache hits — every relevant view
+//! one table) is applied through
+//! [`HyperSession::refresh`](core::HyperSession::refresh), which swaps
+//! in a post-delta session MVCC-style while keeping — as pure cache hits — every relevant view
 //! whose filter provably admits none of the changed rows and every
 //! estimator trained over a surviving view. The answer is the
 //! invalidation report (`views_kept`, `estimators_invalidated`,
@@ -214,22 +214,22 @@
 //! benchmark scale point (`*_german_1m` in `bench_smoke`, with serve
 //! p50/p99 tail latency) runs under budgets far smaller than the data.
 //!
-//! Forest **training** streams over the same chunks. When
-//! `SessionBuilder::train_budget_bytes` is set and the dense encoded
-//! matrix would exceed it, estimator fitting routes through
-//! [`ml::StreamedLayout`]: pass one streams the chunks to fix per-feature
-//! bin boundaries, pass two fills the binned cell statistics, and the
-//! morsel-parallel per-tree fit runs off that layout — resident state
-//! is one chunk plus splits, cell statistics, and a 4-byte-per-row
-//! cell-id vector instead of the 8·width-bytes-per-row dense matrix,
-//! which never exists. The streamed forest is
-//! **bit-identical** to the resident trainer's for any worker count,
-//! chunk size, and paging budget (property-tested in
-//! `crates/store/tests/prop_stream_train.rs`), so budgeted and
-//! unbudgeted sessions share fitted estimators through the artifact
-//! cache. `SessionStats::snapshot()` and `/stats` report
-//! `trainings_streamed`, `train_chunks_streamed`,
-//! `train_peak_resident_bytes`, and the process-wide paging counters.
+//! Forest **training** reads the same chunks. Every forest fits through
+//! one cell layout, [`ml::StreamedLayout`]: pass one reads the chunks to
+//! fix per-feature bin boundaries, pass two numbers the joint cells (rows
+//! sharing a bin vector), and the per-tree fits run over per-cell
+//! statistics on the worker pool. Estimator training reads the resident
+//! encoded view as a single chunk ([`ml::RandomForest::fit_on`]); a
+//! [`store::PagedTrainSource`] streams a paged table morsel by morsel,
+//! keeping one chunk plus splits, cell statistics, and a 4-byte-per-row
+//! cell-id vector resident instead of the 8·width-bytes-per-row dense
+//! matrix. The layout depends only on the rows, never on the chunking, so
+//! both fit **bit-identical** forests for any worker count, chunk size,
+//! and paging budget (property-tested in
+//! `crates/store/tests/prop_stream_train.rs`). When continuous features
+//! leave too many cells, `fit_on` falls back to row-wise trees binned
+//! against the splits pass one already derived. `SessionStats::snapshot()`
+//! and `/stats` report the process-wide paging counters.
 
 pub use hyper_causal as causal;
 pub use hyper_core as core;
