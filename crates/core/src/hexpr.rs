@@ -1,9 +1,35 @@
 //! Dual-world evaluation of hypothetical expressions: an [`HExpr`] is
 //! evaluated against a *pre* row and a *post* row of the relevant view,
 //! with `Pre(A)` reading the former and `Post(A)` the latter.
+//!
+//! Two evaluators share one semantics:
+//!
+//! - row at a time ([`BoundHExpr::eval_at`], [`BoundHExpr::eval_bool_at`]),
+//!   for worlds where post differs from pre (the updated rows of a
+//!   what-if);
+//! - column at a time ([`BoundHExpr::eval_mask`],
+//!   [`BoundHExpr::eval_numbers`]), for the unmodified world (post = pre):
+//!   the `When`/`For` masks, the ψ/Y training targets and the how-to
+//!   baseline. Comparisons, arithmetic and `IN` run the storage crate's
+//!   typed kernels (dictionary codes for string equality, no per-cell
+//!   [`Value`]); the logical nodes are evaluated here, because `HExpr`'s
+//!   `AND`/`OR` are not SQL's three-valued ones (`NULL OR TRUE` is NULL,
+//!   and `NULL AND FALSE` is NULL, so its negation is NULL too).
+//!
+//! The column evaluator falls back to the row evaluator where a typed
+//! column cannot hold the row evaluator's answer: an `AND`/`OR` whose
+//! right side fails on some row (the row evaluator may skip that row),
+//! an integer overflow (rows of one column would mix `Int` and `Float`),
+//! and the nodes above such a fallback. An error is re-derived row at a
+//! time, so it is the one the row evaluator reports for the first failing
+//! row.
+
+use std::borrow::Cow;
 
 use hyper_query::{HExpr, HOp, Temporal};
-use hyper_storage::{Schema, Table, Value};
+use hyper_storage::{
+    eval_in_list, BinOp, Column, DataType, NullBitmap, Operand, Schema, Table, Value,
+};
 
 use crate::error::{EngineError, Result};
 
@@ -107,12 +133,129 @@ impl BoundHExpr {
         }
     }
 
-    /// Evaluate the predicate over every row of `table` with `post = pre`
-    /// (the mask-construction helper for `When`/`For` clauses).
+    /// Evaluate the predicate over every row of `table` with `post = pre`,
+    /// column at a time (the `When`/`For` masks): equal to
+    /// [`BoundHExpr::eval_bool_at`] on every row, and its first error.
     pub fn eval_mask(&self, table: &Table) -> Result<Vec<bool>> {
-        (0..table.num_rows())
-            .map(|i| self.eval_bool_at(table, table, i))
-            .collect()
+        self.eval_mask_rows(table, None)
+    }
+
+    /// [`BoundHExpr::eval_mask`] over `rows` of `table` only (every row
+    /// when `None`): rows outside `rows` are never evaluated, so they
+    /// cannot fail.
+    pub fn eval_mask_rows(&self, table: &Table, rows: Option<&[usize]>) -> Result<Vec<bool>> {
+        let n = rows.map_or(table.num_rows(), <[usize]>::len);
+        let check = |i| self.eval_bool_at(table, table, i).map(drop);
+        let ev = match self.eval_columns(table, rows) {
+            Ok(ev) => ev,
+            Err(e) => return Err(first_error(rows, n, e, check)),
+        };
+        match ev.logical(n) {
+            Some(Tri::Col(values, nulls)) if !nulls.any_null() => Ok(values.to_vec()),
+            Some(t) => Ok((0..n).map(|i| t.at(i) == Some(true)).collect()),
+            None => Err(first_error(
+                rows,
+                n,
+                EngineError::Plan("predicate evaluated to non-boolean".into()),
+                check,
+            )),
+        }
+    }
+
+    /// Evaluate over `rows` of `table` (every row when `None`) with
+    /// `post = pre`, column at a time, as numbers: row `i` holds
+    /// [`Value::as_f64`] of [`BoundHExpr::eval_at`] (`None` for NULL and
+    /// non-numeric values), and an error is the row evaluator's first.
+    pub fn eval_numbers(&self, table: &Table, rows: Option<&[usize]>) -> Result<Vec<Option<f64>>> {
+        let n = rows.map_or(table.num_rows(), <[usize]>::len);
+        match self.eval_columns(table, rows) {
+            Ok(ev) => Ok(ev.numbers(n)),
+            Err(e) => Err(first_error(rows, n, e, |i| {
+                self.eval_at(table, table, i).map(drop)
+            })),
+        }
+    }
+
+    /// The column evaluator behind [`BoundHExpr::eval_mask_rows`] and
+    /// [`BoundHExpr::eval_numbers`]. An error here means the row evaluator
+    /// fails on at least one of `rows`: every node is evaluated on every
+    /// row except the right side of `AND`/`OR`, whose failures fall back
+    /// to the row evaluator for that node.
+    fn eval_columns<'t>(&self, table: &'t Table, rows: Option<&[usize]>) -> Result<Ev<'t>> {
+        let n = rows.map_or(table.num_rows(), <[usize]>::len);
+        Ok(match self {
+            BoundHExpr::Attr(_, c) => {
+                let col = table.column(*c);
+                Ev::Col(match rows {
+                    None => Cow::Borrowed(col),
+                    Some(r) => Cow::Owned(col.gather(r)),
+                })
+            }
+            BoundHExpr::Lit(v) => Ev::Scalar(v.clone()),
+            BoundHExpr::Not(e) => match e.eval_columns(table, rows)?.logical(n) {
+                Some(t) => Ev::from_tri(n, |i| t.at(i).map(|b| !b)),
+                None => self.eval_rows(table, rows)?,
+            },
+            BoundHExpr::Binary(op @ (HOp::And | HOp::Or), l, r) => {
+                let lv = l.eval_columns(table, rows)?;
+                let rv = r.eval_columns(table, rows);
+                let sides = (lv.logical(n), rv.as_ref().ok().and_then(|rv| rv.logical(n)));
+                let (Some(lt), Some(rt)) = sides else {
+                    return self.eval_rows(table, rows);
+                };
+                // `AND` stops at a false left side, `OR` at a true one;
+                // otherwise NULL on either side makes the node NULL.
+                let stop = *op == HOp::Or;
+                Ev::from_tri(n, |i| match lt.at(i) {
+                    Some(b) if b == stop => Some(stop),
+                    Some(_) => rt.at(i),
+                    None => None,
+                })
+            }
+            BoundHExpr::Binary(op, l, r) => {
+                let lv = l.eval_columns(table, rows)?;
+                let rv = r.eval_columns(table, rows)?;
+                let (Some(a), Some(b)) = (lv.operand(), rv.operand()) else {
+                    return self.eval_rows(table, rows);
+                };
+                let out = storage_op(*op)
+                    .eval_operands(a, b, n)
+                    .map_err(EngineError::from)?;
+                // Integer arithmetic that overflows on any row turns the
+                // whole kernel column into floats; the row evaluator keeps
+                // the other rows integers.
+                let overflowed = matches!(op, HOp::Add | HOp::Sub | HOp::Mul)
+                    && lv.is_int()
+                    && rv.is_int()
+                    && out.data_type() == DataType::Float;
+                if overflowed {
+                    return self.eval_rows(table, rows);
+                }
+                Ev::Col(Cow::Owned(out))
+            }
+            BoundHExpr::InList {
+                expr,
+                list,
+                negated,
+            } => {
+                let v = expr.eval_columns(table, rows)?;
+                match v.operand() {
+                    Some(o) => Ev::Col(Cow::Owned(
+                        eval_in_list(o, list, *negated, n).map_err(EngineError::from)?,
+                    )),
+                    None => self.eval_rows(table, rows)?,
+                }
+            }
+        })
+    }
+
+    /// This node evaluated row at a time over `rows`.
+    fn eval_rows<'t>(&self, table: &Table, rows: Option<&[usize]>) -> Result<Ev<'t>> {
+        let n = rows.map_or(table.num_rows(), <[usize]>::len);
+        (0..n)
+            .map(|k| self.eval_at(table, table, row_id(rows, k)))
+            .collect::<Result<_>>()
+            .map(Ev::Rows)
     }
 
     /// Evaluate against `(pre, post)` rows.
@@ -239,6 +382,133 @@ impl BoundHExpr {
             }
             BoundHExpr::InList { expr, .. } => expr.walk(f),
             BoundHExpr::Attr(..) | BoundHExpr::Lit(_) => {}
+        }
+    }
+}
+
+/// Row `k` of a selection (`k` itself when every row is selected).
+fn row_id(rows: Option<&[usize]>, k: usize) -> usize {
+    rows.map_or(k, |r| r[k])
+}
+
+/// The row evaluator's error (`check`) for the first of the `n` selected
+/// rows it fails on; `fallback` when it fails on none, which the column
+/// evaluator's errors rule out.
+fn first_error(
+    rows: Option<&[usize]>,
+    n: usize,
+    fallback: EngineError,
+    check: impl Fn(usize) -> Result<()>,
+) -> EngineError {
+    (0..n)
+        .find_map(|k| check(row_id(rows, k)).err())
+        .unwrap_or(fallback)
+}
+
+/// The storage kernel operator of a comparison or arithmetic `HOp`.
+fn storage_op(op: HOp) -> BinOp {
+    match op {
+        HOp::Eq => BinOp::Eq,
+        HOp::Ne => BinOp::Ne,
+        HOp::Lt => BinOp::Lt,
+        HOp::Le => BinOp::Le,
+        HOp::Gt => BinOp::Gt,
+        HOp::Ge => BinOp::Ge,
+        HOp::And => BinOp::And,
+        HOp::Or => BinOp::Or,
+        HOp::Add => BinOp::Add,
+        HOp::Sub => BinOp::Sub,
+        HOp::Mul => BinOp::Mul,
+        HOp::Div => BinOp::Div,
+    }
+}
+
+/// A node's value over the evaluated rows: a typed column, a literal
+/// every row shares, or the per-row values of a node evaluated row at a
+/// time (which may mix types, as `Int` and `Float` after an overflow).
+enum Ev<'t> {
+    Col(Cow<'t, Column>),
+    Scalar(Value),
+    Rows(Vec<Value>),
+}
+
+/// A logical operand, row by row: `Some(b)` for a boolean, `None` for
+/// NULL.
+enum Tri<'e> {
+    Col(&'e [bool], &'e NullBitmap),
+    Const(Option<bool>),
+    Rows(&'e [Value]),
+}
+
+impl Tri<'_> {
+    #[inline]
+    fn at(&self, i: usize) -> Option<bool> {
+        match self {
+            Tri::Col(values, nulls) => (!nulls.is_null(i)).then(|| values[i]),
+            Tri::Const(b) => *b,
+            Tri::Rows(values) => values[i].as_bool(),
+        }
+    }
+}
+
+impl Ev<'_> {
+    /// A boolean column (NULL where `f` is `None`) over `n` rows.
+    fn from_tri(n: usize, f: impl Fn(usize) -> Option<bool>) -> Ev<'static> {
+        let mut values = Vec::with_capacity(n);
+        let mut nulls = NullBitmap::all_valid(n);
+        for i in 0..n {
+            let b = f(i);
+            if b.is_none() {
+                nulls.set(i, true);
+            }
+            values.push(b.unwrap_or(false));
+        }
+        Ev::Col(Cow::Owned(Column::Bool { values, nulls }))
+    }
+
+    /// The value as a logical operand over `n` rows; `None` when some row
+    /// holds a value that is neither boolean nor NULL.
+    fn logical(&self, n: usize) -> Option<Tri<'_>> {
+        match self {
+            Ev::Col(c) => match c.as_bool() {
+                Some((values, nulls)) => Some(Tri::Col(values, nulls)),
+                None => (c.null_count() == c.len()).then_some(Tri::Const(None)),
+            },
+            Ev::Scalar(Value::Bool(b)) => Some(Tri::Const(Some(*b))),
+            Ev::Scalar(Value::Null) => Some(Tri::Const(None)),
+            Ev::Scalar(_) => (n == 0).then_some(Tri::Const(None)),
+            Ev::Rows(values) => values
+                .iter()
+                .all(|v| matches!(v, Value::Bool(_) | Value::Null))
+                .then_some(Tri::Rows(values)),
+        }
+    }
+
+    /// [`Value::as_f64`] of every one of `n` rows.
+    fn numbers(&self, n: usize) -> Vec<Option<f64>> {
+        match self {
+            Ev::Col(c) => (0..n).map(|i| c.f64_at(i)).collect(),
+            Ev::Scalar(v) => vec![v.as_f64(); n],
+            Ev::Rows(values) => values.iter().map(Value::as_f64).collect(),
+        }
+    }
+
+    /// The value as a storage kernel operand (not for row-at-a-time
+    /// values, which no typed kernel takes).
+    fn operand(&self) -> Option<Operand<'_>> {
+        match self {
+            Ev::Col(c) => Some(Operand::Column(c)),
+            Ev::Scalar(v) => Some(Operand::Scalar(v)),
+            Ev::Rows(_) => None,
+        }
+    }
+
+    /// Does the storage kernels' integer fast path take this operand?
+    fn is_int(&self) -> bool {
+        match self {
+            Ev::Col(c) => c.data_type() == DataType::Int,
+            Ev::Scalar(v) => matches!(v, Value::Int(_)),
+            Ev::Rows(_) => false,
         }
     }
 }

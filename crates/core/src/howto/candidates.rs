@@ -4,7 +4,7 @@
 
 use hyper_ml::{BinStrategy, Discretizer};
 use hyper_query::{HowToQuery, LimitConstraint, UpdateFunc};
-use hyper_storage::{ColumnStats, DataType, Value};
+use hyper_storage::{ColumnStats, DataType, StrDict, Value};
 
 use crate::error::{EngineError, Result};
 use crate::hexpr::resolve_column;
@@ -77,33 +77,44 @@ pub fn generate_candidates(
             }
         }
 
-        // Pre-update values over S, for L1 costing.
+        // Pre-update values over S, for L1 costing, read once off the
+        // typed column: numbers (NULL and strings are `None`) and, for a
+        // string column, dictionary codes (NULL is `None`).
         let pre_col = view.table.column(col);
-        let pre_s: Vec<Value> = (0..view.table.num_rows())
-            .filter(|&i| when_mask[i])
-            .map(|i| pre_col.value(i))
-            .collect();
+        let s_rows: Vec<usize> = (0..when_mask.len()).filter(|&i| when_mask[i]).collect();
+        let pre_num: Vec<Option<f64>> = s_rows.iter().map(|&i| pre_col.f64_at(i)).collect();
+        let pre_codes: Option<(Vec<Option<u32>>, &StrDict)> =
+            pre_col.as_str().map(|(codes, dict, nulls)| {
+                let codes = s_rows
+                    .iter()
+                    .map(|&i| (!nulls.is_null(i)).then_some(codes[i]))
+                    .collect();
+                (codes, dict)
+            });
 
+        // Mean distance over S, summed in row order: |t − x| between
+        // numbers, else a 0/1 mismatch, where only equal strings match
+        // (as `Value::sql_eq`: NULL matches nothing, and a string never
+        // equals a number).
         let mean_l1 = |v: &Value| -> f64 {
-            if pre_s.is_empty() {
+            if s_rows.is_empty() {
                 return 0.0;
             }
-            let target = v.as_f64();
-            let total: f64 = pre_s
-                .iter()
-                .map(|p| match (target, p.as_f64()) {
-                    (Some(t), Some(x)) => (t - x).abs(),
-                    // Categorical distance: 0/1 mismatch.
-                    _ => {
-                        if p.sql_eq(v) {
-                            0.0
-                        } else {
-                            1.0
-                        }
-                    }
-                })
-                .sum();
-            total / pre_s.len() as f64
+            let total: f64 = match (v.as_f64(), v.as_str(), &pre_codes) {
+                (Some(t), _, _) => pre_num
+                    .iter()
+                    .map(|x| x.map_or(1.0, |x| (t - x).abs()))
+                    .sum(),
+                (None, Some(s), Some((codes, dict))) => {
+                    let target = dict.code_of(s);
+                    codes
+                        .iter()
+                        .map(|&c| if c.is_some() && c == target { 0.0 } else { 1.0 })
+                        .sum()
+                }
+                _ => s_rows.iter().map(|_| 1.0).sum(),
+            };
+            total / s_rows.len() as f64
         };
 
         let numeric = matches!(
@@ -261,6 +272,45 @@ mod tests {
             };
             assert!((529.0..=999.0).contains(&x));
         }
+    }
+
+    #[test]
+    fn categorical_l1_costs_count_mismatches() {
+        // Over S = {Black, Silver, NULL}: a NULL matches no candidate, and
+        // neither does a value missing from the column's dictionary.
+        let mut v = view();
+        let schema = Schema::new(vec![
+            Field::new("price", DataType::Float),
+            Field::nullable("color", DataType::Str),
+        ])
+        .unwrap();
+        let mut t = TableBuilder::new("v", schema);
+        for (p, c) in [
+            (529.0, "Black".into()),
+            (999.0, "Silver".into()),
+            (599.0, Value::Null),
+        ] {
+            t.push(vec![p.into(), c]).unwrap();
+        }
+        v.table = t.build();
+        let q = howto(
+            "Use V HowToUpdate color
+             Limit Post(color) In ('Silver', 'Red', 1) And L1(Pre(color), Post(color)) <= 2
+             ToMaximize Avg(Post(rating))",
+        );
+        let cands = generate_candidates(&v, &[true, true, true], &q, 4).unwrap();
+        let costs: Vec<(String, f64)> = cands[0]
+            .iter()
+            .map(|c| (c.func.to_string(), c.l1_cost))
+            .collect();
+        assert_eq!(
+            costs,
+            [
+                ("'Silver'".to_string(), 2.0 / 3.0),
+                ("'Red'".to_string(), 1.0),
+                ("1".to_string(), 1.0),
+            ]
+        );
     }
 
     #[test]

@@ -201,28 +201,33 @@ fn evaluate_identity_objective(
         .map(|e| bind_hexpr(e, &schema, Temporal::Post))
         .transpose()?;
 
+    // Column at a time, each expression over the rows the previous ones
+    // keep (ψ over the `For` scope, Y over the ψ rows), so no expression
+    // is evaluated, or can fail, on a row the aggregate skips. `None`
+    // stands for every row.
     let table = &view.table;
+    let mut rows: Option<Vec<usize>> = None;
+    for p in [&pre, &psi].into_iter().flatten() {
+        let mask = p.eval_mask_rows(table, rows.as_deref())?;
+        let kept = (0..mask.len())
+            .filter(|&k| mask[k])
+            .map(|k| rows.as_ref().map_or(k, |r| r[k]))
+            .collect();
+        rows = Some(kept);
+    }
+    let n = rows.as_ref().map_or(table.num_rows(), Vec::len);
+    let values = y
+        .as_ref()
+        .map(|yv| yv.eval_numbers(table, rows.as_deref()))
+        .transpose()?;
     let mut total = 0.0;
     let mut count = 0.0;
-    for i in 0..table.num_rows() {
-        if let Some(p) = &pre {
-            if !p.eval_bool_at(table, table, i)? {
-                continue;
-            }
-        }
-        let sat = match &psi {
-            Some(p) => p.eval_bool_at(table, table, i)?,
-            None => true,
-        };
-        if !sat {
-            continue;
-        }
+    for k in 0..n {
         count += 1.0;
-        total += match &y {
-            Some(yv) => yv
-                .eval_at(table, table, i)?
-                .as_f64()
-                .ok_or_else(|| EngineError::Plan("objective attribute is not numeric".into()))?,
+        total += match &values {
+            Some(v) => {
+                v[k].ok_or_else(|| EngineError::Plan("objective attribute is not numeric".into()))?
+            }
             None => 1.0,
         };
     }

@@ -13,13 +13,21 @@
 //! and the update functions are passed to [`CausalEstimator::evaluate`]
 //! per query.
 //!
+//! Training targets (`1{ψ}`, `Y·1{ψ}`) come from the unmodified world
+//! (post = pre), so [`CausalEstimator::fit`] builds them column at a time
+//! over the typed columns ([`BoundHExpr::eval_mask`],
+//! [`BoundHExpr::eval_numbers`]), and trains on the encoded matrix as it
+//! is unless a sample cap binds.
+//!
 //! Evaluation follows §3.3's "iterating only over combinations with
 //! non-zero support": the view's `SupportIndex` numbers the distinct raw
 //! feature combinations (cells) once, and [`CausalEstimator::evaluate_parts`]
 //! builds post-update features and predicts once per cell (refined by the
 //! `When` bit and any peer summary), not once per row. The per-row float
 //! sums still fold in row order, so the value is bit-identical to a
-//! row-at-a-time pass.
+//! row-at-a-time pass. The unaffected rows' ψ/Y stay row at a time
+//! (`fold_unaffected`): they are usually few, and a whole-view column pass
+//! would cost more than it saves where every row is updated.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -247,8 +255,9 @@ pub struct CausalEstimator {
 
 impl CausalEstimator {
     /// Fit the estimator on the relevant view. Training targets are
-    /// evaluated per row straight off the typed columns, and the feature
-    /// matrix is filled column-wise ([`TableEncoder::encode_table`]).
+    /// evaluated column at a time ([`BoundHExpr::eval_mask`],
+    /// [`BoundHExpr::eval_numbers`]), and the feature matrix is filled
+    /// column-wise ([`TableEncoder::encode_table`]).
     pub fn fit(
         view: &RelevantView,
         spec: &EstimatorSpec<'_>,
@@ -292,42 +301,31 @@ impl CausalEstimator {
             None => None,
         };
 
-        // Targets on observed rows: ψ and Y evaluated with post = pre,
-        // reading cells off the typed columns (no row clones).
-        let mut target = Vec::with_capacity(n);
-        let mut denom_target = Vec::with_capacity(n);
-        for i in 0..n {
-            let sat = match psi {
-                Some(p) => p.eval_bool_at(table, table, i)?,
-                None => true,
-            };
-            let base = match (agg, y) {
-                (AggFunc::Count, _) => {
-                    if sat {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                }
-                (_, Some(yv)) => {
-                    let val = yv.eval_at(table, table, i)?.as_f64().ok_or_else(|| {
+        // Targets on observed rows (Eqs. 35–40): ψ and Y evaluated with
+        // post = pre, column at a time over the typed columns. Y must be
+        // numeric on every row, ψ-satisfying or not.
+        let sat = psi.as_ref().map(|p| p.eval_mask(table)).transpose()?;
+        let sat_at = |i: usize| sat.as_ref().is_none_or(|m| m[i]);
+        let denom_target: Vec<f64> = (0..n).map(|i| if sat_at(i) { 1.0 } else { 0.0 }).collect();
+        let target: Vec<f64> = match (agg, y) {
+            (AggFunc::Count, _) => denom_target.clone(),
+            (_, Some(yv)) => yv
+                .eval_numbers(table, None)?
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| {
+                    let v = v.ok_or_else(|| {
                         EngineError::Plan("Output expression is not numeric".into())
                     })?;
-                    if sat {
-                        val
-                    } else {
-                        0.0
-                    }
-                }
-                _ => {
-                    return Err(EngineError::Plan(
-                        "Sum/Avg output requires a value expression".into(),
-                    ))
-                }
-            };
-            target.push(base);
-            denom_target.push(if sat { 1.0 } else { 0.0 });
-        }
+                    Ok(if sat_at(i) { v } else { 0.0 })
+                })
+                .collect::<Result<_>>()?,
+            _ => {
+                return Err(EngineError::Plan(
+                    "Sum/Avg output requires a value expression".into(),
+                ))
+            }
+        };
 
         // Feature matrix (with optional peer column appended).
         let mut x = encoder.encode_table(table)?;
@@ -337,19 +335,23 @@ impl CausalEstimator {
                 .map_err(EngineError::from)?;
         }
 
-        // Sampling (HypeR-sampled): train on a random subset.
-        let train_idx: Vec<u32> = match spec.sample_cap {
+        // Sampling (HypeR-sampled): train on a random subset; without a
+        // binding cap, on the encoded matrix and targets as they are.
+        let sampled = match spec.sample_cap {
             Some(cap) if cap < n => {
                 let mut rng = StdRng::seed_from_u64(spec.seed);
                 let mut idx: Vec<u32> = (0..n as u32).collect();
                 idx.shuffle(&mut rng);
                 idx.truncate(cap);
-                idx
+                Some(subset(&x, &target, &denom_target, &idx)?)
             }
-            _ => (0..n as u32).collect(),
+            _ => None,
         };
-        let trained_rows = train_idx.len();
-        let (xt, yt, dt) = subset(&x, &target, &denom_target, &train_idx)?;
+        let (xt, yt, dt) = match &sampled {
+            Some((xs, ys, ds)) => (xs, ys, ds),
+            None => (&x, &target, &denom_target),
+        };
+        let trained_rows = yt.len();
 
         // Leading encoded dimensions occupied by the update attributes (for
         // the cell estimator's marginal fallback).
@@ -371,18 +373,18 @@ impl CausalEstimator {
                         seed: spec.seed,
                     };
                     FittedModel::Forest(
-                        RandomForest::fit_on(spec.runtime, &xt, targets, &params)
+                        RandomForest::fit_on(spec.runtime, xt, targets, &params)
                             .map_err(EngineError::from)?,
                     )
                 }
                 crate::config::EstimatorKind::Cells => {
-                    FittedModel::Cells(CellTable::fit(&xt, targets, update_dims))
+                    FittedModel::Cells(CellTable::fit(xt, targets, update_dims))
                 }
             })
         };
-        let model = fit_model(&yt)?;
+        let model = fit_model(yt)?;
         let denom_model = if agg == AggFunc::Avg && psi.is_some() {
-            Some(fit_model(&dt)?)
+            Some(fit_model(dt)?)
         } else {
             None
         };
@@ -876,6 +878,7 @@ fn post_update_column(
     }
 }
 
+/// The sampled training rows `idx` of the matrix and both target vectors.
 fn subset(
     x: &hyper_ml::Matrix,
     y: &[f64],

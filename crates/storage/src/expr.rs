@@ -391,11 +391,7 @@ impl BoundExpr {
     /// run over typed slices (dictionary codes for string equality) with no
     /// per-cell [`Value`] boxing.
     pub fn eval_column(&self, table: &Table) -> Result<Column> {
-        let n = table.num_rows();
-        Ok(match self.eval_vec(table)? {
-            Ev::Col(c) => c.into_owned(),
-            Ev::Scalar(v) => broadcast(&v, n),
-        })
+        Ok(self.eval_vec(table)?.into_column(table.num_rows()))
     }
 
     /// Vectorized predicate: the selection vector of rows where the
@@ -413,10 +409,7 @@ impl BoundExpr {
     /// *any* morsel promotes the concatenation to floats, exactly like the
     /// whole-column promotion).
     pub fn eval_column_range(&self, table: &Table, start: usize, len: usize) -> Result<Column> {
-        Ok(match self.eval_vec_range(table, start, len)? {
-            Ev::Col(c) => c.into_owned(),
-            Ev::Scalar(v) => broadcast(&v, len),
-        })
+        Ok(self.eval_vec_range(table, start, len)?.into_column(len))
     }
 
     /// Range-restricted [`BoundExpr::eval_selection`]: matching rows within
@@ -529,11 +522,69 @@ impl BoundExpr {
     }
 }
 
+/// One operand of a vectorized kernel ([`BinOp::eval_operands`],
+/// [`eval_in_list`]): a column, or a scalar that every row shares.
+#[derive(Debug, Clone, Copy)]
+pub enum Operand<'a> {
+    /// A column of `n` rows.
+    Column(&'a Column),
+    /// A scalar standing for `n` rows.
+    Scalar(&'a Value),
+}
+
+impl<'a> Operand<'a> {
+    fn ev(self) -> Ev<'a> {
+        match self {
+            Operand::Column(c) => Ev::Col(Cow::Borrowed(c)),
+            Operand::Scalar(v) => Ev::Scalar(v.clone()),
+        }
+    }
+}
+
+impl BinOp {
+    /// The comparison or arithmetic kernel of [`BoundExpr::eval_column`]
+    /// applied to two already-evaluated operands of `n` rows. This serves
+    /// evaluators that walk their own expression trees (and so own their
+    /// `AND`/`OR` logic): for them `And`/`Or` are a type error here.
+    pub fn eval_operands(self, l: Operand<'_>, r: Operand<'_>, n: usize) -> Result<Column> {
+        let ev = match self {
+            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+                kernel_compare(self, l.ev(), r.ev(), n)?
+            }
+            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
+                kernel_arith(self, l.ev(), r.ev(), n)?
+            }
+            BinOp::And | BinOp::Or => {
+                return Err(StorageError::TypeError(format!(
+                    "{self} is not an operand kernel"
+                )))
+            }
+        };
+        Ok(ev.into_column(n))
+    }
+}
+
+/// The `IN`-list kernel of [`BoundExpr::eval_column`] over an
+/// already-evaluated operand of `n` rows (a NULL tested value is `false`
+/// under `IN` and `NOT IN` alike).
+pub fn eval_in_list(e: Operand<'_>, list: &[Value], negated: bool, n: usize) -> Result<Column> {
+    Ok(kernel_in_list(e.ev(), list, negated, n)?.into_column(n))
+}
+
 /// A lazily-broadcast evaluation result: a full column or a scalar that
 /// every row shares.
 enum Ev<'a> {
     Col(Cow<'a, Column>),
     Scalar(Value),
+}
+
+impl Ev<'_> {
+    fn into_column(self, n: usize) -> Column {
+        match self {
+            Ev::Col(c) => c.into_owned(),
+            Ev::Scalar(v) => broadcast(&v, n),
+        }
+    }
 }
 
 /// Row-at-a-time re-evaluation of a logical node whose vectorized path

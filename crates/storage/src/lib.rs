@@ -103,7 +103,7 @@ pub mod value;
 pub use column::{Column, NullBitmap, StrDict};
 pub use database::{Database, ForeignKey};
 pub use error::{Result, StorageError};
-pub use expr::{col, lit, BinOp, BoundExpr, Expr, UnaryOp};
+pub use expr::{col, eval_in_list, lit, BinOp, BoundExpr, Expr, Operand, UnaryOp};
 pub use fingerprint::Fingerprint;
 pub use index::SupportIndex;
 pub use morsel::{Morsel, MorselScan, DEFAULT_MORSEL_ROWS, PARALLEL_ROW_THRESHOLD};

@@ -5,10 +5,12 @@
 //! and (c) bucketizing continuous attributes before the how-to IP (§4.3).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
+use crate::column::Column;
 use crate::error::Result;
 use crate::table::Table;
-use crate::value::Value;
+use crate::value::{canonical_f64_bits, Value};
 
 /// Summary of one column's observed domain.
 #[derive(Debug, Clone)]
@@ -30,27 +32,86 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
-    /// Compute statistics for the named column of `table`.
+    /// Compute statistics for the named column of `table`, straight off the
+    /// typed buffers (dictionary codes for strings, canonical bits for
+    /// floats). Every field equals what one pass of [`Value`]s would give:
+    /// `distinct` holds one entry per value class of [`Value`]'s strict
+    /// `Eq` (`-0.0` and `0.0` share a class, as do all NaNs), carrying the
+    /// class's first value in row order, sorted by [`Value`]'s `Ord`;
+    /// `mean` sums in row order.
     pub fn compute(table: &Table, column: &str) -> Result<ColumnStats> {
         let idx = table.schema().index_of(column)?;
         let col = table.column(idx);
-        let mut freq: HashMap<Value, usize> = HashMap::new();
-        let mut null_count = 0usize;
-        let mut sum = 0.0f64;
-        let mut numeric = 0usize;
-        for v in col.iter() {
-            if v.is_null() {
-                null_count += 1;
-                continue;
+        let nulls = col.nulls();
+        let valid = |i: &usize| !nulls.is_null(*i);
+        let rows = 0..col.len();
+        let (distinct, sum): (Vec<(Value, usize)>, Option<f64>) = match col {
+            Column::Int { values, .. } => {
+                let mut freq: HashMap<i64, usize> = HashMap::new();
+                let mut sum = 0.0;
+                for i in rows.filter(valid) {
+                    *freq.entry(values[i]).or_insert(0) += 1;
+                    sum += values[i] as f64;
+                }
+                let mut d: Vec<(i64, usize)> = freq.into_iter().collect();
+                d.sort_unstable_by_key(|&(v, _)| v);
+                (
+                    d.into_iter().map(|(v, c)| (Value::Int(v), c)).collect(),
+                    Some(sum),
+                )
             }
-            if let Some(x) = v.as_f64() {
-                sum += x;
-                numeric += 1;
+            Column::Float { values, .. } => {
+                // Keyed by canonical bits, holding the first value seen.
+                let mut freq: HashMap<u64, (f64, usize)> = HashMap::new();
+                let mut sum = 0.0;
+                for i in rows.filter(valid) {
+                    let x = values[i];
+                    freq.entry(canonical_f64_bits(x)).or_insert((x, 0)).1 += 1;
+                    sum += x;
+                }
+                let mut d: Vec<(f64, usize)> = freq.into_values().collect();
+                d.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+                (
+                    d.into_iter().map(|(v, c)| (Value::Float(v), c)).collect(),
+                    Some(sum),
+                )
             }
-            *freq.entry(v).or_insert(0) += 1;
-        }
-        let mut distinct: Vec<(Value, usize)> = freq.into_iter().collect();
-        distinct.sort_by(|a, b| a.0.cmp(&b.0));
+            Column::Bool { values, .. } => {
+                let mut freq = [0usize; 2];
+                let mut sum = 0.0;
+                for i in rows.filter(valid) {
+                    freq[usize::from(values[i])] += 1;
+                    sum += if values[i] { 1.0 } else { 0.0 };
+                }
+                let d = [false, true]
+                    .into_iter()
+                    .filter(|&b| freq[usize::from(b)] > 0)
+                    .map(|b| (Value::Bool(b), freq[usize::from(b)]))
+                    .collect();
+                (d, Some(sum))
+            }
+            Column::Str { codes, dict, .. } => {
+                let mut freq = vec![0usize; dict.len()];
+                for i in rows.filter(valid) {
+                    freq[codes[i] as usize] += 1;
+                }
+                // Dictionary codes are canonical: one code per string.
+                let mut d: Vec<(&Arc<str>, usize)> = freq
+                    .into_iter()
+                    .enumerate()
+                    .filter(|&(_, c)| c > 0)
+                    .map(|(code, c)| (dict.get(code as u32), c))
+                    .collect();
+                d.sort_unstable_by(|a, b| a.0.cmp(b.0));
+                (
+                    d.into_iter()
+                        .map(|(s, c)| (Value::Str(Arc::clone(s)), c))
+                        .collect(),
+                    None,
+                )
+            }
+        };
+        let null_count = col.null_count();
         let count = col.len() - null_count;
         Ok(ColumnStats {
             name: column.to_string(),
@@ -58,11 +119,7 @@ impl ColumnStats {
             null_count,
             min: distinct.first().map(|(v, _)| v.clone()),
             max: distinct.last().map(|(v, _)| v.clone()),
-            mean: if numeric == count && count > 0 {
-                Some(sum / count as f64)
-            } else {
-                None
-            },
+            mean: sum.filter(|_| count > 0).map(|s| s / count as f64),
             distinct,
         })
     }
@@ -167,6 +224,137 @@ mod tests {
         assert!((mids[0] - 25.0).abs() < 1e-9);
         assert!((mids[2] - 85.0).abs() < 1e-9);
         assert_eq!(s.equi_width_midpoints(0).unwrap().len(), 0);
+    }
+
+    /// The one-pass-over-[`Value`]s statistics the typed
+    /// [`ColumnStats::compute`] must reproduce.
+    fn compute_by_values(table: &Table, column: &str) -> ColumnStats {
+        let col = table.column_by_name(column).unwrap();
+        let mut freq: HashMap<Value, usize> = HashMap::new();
+        let (mut null_count, mut numeric, mut sum) = (0usize, 0usize, 0.0f64);
+        for v in col.iter() {
+            if v.is_null() {
+                null_count += 1;
+                continue;
+            }
+            if let Some(x) = v.as_f64() {
+                sum += x;
+                numeric += 1;
+            }
+            *freq.entry(v).or_insert(0) += 1;
+        }
+        let mut distinct: Vec<(Value, usize)> = freq.into_iter().collect();
+        distinct.sort_by(|a, b| a.0.cmp(&b.0));
+        let count = col.len() - null_count;
+        ColumnStats {
+            name: column.to_string(),
+            count,
+            null_count,
+            min: distinct.first().map(|(v, _)| v.clone()),
+            max: distinct.last().map(|(v, _)| v.clone()),
+            mean: (numeric == count && count > 0).then(|| sum / count as f64),
+            distinct,
+        }
+    }
+
+    /// A value with its float payload bits, so `-0.0`/`0.0` and NaN
+    /// payloads compare exactly.
+    fn exact(v: &Value) -> (String, Option<u64>) {
+        let bits = match v {
+            Value::Float(x) => Some(x.to_bits()),
+            _ => None,
+        };
+        (format!("{v:?}"), bits)
+    }
+
+    #[test]
+    fn typed_stats_match_the_value_pass() {
+        let neg_nan = f64::from_bits(f64::NAN.to_bits() | (1 << 63));
+        let schema = Schema::new(vec![
+            Field::nullable("i", DataType::Int),
+            Field::nullable("f", DataType::Float),
+            Field::nullable("b", DataType::Bool),
+            Field::nullable("s", DataType::Str),
+            Field::nullable("g", DataType::Float),
+        ])
+        .unwrap();
+        let mut t = crate::table::TableBuilder::new("t", schema);
+        let fs = [
+            Value::Float(-0.0),
+            Value::Float(2.5),
+            Value::Null,
+            Value::Float(0.0),
+            Value::Float(f64::NAN),
+            Value::Float(neg_nan),
+            Value::Float(-7.25),
+            Value::Float(2.5),
+            Value::Float(f64::INFINITY),
+            Value::Float(0.1),
+        ];
+        for (k, f) in fs.iter().enumerate() {
+            let k = k as i64;
+            let null_every = |m: i64| k % m == m - 1;
+            t.push(vec![
+                if null_every(4) {
+                    Value::Null
+                } else {
+                    Value::Int((k * 37) % 5 - 2)
+                },
+                f.clone(),
+                if null_every(3) {
+                    Value::Null
+                } else {
+                    Value::Bool(k % 2 == 0)
+                },
+                if null_every(5) {
+                    Value::Null
+                } else {
+                    Value::str(["b", "a", "c"][(k % 3) as usize])
+                },
+                // An all-NULL column.
+                Value::Null,
+            ])
+            .unwrap();
+        }
+        let t = t.build();
+        for c in ["i", "f", "b", "s", "g"] {
+            let (got, want) = (
+                ColumnStats::compute(&t, c).unwrap(),
+                compute_by_values(&t, c),
+            );
+            assert_eq!(
+                (got.count, got.null_count),
+                (want.count, want.null_count),
+                "{c}"
+            );
+            let entries = |s: &ColumnStats| -> Vec<_> {
+                s.distinct.iter().map(|(v, n)| (exact(v), *n)).collect()
+            };
+            assert_eq!(entries(&got), entries(&want), "{c}: distinct");
+            assert_eq!(
+                got.min.as_ref().map(exact),
+                want.min.as_ref().map(exact),
+                "{c}"
+            );
+            assert_eq!(
+                got.max.as_ref().map(exact),
+                want.max.as_ref().map(exact),
+                "{c}"
+            );
+            assert_eq!(
+                got.mean.map(f64::to_bits),
+                want.mean.map(f64::to_bits),
+                "{c}"
+            );
+        }
+        // The float column folds `-0.0` into `0.0` (first seen: `-0.0`)
+        // and both NaNs into one class (first seen: the positive one).
+        let f = ColumnStats::compute(&t, "f").unwrap();
+        assert_eq!(f.num_distinct(), 6);
+        assert!(f.distinct.iter().any(|(v, n)| {
+            matches!(v, Value::Float(x) if x.to_bits() == (-0.0f64).to_bits()) && *n == 2
+        }));
+        assert!(f.mean.unwrap().is_nan());
     }
 
     #[test]

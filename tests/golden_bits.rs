@@ -1,11 +1,20 @@
-//! Pinned `f64::to_bits` of a what-if answer whose estimator trains both
-//! a numerator and a denominator forest (an `Avg` output with a post
-//! `For` condition). The forest-level pins (one cell-mode fit, one
-//! row-wise fit) live with the trainer in `crates/ml/src/forest.rs`.
+//! Pinned `f64::to_bits` of two answers:
 //!
-//! The constants were captured from the trainer before it moved onto a
-//! single cell layout; any change to binning, cell ids, bootstrap order
-//! or the per-tree RNG shows up here as a changed bit pattern.
+//! - a what-if whose estimator trains both a numerator and a denominator
+//!   forest (an `Avg` output with a post `For` condition);
+//! - a four-attribute how-to (candidate enumeration and L1 costing, the
+//!   baseline objective, one training per attribute, the IP and the joint
+//!   re-evaluation of the chosen updates).
+//!
+//! The forest-level pins (one cell-mode fit, one row-wise fit) live with
+//! the trainer in `crates/ml/src/forest.rs`.
+//!
+//! The what-if constant was captured from the trainer before it moved
+//! onto a single cell layout, the how-to constants from the row-at-a-time
+//! target and candidate builders; any change to binning, cell ids,
+//! bootstrap order, the per-tree RNG or the float folds shows up here as
+//! a changed bit pattern. CI also runs this file with
+//! `HYPER_RUNTIME_WORKERS=0`, the zero-worker lane of the runtime.
 
 use hyper_repro::prelude::*;
 
@@ -29,4 +38,49 @@ fn avg_whatif_value_bits_are_pinned() {
         r.value,
         r.value.to_bits()
     );
+}
+
+#[test]
+fn howto_answer_bits_are_pinned() {
+    let data = hyper_repro::datasets::german_syn_extended(3_000, 1);
+    let session = HyperSession::builder(data.db.clone())
+        .graph(data.graph.clone())
+        .config(EngineConfig::hyper())
+        .howto_options(HowToOptions {
+            buckets: 4,
+            max_attrs_updated: None,
+        })
+        .share_artifacts(false)
+        .build();
+    let r = session
+        .howto_text(
+            "Use german_syn HowToUpdate status, savings, housing, credit_amount \
+             ToMaximize Count(Post(credit) = 'Good')",
+        )
+        .unwrap();
+    let chosen: Vec<String> = r.chosen.iter().map(|u| u.to_string()).collect();
+    assert_eq!(
+        chosen,
+        [
+            "Update(status) = 2.625",
+            "Update(savings) = 2.625",
+            "Update(housing) = 1.75",
+            "Update(credit_amount) = 2.625",
+        ]
+    );
+    assert_eq!(
+        r.objective.to_bits(),
+        0x40a6aa1ba174f5be,
+        "objective {:?} = {:#018x}",
+        r.objective,
+        r.objective.to_bits()
+    );
+    assert_eq!(
+        r.baseline.to_bits(),
+        0x409fac0000000000,
+        "baseline {:?} = {:#018x}",
+        r.baseline,
+        r.baseline.to_bits()
+    );
+    assert_eq!((r.candidates, r.whatif_evals), (16, 17));
 }
