@@ -23,11 +23,14 @@
 //! non-zero support": the view's `SupportIndex` numbers the distinct raw
 //! feature combinations (cells) once, and [`CausalEstimator::evaluate_parts`]
 //! builds post-update features and predicts once per cell (refined by the
-//! `When` bit and any peer summary), not once per row. The per-row float
-//! sums still fold in row order, so the value is bit-identical to a
-//! row-at-a-time pass. The unaffected rows' ψ/Y stay row at a time
-//! (`fold_unaffected`): they are usually few, and a whole-view column pass
-//! would cost more than it saves where every row is updated.
+//! `When` bit and any peer summary), not once per row. Both parts of the
+//! value are exact sums rounded once (`ExactSum`), so they do not depend
+//! on row order: each cell adds `count × prediction` in one step, and a
+//! what-if with no `When`, no `For` and no peer summary takes its cells
+//! and counts from the index without visiting a row. The unaffected rows'
+//! ψ/Y stay row at a time (`fold_unaffected`): they are usually few, and a
+//! whole-view column pass would cost more than it saves where every row
+//! is updated.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -43,7 +46,8 @@ use rand::SeedableRng;
 use crate::error::{EngineError, Result};
 use crate::hexpr::BoundHExpr;
 use crate::view::RelevantView;
-use crate::whatif::apply_update;
+use crate::whatif::exact_sum::ExactSum;
+use crate::whatif::{apply_update, holds};
 
 /// Cross-tuple summary feature (the distribution-preserving ψ of §2.2):
 /// the mean of an updated attribute over *peer* rows sharing a grouping
@@ -436,15 +440,15 @@ impl CausalEstimator {
     /// Evaluate the query value over the view for the update `updates`
     /// (column, function) — the columns must be this estimator's update
     /// columns, in order — given the update (`when`) and scope (`for`-pre)
-    /// masks.
+    /// masks. An absent mask holds on every row.
     pub fn evaluate(
         &self,
         view: &RelevantView,
         updates: &[(usize, UpdateFunc)],
-        when_mask: &[bool],
-        scope_mask: &[bool],
+        when: Option<&[bool]>,
+        scope: Option<&[bool]>,
     ) -> Result<f64> {
-        let (numerator, denominator) = self.evaluate_parts(view, updates, when_mask, scope_mask)?;
+        let (numerator, denominator) = self.evaluate_parts(view, updates, when, scope)?;
         Ok(match self.agg {
             AggFunc::Avg => {
                 if denominator == 0.0 {
@@ -462,102 +466,132 @@ impl CausalEstimator {
     /// For `Count`/`Sum` the numerator *is* the result; for `Avg` the result
     /// is their ratio. Both parts are sums over scoped tuples, so they can
     /// be accumulated per independent block and recombined (Definition 6's
-    /// `g = Sum`, Proposition 1).
+    /// `g = Sum`, Proposition 1). Each part is the correctly rounded exact
+    /// sum of the per-row contributions (`ExactSum`), so it does not
+    /// depend on the order of the rows.
     ///
     /// Evaluation runs over the §3.3 support, not the rows:
-    /// 1. One pass over the scoped rows adds every unaffected row's
-    ///    deterministic contribution (typed-column reads) and gives each
-    ///    affected row a key — its cell in the view's `SupportIndex`
-    ///    over the feature columns, its `When` bit, and its post-update
-    ///    peer mean — that fixes its post-update features. The first row
-    ///    with each key represents it.
+    /// 1. Every affected row gets a key — its cell in the view's
+    ///    `SupportIndex` over the feature columns, its `When` bit, and its
+    ///    post-update peer mean — that fixes its post-update features. The
+    ///    first row with each key represents it, and the key counts its
+    ///    rows. With no `When`, no `For` and no peer summary, every row is
+    ///    affected and the keys are the cells: their representatives and
+    ///    counts come from the index, and no row is visited. Otherwise one
+    ///    pass over the scoped rows counts the keys and adds every
+    ///    unaffected row's deterministic contribution.
     /// 2. The post-update feature columns are assembled and encoded for
     ///    the representatives only, deduplicated by encoded bits, and
     ///    predicted in **one batch** per model.
-    /// 3. A second pass adds each affected row's prediction in row order,
-    ///    so the float sums fold exactly as a row-at-a-time pass would.
+    /// 3. Each key adds `count × prediction` exactly, in O(keys).
     pub fn evaluate_parts(
         &self,
         view: &RelevantView,
         updates: &[(usize, UpdateFunc)],
-        when_mask: &[bool],
-        scope_mask: &[bool],
+        when: Option<&[bool]>,
+        scope: Option<&[bool]>,
     ) -> Result<(f64, f64)> {
         self.check_updates(updates)?;
         let table = &view.table;
-        let peer_post = self.peer_post_means(table, updates, when_mask)?;
+        let peer_post = self.peer_post_means(table, updates, when)?;
         let support = view.support_index(&self.feature_cols)?;
+        let mut parts = Parts::default();
 
-        // Pass one. Without peer features a key is `2 · cell + When bit`,
-        // a direct index; the post peer mean refines it through a map.
-        let mut reps: Vec<usize> = Vec::new();
-        let mut row_keys: Vec<u32> = Vec::new();
-        let mut key_of_cell: Vec<u32> = vec![u32::MAX; 2 * support.cells()];
-        let mut key_of_peer: HashMap<(usize, u64), u32> = HashMap::new();
-        let mut parts =
-            self.fold_unaffected(table, when_mask, scope_mask, peer_post.as_deref(), |i| {
-                let cell_key = 2 * support.cell(i) + usize::from(when_mask[i]);
-                let mut new_key = || {
-                    reps.push(i);
-                    reps.len() as u32 - 1
-                };
-                let key = match &peer_post {
-                    None => {
-                        let slot = &mut key_of_cell[cell_key];
-                        if *slot == u32::MAX {
-                            *slot = new_key();
+        let (reps, counts): (Vec<usize>, Vec<u32>) =
+            if when.is_none() && scope.is_none() && peer_post.is_none() {
+                let reps = support.first_rows().iter().map(|&i| i as usize).collect();
+                (reps, support.counts().to_vec())
+            } else {
+                // Without peer features a key is `2 · cell + When bit`, a
+                // direct index; the post peer mean refines it through a map.
+                let mut reps: Vec<usize> = Vec::new();
+                let mut counts: Vec<u32> = Vec::new();
+                let mut rep_of_cell: Vec<u32> = vec![u32::MAX; 2 * support.cells()];
+                let mut rep_of_peer: HashMap<(usize, u64), u32> = HashMap::new();
+                self.fold_unaffected(table, when, scope, peer_post.as_deref(), &mut parts, |i| {
+                    let cell_key = 2 * support.cell(i) + usize::from(holds(when, i));
+                    let mut new_rep = || {
+                        reps.push(i);
+                        counts.push(0);
+                        reps.len() as u32 - 1
+                    };
+                    let rep = match &peer_post {
+                        None => {
+                            let slot = &mut rep_of_cell[cell_key];
+                            if *slot == u32::MAX {
+                                *slot = new_rep();
+                            }
+                            *slot
                         }
-                        *slot
-                    }
-                    Some(post) => *key_of_peer
-                        .entry((cell_key, post[i].to_bits()))
-                        .or_insert_with(new_key),
-                };
-                row_keys.push(key);
-            })?;
-        if reps.is_empty() {
-            return Ok(parts);
+                        Some(post) => *rep_of_peer
+                            .entry((cell_key, post[i].to_bits()))
+                            .or_insert_with(new_rep),
+                    };
+                    counts[rep as usize] += 1;
+                })?;
+                (reps, counts)
+            };
+        if !reps.is_empty() {
+            let predicted = self.predict_rows(table, updates, when, peer_post.as_deref(), &reps)?;
+            for (&slot, &count) in predicted.slot_of_row.iter().zip(&counts) {
+                predicted.add(slot, u64::from(count), &mut parts);
+            }
         }
-
-        // Step two, over the representatives only.
-        let predicted =
-            self.predict_rows(table, updates, when_mask, peer_post.as_deref(), &reps)?;
-
-        // Pass two: affected rows in row order.
-        for &key in &row_keys {
-            predicted.add(predicted.slot_of_row[key as usize], &mut parts);
-        }
-        Ok(parts)
+        Ok(parts.round())
     }
 
     /// Row-at-a-time reference for [`CausalEstimator::evaluate_parts`]:
-    /// assembles, encodes and deduplicates the post-update features of
-    /// every affected row.
+    /// the sum of [`CausalEstimator::row_contributions`], added one row at
+    /// a time.
     #[cfg(test)]
     pub(crate) fn evaluate_parts_rowwise(
         &self,
         view: &RelevantView,
         updates: &[(usize, UpdateFunc)],
-        when_mask: &[bool],
-        scope_mask: &[bool],
+        when: Option<&[bool]>,
+        scope: Option<&[bool]>,
     ) -> Result<(f64, f64)> {
+        let mut parts = Parts::default();
+        for (numerator, denominator) in self.row_contributions(view, updates, when, scope)? {
+            parts.numerator.add(numerator);
+            parts.denominator.add(denominator);
+        }
+        Ok(parts.round())
+    }
+
+    /// Every scoped row's `(numerator, denominator)` contribution, with the
+    /// post-update features of each affected row assembled, encoded and
+    /// deduplicated row by row; unaffected rows whose ψ fails contribute
+    /// nothing.
+    #[cfg(test)]
+    pub(crate) fn row_contributions(
+        &self,
+        view: &RelevantView,
+        updates: &[(usize, UpdateFunc)],
+        when: Option<&[bool]>,
+        scope: Option<&[bool]>,
+    ) -> Result<Vec<(f64, f64)>> {
         self.check_updates(updates)?;
         let table = &view.table;
-        let peer_post = self.peer_post_means(table, updates, when_mask)?;
+        let peer_post = self.peer_post_means(table, updates, when)?;
         let mut affected: Vec<usize> = Vec::new();
-        let mut parts =
-            self.fold_unaffected(table, when_mask, scope_mask, peer_post.as_deref(), |i| {
-                affected.push(i)
-            })?;
-        if affected.is_empty() {
-            return Ok(parts);
+        let mut out: Vec<(f64, f64)> = Vec::new();
+        for i in (0..table.num_rows()).filter(|&i| holds(scope, i)) {
+            if self.is_affected(i, when, peer_post.as_deref()) {
+                affected.push(i);
+            } else if let Some(v) = self.unaffected_value(table, i)? {
+                out.push((v, 1.0));
+            }
         }
-        let predicted =
-            self.predict_rows(table, updates, when_mask, peer_post.as_deref(), &affected)?;
-        for &slot in &predicted.slot_of_row {
-            predicted.add(slot, &mut parts);
+        if !affected.is_empty() {
+            let p = self.predict_rows(table, updates, when, peer_post.as_deref(), &affected)?;
+            out.extend(
+                p.slot_of_row
+                    .iter()
+                    .map(|&slot| (p.nums[slot], p.dens.as_ref().map_or(1.0, |d| d[slot]))),
+            );
         }
-        Ok(parts)
+        Ok(out)
     }
 
     /// Reject updates of columns other than this estimator's update
@@ -579,7 +613,7 @@ impl CausalEstimator {
         &self,
         table: &Table,
         updates: &[(usize, UpdateFunc)],
-        when_mask: &[bool],
+        when: Option<&[bool]>,
     ) -> Result<Option<Vec<f64>>> {
         let Some((p, _, _)) = &self.peer else {
             return Ok(None);
@@ -587,8 +621,8 @@ impl CausalEstimator {
         let update_col = table.column(p.update_col);
         let func = func_of(updates, p.update_col).expect("peer summary over an updated column");
         let mut post_vals = Vec::with_capacity(table.num_rows());
-        for (i, &updated) in when_mask.iter().enumerate() {
-            let v = if updated {
+        for i in 0..table.num_rows() {
+            let v = if holds(when, i) {
                 apply_update(func, &update_col.value(i))?
             } else {
                 update_col.value(i)
@@ -598,55 +632,70 @@ impl CausalEstimator {
         Ok(Some(p.peer_means(table.column(p.group_col), &post_vals)))
     }
 
-    /// Walk the scoped rows in order: fold each unaffected row's
-    /// deterministic contribution (post = pre) into `(numerator,
-    /// denominator)` and hand each affected row — updated, or moved
-    /// through a changed peer mean — to `on_affected`.
+    /// Is row `i` affected by the update: in `When`, or moved through a
+    /// changed peer mean? Pre and post means come from the same fold, so
+    /// an untouched group's mean keeps its bits and any change, however
+    /// small, shows.
+    fn is_affected(&self, i: usize, when: Option<&[bool]>, peer_post: Option<&[f64]>) -> bool {
+        holds(when, i)
+            || match (&self.peer, peer_post) {
+                (Some((_, pre_means, _)), Some(post_means)) => {
+                    pre_means[i].to_bits() != post_means[i].to_bits()
+                }
+                _ => false,
+            }
+    }
+
+    /// The deterministic contribution of unaffected row `i` (post = pre):
+    /// `None` when ψ fails, else Y (Sum/Avg) or 1 (Count).
+    fn unaffected_value(&self, table: &Table, i: usize) -> Result<Option<f64>> {
+        let sat = match &self.psi {
+            Some(p) => p.eval_bool_at(table, table, i)?,
+            None => true,
+        };
+        if !sat {
+            return Ok(None);
+        }
+        match (self.agg, &self.y) {
+            (AggFunc::Count, _) => Ok(Some(1.0)),
+            (_, Some(yv)) => yv
+                .eval_at(table, table, i)?
+                .as_f64()
+                .map(Some)
+                .ok_or_else(|| EngineError::Plan("Output expression is not numeric".into())),
+            _ => unreachable!(),
+        }
+    }
+
+    /// Walk the scoped rows in order: add each unaffected row's
+    /// deterministic contribution to `parts` (Count rows and the
+    /// denominator as an integer count) and hand each affected row to
+    /// `on_affected`.
     fn fold_unaffected(
         &self,
         table: &Table,
-        when_mask: &[bool],
-        scope_mask: &[bool],
+        when: Option<&[bool]>,
+        scope: Option<&[bool]>,
         peer_post: Option<&[f64]>,
+        parts: &mut Parts,
         mut on_affected: impl FnMut(usize),
-    ) -> Result<(f64, f64)> {
-        let mut numerator = 0.0;
-        let mut denominator = 0.0;
-        for i in 0..table.num_rows() {
-            if !scope_mask[i] {
-                continue;
-            }
-            let peer_changed = match (&self.peer, peer_post) {
-                (Some((_, pre_means, _)), Some(post_means)) => {
-                    (pre_means[i] - post_means[i]).abs() > 1e-12
-                }
-                _ => false,
-            };
-            if when_mask[i] || peer_changed {
+    ) -> Result<()> {
+        let mut satisfied = 0u64;
+        for i in (0..table.num_rows()).filter(|&i| holds(scope, i)) {
+            if self.is_affected(i, when, peer_post) {
                 on_affected(i);
-                continue;
-            }
-            let sat = match &self.psi {
-                Some(p) => p.eval_bool_at(table, table, i)?,
-                None => true,
-            };
-            if sat {
-                match (self.agg, &self.y) {
-                    (AggFunc::Count, _) => {
-                        numerator += 1.0;
-                        denominator += 1.0;
-                    }
-                    (_, Some(yv)) => {
-                        numerator += yv.eval_at(table, table, i)?.as_f64().ok_or_else(|| {
-                            EngineError::Plan("Output expression is not numeric".into())
-                        })?;
-                        denominator += 1.0;
-                    }
-                    _ => unreachable!(),
+            } else if let Some(v) = self.unaffected_value(table, i)? {
+                satisfied += 1;
+                if self.agg != AggFunc::Count {
+                    parts.numerator.add(v);
                 }
             }
         }
-        Ok((numerator, denominator))
+        if self.agg == AggFunc::Count {
+            parts.numerator.add_scaled(satisfied, 1.0);
+        }
+        parts.denominator.add_scaled(satisfied, 1.0);
+        Ok(())
     }
 
     /// Predict the post-update world of `rows`: assemble their post-update
@@ -656,7 +705,7 @@ impl CausalEstimator {
         &self,
         table: &Table,
         updates: &[(usize, UpdateFunc)],
-        when_mask: &[bool],
+        when: Option<&[bool]>,
         peer_post: Option<&[f64]>,
         rows: &[usize],
     ) -> Result<Predictions> {
@@ -680,14 +729,14 @@ impl CausalEstimator {
                     // updates build the post column straight off the typed
                     // buffers. Falls back to per-row `Value`s when the
                     // update mixes types or touches NULLs.
-                    if let Some(col) = post_update_column(src, func, rows, when_mask) {
+                    if let Some(col) = post_update_column(src, func, rows, when) {
                         feat_cols.push(col);
                         continue;
                     }
                     let mut post_vals = Vec::with_capacity(rows.len());
                     for &i in rows {
                         let v = src.value(i);
-                        post_vals.push(if when_mask[i] {
+                        post_vals.push(if holds(when, i) {
                             apply_update(func, &v)?
                         } else {
                             v
@@ -718,7 +767,7 @@ impl CausalEstimator {
                         // Update columns the typed kernel handled have no
                         // materialized values; recompute the post value.
                         None => match func_of(updates, c) {
-                            Some(func) if when_mask[i] => {
+                            Some(func) if holds(when, i) => {
                                 apply_update(func, &table.column(c).value(i))?
                             }
                             _ => table.column(c).value(i),
@@ -783,6 +832,20 @@ impl CausalEstimator {
     }
 }
 
+/// Exact running `(numerator, denominator)` of a what-if value.
+#[derive(Default)]
+struct Parts {
+    numerator: ExactSum,
+    denominator: ExactSum,
+}
+
+impl Parts {
+    /// Both sums, each rounded once.
+    fn round(&self) -> (f64, f64) {
+        (self.numerator.round(), self.denominator.round())
+    }
+}
+
 /// Batch predictions for a list of rows, one slot per distinct encoded
 /// feature combination.
 struct Predictions {
@@ -796,11 +859,11 @@ struct Predictions {
 }
 
 impl Predictions {
-    /// Add the contribution of the prediction at `slot` to the running
-    /// `(numerator, denominator)`.
-    fn add(&self, slot: usize, parts: &mut (f64, f64)) {
-        parts.0 += self.nums[slot];
-        parts.1 += self.dens.as_ref().map_or(1.0, |d| d[slot]);
+    /// Add `count` rows predicted at `slot` to `parts`.
+    fn add(&self, slot: usize, count: u64, parts: &mut Parts) {
+        parts.numerator.add_scaled(count, self.nums[slot]);
+        let denominator = self.dens.as_ref().map_or(1.0, |d| d[slot]);
+        parts.denominator.add_scaled(count, denominator);
     }
 }
 
@@ -822,7 +885,7 @@ fn post_update_column(
     src: &Column,
     func: &UpdateFunc,
     affected: &[usize],
-    when_mask: &[bool],
+    when: Option<&[bool]>,
 ) -> Option<Column> {
     use hyper_storage::NullBitmap;
     if src.nulls().any_null() {
@@ -839,7 +902,7 @@ fn post_update_column(
                 .iter()
                 .map(|&i| {
                     let x = src.f64_at(i).expect("no NULLs checked above");
-                    if when_mask[i] {
+                    if holds(when, i) {
                         f(x)
                     } else {
                         x
@@ -855,7 +918,7 @@ fn post_update_column(
         (UpdateFunc::Set(Value::Int(v)), Column::Int { values, .. }) => Some(Column::Int {
             values: affected
                 .iter()
-                .map(|&i| if when_mask[i] { *v } else { values[i] })
+                .map(|&i| if holds(when, i) { *v } else { values[i] })
                 .collect(),
             nulls: all_valid,
         }),
@@ -868,7 +931,7 @@ fn post_update_column(
             Some(Column::Str {
                 codes: affected
                     .iter()
-                    .map(|&i| if when_mask[i] { code } else { codes[i] })
+                    .map(|&i| if holds(when, i) { code } else { codes[i] })
                     .collect(),
                 dict: Arc::clone(dict),
                 nulls: all_valid,

@@ -1,7 +1,9 @@
 //! The support-path evaluator against the row-at-a-time reference: over
 //! random `When`/`For` masks, update functions, aggregates and estimator
 //! families, both must produce `to_bits`-equal `(numerator, denominator)`
-//! parts.
+//! parts. The parts are exact sums, so they must also survive a row
+//! permutation of the view and equal the independent big-integer oracle's
+//! correctly rounded sums of the per-row contributions.
 
 use std::sync::Arc;
 
@@ -9,13 +11,16 @@ use hyper_query::{parse_query, HExpr, HypotheticalQuery, Temporal};
 use hyper_runtime::HyperRuntime;
 use hyper_storage::{DataType, Database, Field, Schema, TableBuilder};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use super::*;
-use crate::config::EstimatorKind;
+use crate::config::{EngineConfig, EstimatorKind};
 use crate::hexpr::{bind_hexpr, conjoin, resolve_column, split_pre_post};
 use crate::view::build_relevant_view;
-use crate::whatif::output_decomposition;
+use crate::whatif::exact_sum::oracle;
+use crate::whatif::{output_decomposition, plan_whatif};
+use crate::HyperSession;
 
 /// Fit an estimator for `text` over `db` with the given adjustment
 /// columns, peer summary `(update, group)` and family; evaluate it both
@@ -71,22 +76,42 @@ fn check(
         runtime: HyperRuntime::global(),
     };
     let est = CausalEstimator::fit(&view, &spec, &bind(psi), &bind(y), q.output.agg).unwrap();
-    let fast = est.evaluate_parts(&view, &updates, &when, &scope).unwrap();
+    let fast = est
+        .evaluate_parts(&view, &updates, Some(&when), Some(&scope))
+        .unwrap();
     let slow = est
-        .evaluate_parts_rowwise(&view, &updates, &when, &scope)
+        .evaluate_parts_rowwise(&view, &updates, Some(&when), Some(&scope))
         .unwrap();
     assert_eq!(
-        (fast.0.to_bits(), fast.1.to_bits()),
-        (slow.0.to_bits(), slow.1.to_bits()),
+        bits(fast),
+        bits(slow),
         "support path {fast:?} vs row path {slow:?} for {text} ({kind:?}, backdoor {backdoor:?})"
+    );
+    // Absent masks take the cell path (no row visited without a peer
+    // summary); it must equal explicit all-`true` masks.
+    let all = vec![true; n];
+    let unmasked = est.evaluate_parts(&view, &updates, None, None).unwrap();
+    let explicit = est
+        .evaluate_parts(&view, &updates, Some(&all), Some(&all))
+        .unwrap();
+    assert_eq!(
+        bits(unmasked),
+        bits(explicit),
+        "cell path {unmasked:?} vs all-true masks {explicit:?} for {text} ({kind:?})"
     );
     fast
 }
 
+fn bits(parts: (f64, f64)) -> (u64, u64) {
+    (parts.0.to_bits(), parts.1.to_bits())
+}
+
 /// A random table `t` with small-cardinality columns (so cells repeat):
 /// update candidates `b`, `b2` and the nullable `nz`; adjustment
-/// candidates `z`, `f` (holding both `0.0` and `-0.0`), `s`; outcomes `y`
-/// and `ok`.
+/// candidates `z`, `f` (holding both `0.0` and `-0.0`), `s`; outcomes `y`,
+/// `ok` and `w`. `w` is a function of `y`, `b` and `z` whose values span
+/// magnitudes 1e-6..1e4 and are inexact, so a plain fold of them depends
+/// on row order (derived, so it draws nothing from `rng`).
 fn random_db(rng: &mut StdRng) -> Database {
     let schema = Schema::new(vec![
         Field::new("b", DataType::Int),
@@ -97,6 +122,7 @@ fn random_db(rng: &mut StdRng) -> Database {
         Field::new("s", DataType::Str),
         Field::new("y", DataType::Float),
         Field::new("ok", DataType::Int),
+        Field::new("w", DataType::Float),
     ])
     .unwrap();
     let mut t = TableBuilder::new("t", schema);
@@ -122,6 +148,7 @@ fn random_db(rng: &mut StdRng) -> Database {
             s.into(),
             Value::Float(y),
             Value::Int(ok),
+            Value::Float((y + 0.1) / 3.0 * 10f64.powi((2 * z + b) as i32 - 6)),
         ])
         .unwrap();
     }
@@ -256,4 +283,293 @@ fn peer_summary_rows_are_keyed_by_their_post_peer_mean() {
             }
         }
     }
+}
+
+/// A copy of `db`'s table `t` with its rows in a random order.
+fn permuted(db: &Database, rng: &mut StdRng) -> Database {
+    let t = db.table("t").unwrap();
+    let mut order: Vec<usize> = (0..t.num_rows()).collect();
+    order.shuffle(rng);
+    let mut b = TableBuilder::new("t", t.schema().clone());
+    for i in order {
+        b.push((0..t.num_columns()).map(|c| t.column(c).value(i)).collect())
+            .unwrap();
+    }
+    let mut out = Database::new();
+    out.add_table(b.build()).unwrap();
+    out
+}
+
+#[test]
+fn parts_do_not_depend_on_row_order() {
+    let mut rng = StdRng::seed_from_u64(0x0bde);
+    let mut order_sensitive = 0;
+    for case in 0..40 {
+        let db = random_db(&mut rng);
+        let text = [
+            "Use t Update(b) = 0.5 * Pre(b) Output Avg(Post(w))",
+            "Use t When z = 0 Update(b) = 1 + Pre(b) Output Sum(Post(w))",
+            "Use t When b < 2 Update(b) = 2 Output Sum(Post(w)) For Pre(s) = 'b' And Post(ok) = 1",
+            "Use t Update(nz) = 1.5 Output Avg(Post(w)) For Post(ok) = 1",
+            "Use t When Pre(s) = 'a' Update(b) = 3 Output Count(Post(ok) = 1)",
+        ][case % 5];
+        let HypotheticalQuery::WhatIf(q) = parse_query(text).unwrap() else {
+            unreachable!()
+        };
+        let config = EngineConfig {
+            estimator: [EstimatorKind::Forest, EstimatorKind::Cells][case % 2],
+            n_trees: 3,
+            max_depth: 4,
+            seed: 7,
+            ..EngineConfig::default()
+        };
+        let (view, est, updates) = fit_for(&db, &q, &["z", "f", "s"], &config);
+        let shuffled = permuted(&db, &mut rng);
+        let view2 = build_relevant_view(&shuffled, &q.use_clause).unwrap();
+        let (when, scope) = masks(&view, &q);
+        let (when2, scope2) = masks(&view2, &q);
+        let a = est
+            .evaluate_parts(&view, &updates, when.as_deref(), scope.as_deref())
+            .unwrap();
+        let b = est
+            .evaluate_parts(&view2, &updates, when2.as_deref(), scope2.as_deref())
+            .unwrap();
+        assert_eq!(bits(a), bits(b), "{text}: {a:?} vs permuted {b:?}");
+        let plain_w = |v: &RelevantView| -> f64 {
+            let w = v
+                .table
+                .column(resolve_column(v.table.schema(), "w").unwrap());
+            (0..w.len()).map(|i| w.f64_at(i).unwrap()).sum()
+        };
+        order_sensitive += usize::from(plain_w(&view).to_bits() != plain_w(&view2).to_bits());
+    }
+    assert!(
+        order_sensitive > 0,
+        "a plain fold of `w` depends on row order"
+    );
+}
+
+/// The `When` and `For`-pre masks of `q` over `view`; `None` for an
+/// absent clause.
+fn masks(
+    view: &RelevantView,
+    q: &hyper_query::WhatIfQuery,
+) -> (Option<Vec<bool>>, Option<Vec<bool>>) {
+    let schema = view.table.schema();
+    let mask = |e: Option<HExpr>| {
+        e.map(|e| {
+            bind_hexpr(&e, schema, Temporal::Pre)
+                .unwrap()
+                .eval_mask(&view.table)
+                .unwrap()
+        })
+    };
+    let pre = q
+        .for_clause
+        .as_ref()
+        .map_or(Vec::new(), |f| split_pre_post(f, Temporal::Pre).0);
+    (mask(q.when.clone()), mask(conjoin(&pre)))
+}
+
+/// Fit `q`'s estimator over `db` with the named adjustment columns (an
+/// updated one is skipped) and `config`'s estimator settings, without a
+/// peer summary.
+fn fit_for(
+    db: &Database,
+    q: &hyper_query::WhatIfQuery,
+    backdoor: &[&str],
+    config: &EngineConfig,
+) -> (RelevantView, CausalEstimator, Vec<(usize, UpdateFunc)>) {
+    let view = build_relevant_view(db, &q.use_clause).unwrap();
+    let schema = view.table.schema().clone();
+    let col = |name: &str| resolve_column(&schema, name).unwrap();
+    let updates: Vec<(usize, UpdateFunc)> = q
+        .updates
+        .iter()
+        .map(|u| (col(&u.attr), u.func.clone()))
+        .collect();
+    let post = q
+        .for_clause
+        .as_ref()
+        .map_or(Vec::new(), |f| split_pre_post(f, Temporal::Pre).1);
+    let (psi, y) = output_decomposition(&q.output, &post).unwrap();
+    let bind =
+        |e: Option<HExpr>| e.map(|e| Arc::new(bind_hexpr(&e, &schema, Temporal::Post).unwrap()));
+    let update_cols: Vec<usize> = updates.iter().map(|(c, _)| *c).collect();
+    let backdoor_cols: Vec<usize> = backdoor
+        .iter()
+        .map(|b| col(b))
+        .filter(|c| !update_cols.contains(c))
+        .collect();
+    let spec = EstimatorSpec {
+        update_cols: &update_cols,
+        backdoor_cols: &backdoor_cols,
+        peer: None,
+        sample_cap: config.sample_cap,
+        n_trees: config.n_trees,
+        max_depth: config.max_depth,
+        seed: config.seed,
+        kind: config.estimator,
+        runtime: HyperRuntime::global(),
+    };
+    let est = CausalEstimator::fit(&view, &spec, &bind(psi), &bind(y), q.output.agg).unwrap();
+    (view, est, updates)
+}
+
+/// The pinned what-ifs of `tests/golden_bits.rs`: the `Avg` what-if, and
+/// the joint re-evaluation of the pinned how-to's chosen updates (its
+/// `objective`). Each part `evaluate_parts` returns must equal the
+/// oracle's correctly rounded sum of the row-wise reference's per-row
+/// contributions, and the session's answer must be the pinned value.
+#[test]
+fn golden_parts_equal_the_oracle_sums() {
+    let cases = [
+        (
+            hyper_datasets::german_syn(20_000, 3),
+            "Use german_syn When age = 1 Update(status) = 3 \
+             Output Avg(Post(credit_amount)) For Post(credit) = 'Good'",
+            0x3ffb1a291687fb8bu64,
+        ),
+        (
+            hyper_datasets::german_syn_extended(3_000, 1),
+            "Use german_syn Update(status) = 2.625 And Update(savings) = 2.625 \
+             And Update(housing) = 1.75 And Update(credit_amount) = 2.625 \
+             Output Count(Post(credit) = 'Good')",
+            0x40a6aa1ba174f5d7,
+        ),
+    ];
+    for (data, text, pinned) in cases {
+        let config = EngineConfig::hyper();
+        let HypotheticalQuery::WhatIf(q) = parse_query(text).unwrap() else {
+            unreachable!()
+        };
+        // The estimator a session fits: the graph's adjustment set, under
+        // the session's default configuration.
+        let view = build_relevant_view(&data.db, &q.use_clause).unwrap();
+        let plan = plan_whatif(&data.db, Some(&data.graph), &config, &q, &view, "").unwrap();
+        let backdoor: Vec<&str> = plan.backdoor.iter().map(String::as_str).collect();
+        let (view, est, updates) = fit_for(&data.db, &q, &backdoor, &config);
+        let update_cols: Vec<usize> = updates.iter().map(|(c, _)| *c).collect();
+        assert!(
+            PeerSummary::detect(&view, Some(&data.graph), &update_cols)
+                .unwrap()
+                .is_none(),
+            "German-Syn declares no peer summary"
+        );
+        let (when, scope) = masks(&view, &q);
+        let (when, scope) = (when.as_deref(), scope.as_deref());
+
+        let rows = est.row_contributions(&view, &updates, when, scope).unwrap();
+        let column = |k: usize| -> Vec<f64> { rows.iter().map(|r| [r.0, r.1][k]).collect() };
+        let want = (oracle::sum(&column(0)), oracle::sum(&column(1)));
+        let parts = est.evaluate_parts(&view, &updates, when, scope).unwrap();
+        assert_eq!(
+            bits(parts),
+            bits(want),
+            "{text}: {parts:?} vs oracle {want:?}"
+        );
+
+        let value = est.evaluate(&view, &updates, when, scope).unwrap();
+        assert_eq!(
+            value.to_bits(),
+            pinned,
+            "{text}: {value:?} = {:#018x}",
+            value.to_bits()
+        );
+        let session = HyperSession::builder(data.db.clone())
+            .graph(data.graph.clone())
+            .config(config)
+            .build();
+        assert_eq!(session.whatif_text(text).unwrap().value.to_bits(), pinned);
+    }
+}
+
+#[test]
+fn a_peer_mean_moved_by_less_than_1e_12_still_affects_its_rows() {
+    // Prices of 1 and 2 keep the group sums small, so a shift of 1e-13
+    // moves the leave-one-out peer means by far less than 1e-12 but still
+    // changes their bits.
+    let mut rng = StdRng::seed_from_u64(21);
+    let schema = Schema::new(vec![
+        Field::new("pid", DataType::Int),
+        Field::new("category", DataType::Str),
+        Field::new("price", DataType::Float),
+        Field::new("rating", DataType::Float),
+    ])
+    .unwrap();
+    let mut t = TableBuilder::with_key("product", schema, &["pid"]).unwrap();
+    for pid in 0..60i64 {
+        t.push(vec![
+            pid.into(),
+            ["a", "b", "c"][rng.gen_range(0..3usize)].into(),
+            (1.0 + rng.gen_range(0..2) as f64).into(),
+            (3.0 + rng.gen_range(0..3) as f64 * 0.5).into(),
+        ])
+        .unwrap();
+    }
+    let mut db = Database::new();
+    db.add_table(t.build()).unwrap();
+    let text = "Use product When pid < 6 Update(price) = 1e-13 + Pre(price) \
+                Output Avg(Post(rating))";
+    let HypotheticalQuery::WhatIf(q) = parse_query(text).unwrap() else {
+        unreachable!()
+    };
+    assert!(matches!(q.updates[0].func, UpdateFunc::Shift(d) if d == 1e-13));
+    let view = build_relevant_view(&db, &q.use_clause).unwrap();
+    let col = |name: &str| resolve_column(view.table.schema(), name).unwrap();
+    let (price, category) = (col("price"), col("category"));
+    let updates = vec![(price, q.updates[0].func.clone())];
+    let y = bind_hexpr(&HExpr::post("rating"), view.table.schema(), Temporal::Post).unwrap();
+    let spec = EstimatorSpec {
+        update_cols: &[price],
+        backdoor_cols: &[],
+        peer: Some(PeerSummary {
+            update_col: price,
+            group_col: category,
+        }),
+        sample_cap: None,
+        n_trees: 3,
+        max_depth: 4,
+        seed: 7,
+        kind: EstimatorKind::Forest,
+        runtime: HyperRuntime::global(),
+    };
+    let est = CausalEstimator::fit(&view, &spec, &None, &Some(Arc::new(y)), AggFunc::Avg).unwrap();
+    let (when, _) = masks(&view, &q);
+    let when = when.unwrap();
+    let post = est
+        .peer_post_means(&view.table, &updates, Some(&when))
+        .unwrap()
+        .unwrap();
+    let mut affected = Vec::new();
+    est.fold_unaffected(
+        &view.table,
+        Some(&when),
+        None,
+        Some(&post),
+        &mut Parts::default(),
+        |i| affected.push(i),
+    )
+    .unwrap();
+
+    // Every row sharing a category with an updated row sees a new peer
+    // mean (each category has more than one row).
+    let group = |i: usize| view.table.column(category).value(i);
+    let expected: Vec<usize> = (0..view.table.num_rows())
+        .filter(|&i| when[i] || (0..when.len()).any(|j| j != i && when[j] && group(j) == group(i)))
+        .collect();
+    let pre = &est.peer.as_ref().unwrap().1;
+    let moved: Vec<usize> = expected.iter().copied().filter(|&i| !when[i]).collect();
+    assert!(
+        !moved.is_empty(),
+        "some rows are moved through their peers only"
+    );
+    for &i in &moved {
+        let delta = (pre[i] - post[i]).abs();
+        assert!(
+            delta > 0.0 && delta < 1e-12,
+            "row {i}: peer mean moved by {delta:e}"
+        );
+    }
+    assert_eq!(affected, expected);
 }

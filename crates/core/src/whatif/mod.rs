@@ -15,6 +15,7 @@
 
 pub mod estimator;
 pub mod exact;
+pub(crate) mod exact_sum;
 pub(crate) mod support;
 
 use std::collections::HashSet;
@@ -33,6 +34,7 @@ use crate::session::cache::ArtifactCache;
 use crate::view::{build_relevant_view, RelevantView};
 
 use estimator::{CausalEstimator, EstimatorSpec, PeerSummary};
+use exact_sum::ExactSum;
 
 /// Result of a what-if query.
 #[derive(Debug, Clone)]
@@ -315,16 +317,12 @@ pub(crate) fn evaluate_whatif_on_view(
     }
     check_multi_update_validity(view, graph, &update_cols)?;
 
-    // Masks.
-    let when_bound = q
+    // Masks; an absent clause holds on every row and builds none.
+    let when_mask = q
         .when
         .as_ref()
-        .map(|w| bind_hexpr(w, &schema, Temporal::Pre))
+        .map(|w| bind_hexpr(w, &schema, Temporal::Pre)?.eval_mask(&view.table))
         .transpose()?;
-    let when_mask = match &when_bound {
-        Some(w) => w.eval_mask(&view.table)?,
-        None => vec![true; n],
-    };
 
     let (pre_conj, post_conj) = match &q.for_clause {
         Some(fc) => split_pre_post(fc, Temporal::Pre),
@@ -333,10 +331,10 @@ pub(crate) fn evaluate_whatif_on_view(
     let pre_bound = conjoin(&pre_conj)
         .map(|e| bind_hexpr(&e, &schema, Temporal::Pre))
         .transpose()?;
-    let scope_mask = match &pre_bound {
-        Some(p) => p.eval_mask(&view.table)?,
-        None => vec![true; n],
-    };
+    let scope_mask = pre_bound
+        .as_ref()
+        .map(|p| p.eval_mask(&view.table))
+        .transpose()?;
 
     // Output decomposition: ψ (post-world predicate) and Y (post value).
     let (psi_expr, y_expr) = output_decomposition(&q.output, &post_conj)?;
@@ -351,8 +349,12 @@ pub(crate) fn evaluate_whatif_on_view(
         .map(|e| bind_hexpr(e, &schema, Temporal::Post).map(Arc::new))
         .transpose()?;
 
-    let n_scope = scope_mask.iter().filter(|&&b| b).count();
-    let n_updated = when_mask.iter().filter(|&&b| b).count();
+    let rows_in = |mask: &Option<Vec<bool>>| {
+        mask.as_ref()
+            .map_or(n, |m| m.iter().filter(|&&b| b).count())
+    };
+    let n_scope = rows_in(&scope_mask);
+    let n_updated = rows_in(&when_mask);
 
     // Fast path: nothing probabilistic to estimate.
     let post_cols: HashSet<usize> = psi
@@ -368,8 +370,8 @@ pub(crate) fn evaluate_whatif_on_view(
         let value = deterministic_eval(
             view,
             &update_cols,
-            &when_mask,
-            &scope_mask,
+            when_mask.as_deref(),
+            scope_mask.as_deref(),
             &psi,
             &y,
             q.output.agg,
@@ -445,7 +447,12 @@ pub(crate) fn evaluate_whatif_on_view(
         }
         None => Arc::new(CausalEstimator::fit(view, &spec, &psi, &y, q.output.agg)?),
     };
-    let value = est.evaluate(view, &update_cols, &when_mask, &scope_mask)?;
+    let value = est.evaluate(
+        view,
+        &update_cols,
+        when_mask.as_deref(),
+        scope_mask.as_deref(),
+    )?;
 
     Ok(WhatIfResult {
         value,
@@ -465,12 +472,13 @@ pub(crate) fn evaluate_whatif_on_view(
 /// are deterministic functions of pre values. Post values for the updated
 /// columns are materialized once per column (scoped `When` rows only);
 /// everything else reads the typed view columns in place — no per-row
-/// `Row` clones.
+/// `Row` clones. Sums are exact ([`ExactSum`]) and counts are integers,
+/// so the value does not depend on row order, like an estimated one.
 fn deterministic_eval(
     view: &RelevantView,
     update_cols: &[(usize, UpdateFunc)],
-    when_mask: &[bool],
-    scope_mask: &[bool],
+    when: Option<&[bool]>,
+    scope: Option<&[bool]>,
     psi: &Option<Arc<BoundHExpr>>,
     y: &Option<Arc<BoundHExpr>>,
     agg: AggFunc,
@@ -483,7 +491,7 @@ fn deterministic_eval(
         let src = table.column(*c);
         let mut vals: Vec<Option<Value>> = vec![None; n];
         for (i, slot) in vals.iter_mut().enumerate() {
-            if scope_mask[i] && when_mask[i] {
+            if holds(scope, i) && holds(when, i) {
                 *slot = Some(apply_update(f, &src.value(i))?);
             }
         }
@@ -500,12 +508,9 @@ fn deterministic_eval(
         table.column(c).value(i)
     };
 
-    let mut total = 0.0;
-    let mut denom = 0.0;
-    for (i, &scoped) in scope_mask.iter().enumerate() {
-        if !scoped {
-            continue;
-        }
+    let mut total = ExactSum::default();
+    let mut satisfied = 0u64;
+    for i in (0..n).filter(|&i| holds(scope, i)) {
         let mut get = |t: Temporal, c: usize| match t {
             Temporal::Pre => table.column(c).value(i),
             Temporal::Post => post_at(i, c),
@@ -525,28 +530,31 @@ fn deterministic_eval(
         if !sat {
             continue;
         }
-        denom += 1.0;
+        satisfied += 1;
         match (agg, y) {
-            (AggFunc::Count, _) => total += 1.0,
+            (AggFunc::Count, _) => {}
             (_, Some(yv)) => {
-                total += yv
-                    .eval_with(&mut get)?
-                    .as_f64()
-                    .ok_or_else(|| EngineError::Plan("Output expression is not numeric".into()))?;
+                total.add(
+                    yv.eval_with(&mut get)?.as_f64().ok_or_else(|| {
+                        EngineError::Plan("Output expression is not numeric".into())
+                    })?,
+                );
             }
             _ => unreachable!("validated in caller"),
         }
     }
     Ok(match agg {
-        AggFunc::Avg => {
-            if denom == 0.0 {
-                0.0
-            } else {
-                total / denom
-            }
-        }
-        _ => total,
+        AggFunc::Count => satisfied as f64,
+        AggFunc::Avg if satisfied == 0 => 0.0,
+        AggFunc::Avg => total.round() / satisfied as f64,
+        _ => total.round(),
     })
+}
+
+/// `mask[i]`, where an absent mask holds on every row.
+#[inline]
+pub(crate) fn holds(mask: Option<&[bool]>, i: usize) -> bool {
+    mask.is_none_or(|m| m[i])
 }
 
 /// The column indices of resolved updates, in update order.
@@ -719,3 +727,6 @@ fn select_backdoor_columns(
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

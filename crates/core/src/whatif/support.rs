@@ -15,6 +15,12 @@
 //! different cells; NULL is its own value). The index is derived from the
 //! view's data alone and is never serialized. [`SupportIndexes`] owns the
 //! indexes of one view, built lazily once per column list.
+//!
+//! Cells are numbered in first-occurrence order, and the index also keeps
+//! each cell's row count and first row. A what-if with no `When`, no `For`
+//! and no peer summary updates every row, so its affected rows are exactly
+//! the cells with those counts: the estimator reads the representatives
+//! and counts from here and folds cells without touching a row.
 
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
@@ -31,8 +37,11 @@ pub(crate) struct SupportIndex {
     /// Cell id of each view row (ids are numbered in first-occurrence
     /// order, `0..cells`).
     cell_of: Vec<u32>,
-    /// Number of distinct cells.
-    cells: usize,
+    /// Rows in each cell.
+    count_of: Vec<u32>,
+    /// First row of each cell (increasing, as ids follow first
+    /// occurrence).
+    first_row: Vec<u32>,
 }
 
 impl SupportIndex {
@@ -77,7 +86,20 @@ impl SupportIndex {
             }
             cells = next as usize;
         }
-        SupportIndex { cell_of, cells }
+        let mut count_of = vec![0u32; cells];
+        let mut first_row = Vec::with_capacity(cells);
+        for (i, &id) in cell_of.iter().enumerate() {
+            let count = &mut count_of[id as usize];
+            if *count == 0 {
+                first_row.push(i as u32);
+            }
+            *count += 1;
+        }
+        SupportIndex {
+            cell_of,
+            count_of,
+            first_row,
+        }
     }
 
     /// Cell id of view row `i`.
@@ -88,7 +110,17 @@ impl SupportIndex {
 
     /// Number of distinct cells.
     pub(crate) fn cells(&self) -> usize {
-        self.cells
+        self.count_of.len()
+    }
+
+    /// Rows in each cell, by cell id.
+    pub(crate) fn counts(&self) -> &[u32] {
+        &self.count_of
+    }
+
+    /// First row of each cell, by cell id.
+    pub(crate) fn first_rows(&self) -> &[u32] {
+        &self.first_row
     }
 }
 
@@ -182,7 +214,8 @@ pub(crate) struct SupportIndexes {
 
 impl SupportIndexes {
     /// Bytes charged per view row in the view's footprint: one `u32` cell
-    /// id (the common single-index case).
+    /// id (the common single-index case; the per-cell counts and first
+    /// rows are not charged, as cells are usually far fewer than rows).
     pub(crate) const BYTES_PER_ROW: usize = 4;
 
     /// The index of `cols` over `table` (the owning view's data).
@@ -277,6 +310,15 @@ mod tests {
             }
         }
         assert_eq!(idx.cells(), max, "ids are dense");
+        assert!(
+            idx.first_rows().windows(2).all(|w| w[0] < w[1]),
+            "ids follow first occurrence"
+        );
+        for c in 0..idx.cells() {
+            let rows: Vec<usize> = (0..n).filter(|&i| idx.cell(i) == c).collect();
+            assert_eq!(idx.counts()[c] as usize, rows.len(), "cell {c} count");
+            assert_eq!(idx.first_rows()[c] as usize, rows[0], "cell {c} first row");
+        }
     }
 
     #[test]

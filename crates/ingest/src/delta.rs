@@ -124,6 +124,11 @@ impl DeltaBatch {
                 base.gather(&keep)
             };
             if let Some(appends) = &op.appends {
+                // Every batch makes a new version of the table, so the
+                // amortized slack of a doubling growth would never be
+                // used: it would only leave each version with up to twice
+                // the memory it needs.
+                table.reserve_exact(appends.num_rows());
                 table.append_rows(appends)?;
             }
             table.check_key_unique()?;

@@ -152,6 +152,12 @@ impl NullBitmap {
         self.words.reserve(needed.saturating_sub(self.words.len()));
     }
 
+    fn reserve_exact(&mut self, additional: usize) {
+        let needed = (self.len + additional).div_ceil(64);
+        self.words
+            .reserve_exact(needed.saturating_sub(self.words.len()));
+    }
+
     /// The packed words backing the bitmap (bit `i` of word `i / 64` is
     /// row `i`'s NULL flag). Exposed for serialization.
     pub fn words(&self) -> &[u64] {
@@ -412,6 +418,29 @@ impl Column {
             Column::Str { codes, nulls, .. } => {
                 codes.reserve(additional);
                 nulls.reserve(additional);
+            }
+        }
+    }
+
+    /// Reserve capacity for exactly `additional` more rows, without the
+    /// amortized slack of [`Column::reserve`].
+    pub fn reserve_exact(&mut self, additional: usize) {
+        match self {
+            Column::Int { values, nulls } => {
+                values.reserve_exact(additional);
+                nulls.reserve_exact(additional);
+            }
+            Column::Float { values, nulls } => {
+                values.reserve_exact(additional);
+                nulls.reserve_exact(additional);
+            }
+            Column::Bool { values, nulls } => {
+                values.reserve_exact(additional);
+                nulls.reserve_exact(additional);
+            }
+            Column::Str { codes, nulls, .. } => {
+                codes.reserve_exact(additional);
+                nulls.reserve_exact(additional);
             }
         }
     }

@@ -283,6 +283,14 @@ impl Table {
         }
     }
 
+    /// Reserve capacity for exactly `additional` more rows in every
+    /// column, without amortized slack.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        for c in &mut self.columns {
+            c.reserve_exact(additional);
+        }
+    }
+
     /// Append a row after validating it against the schema.
     #[deprecated(
         since = "0.1.0",
