@@ -15,6 +15,7 @@ use hyper_query::{
 use hyper_runtime::HyperRuntime;
 use hyper_storage::Database;
 
+use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 use crate::config::{EngineConfig, HowToOptions};
@@ -24,7 +25,7 @@ use crate::howto::candidates::{generate_candidates, Candidate};
 use crate::howto::HowToResult;
 use crate::session::cache::ArtifactCache;
 use crate::view::{build_relevant_view, RelevantView};
-use crate::whatif::evaluate_whatif_maybe_cached;
+use crate::whatif::{evaluate_planned, evaluate_whatif_maybe_cached, plan_whatif};
 
 /// Shared pre-processing for the optimizer, the brute-force baseline, and
 /// the lexicographic extension.
@@ -59,9 +60,15 @@ impl HowToContext {
     ) -> Result<HowToContext> {
         // Every candidate what-if shares this view; inside a session it is
         // also shared with every other query over the same `Use` clause.
-        let view = match cache {
-            Some(c) => c.view(db, &q.use_clause)?.0,
-            None => Arc::new(build_relevant_view(db, &q.use_clause)?),
+        let (view, view_key) = match cache {
+            Some(c) => {
+                let (view, key) = c.view(db, &q.use_clause)?;
+                (view, key.as_str().to_string())
+            }
+            None => (
+                Arc::new(build_relevant_view(db, &q.use_clause)?),
+                String::new(),
+            ),
         };
         let cols = view.column_names();
         validate_howto(q, Some(&cols))?;
@@ -119,24 +126,23 @@ impl HowToContext {
         // already-materialized view.
         let baseline = evaluate_identity_objective(&view, &q.for_clause, &output_spec)?;
 
-        // Assemble every candidate's what-if query, then evaluate. The
-        // candidates fan out over the session's persistent worker pool.
-        // All candidates of one attribute share one fitted estimator (it
-        // is keyed on the update column, not the value), and the cache's
-        // single-flight slot makes the first of them train it while the
-        // rest wait. So the list is interleaved round-robin — candidate j
-        // of every attribute before candidate j + 1 — and the first
-        // workers start one training per attribute instead of queueing
-        // behind one attribute's slot. Values are identical to a
-        // sequential pass in any order (training is seeded and
-        // order-independent). Nesting is safe — a batch of how-to queries
-        // and the forest trainers below them all draw from the same fixed
-        // pool.
+        // Assemble every candidate's what-if query, then evaluate. All
+        // candidates of one attribute share one fitted estimator (it is
+        // keyed on the feature set, not the value), and attributes whose
+        // adjustment sets complete the same feature set share it too — on
+        // German-Syn every attribute of a how-to does. Inside a session
+        // the first candidate of each distinct estimator key is evaluated
+        // here on the caller, before the fan-out: its forest trains with
+        // the whole pool under its trees, and the fanned-out candidates
+        // then all hit the cache instead of blocking on one single-flight
+        // slot. The rest fan out over the session's persistent worker
+        // pool. Values are identical to a sequential pass in any order
+        // (training is seeded and order-independent). Nesting is safe — a
+        // batch of how-to queries and the forest trainers below them all
+        // draw from the same fixed pool.
         let mut flat: Vec<(usize, usize, WhatIfQuery)> = Vec::new();
-        let rounds = candidates.iter().map(Vec::len).max().unwrap_or(0);
-        for j in 0..rounds {
-            for (i, cands) in candidates.iter().enumerate() {
-                let Some(c) = cands.get(j) else { continue };
+        for (i, cands) in candidates.iter().enumerate() {
+            for (j, c) in cands.iter().enumerate() {
                 let wq = candidate_whatif(
                     &whatif_template,
                     vec![UpdateSpec {
@@ -150,10 +156,33 @@ impl HowToContext {
         let whatif_evals = flat.len();
         let mut values: Vec<Vec<f64>> = candidates.iter().map(|c| vec![0.0; c.len()]).collect();
         let slots: Vec<OnceLock<Result<f64>>> = (0..flat.len()).map(|_| OnceLock::new()).collect();
+        if cache.is_some() {
+            let mut fitted: HashSet<String> = HashSet::new();
+            for (k, (_, j, wq)) in flat.iter().enumerate() {
+                if *j > 0 {
+                    continue;
+                }
+                // A plan that fails is left to the fan-out, which reports
+                // the candidate's error in its place.
+                let Ok(plan) = plan_whatif(db, graph, config, wq, &view, &view_key) else {
+                    continue;
+                };
+                let new_key = plan
+                    .estimator_key
+                    .as_ref()
+                    .is_some_and(|key| fitted.insert(key.clone()));
+                if new_key {
+                    let r = evaluate_planned(config, wq, &view, plan, cache, runtime);
+                    let _ = slots[k].set(r.map(|r| r.value));
+                }
+            }
+        }
         runtime.for_each_parallel(flat.len(), |k| {
-            let r = evaluate_whatif_maybe_cached(db, graph, config, &flat[k].2, cache, runtime)
-                .map(|r| r.value);
-            let _ = slots[k].set(r);
+            if slots[k].get().is_none() {
+                let r = evaluate_whatif_maybe_cached(db, graph, config, &flat[k].2, cache, runtime)
+                    .map(|r| r.value);
+                let _ = slots[k].set(r);
+            }
         });
         for ((i, j, _), slot) in flat.iter().zip(slots) {
             values[*i][*j] = slot.into_inner().expect("every candidate slot is filled")?;

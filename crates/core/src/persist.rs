@@ -9,8 +9,8 @@
 //! `f64` bit patterns → bit-identical predictions), the bound ψ/Y
 //! expression trees, and peer-summary state, so a restarted process
 //! deserializes it and evaluates without retraining. It holds no update
-//! functions: each query supplies its own at evaluation, so one file
-//! serves every update of the same columns.
+//! functions and no update list: each query supplies its updates at
+//! evaluation, so one file serves every update over the same feature set.
 //!
 //! Layout under `SessionBuilder::persist_dir(root)`:
 //!
@@ -435,7 +435,10 @@ fn decode_view(r: &mut ByteReader<'_>) -> SResult<RelevantView> {
 // ------------------------------------------------------------ estimators
 
 fn encode_cell_table(w: &mut ByteWriter, t: &CellTable) {
-    w.write_u64(t.skip as u64);
+    w.write_u64(t.marginal_dims.len() as u64);
+    for &d in &t.marginal_dims {
+        w.write_u64(d as u64);
+    }
     w.write_f64(t.global);
     for map in [&t.cells, &t.marginal] {
         // Canonical order: sort entries by key so equal tables encode to
@@ -455,7 +458,11 @@ fn encode_cell_table(w: &mut ByteWriter, t: &CellTable) {
 }
 
 fn decode_cell_table(r: &mut ByteReader<'_>) -> SResult<CellTable> {
-    let skip = r.read_u64("cell-table skip")? as usize;
+    let nd = r.read_len(8, "marginal dimension count")?;
+    let mut marginal_dims = Vec::with_capacity(nd);
+    for _ in 0..nd {
+        marginal_dims.push(r.read_u64("marginal dimension")? as usize);
+    }
     let global = r.read_f64("cell-table global mean")?;
     let mut maps = Vec::with_capacity(2);
     for what in ["cell", "marginal"] {
@@ -481,7 +488,7 @@ fn decode_cell_table(r: &mut ByteReader<'_>) -> SResult<CellTable> {
         cells,
         marginal,
         global,
-        skip,
+        marginal_dims,
     })
 }
 
@@ -509,21 +516,18 @@ fn decode_model(r: &mut ByteReader<'_>) -> SResult<FittedModel> {
     })
 }
 
-/// Opening byte of an estimator payload. The previous layout stored each
-/// update column's function and opened with the aggregate tag (0–4), so a
-/// payload in that layout fails here with a typed version error instead of
-/// being misread.
-const ESTIMATOR_LAYOUT: u8 = 0xE2;
+/// Opening byte of an estimator payload. `0xE2` stored the update columns
+/// as the leading features and a cell table's marginal as a leading
+/// `skip`; the layout before it stored each update column's function and
+/// opened with the aggregate tag (0–4). A payload in either fails here
+/// with a typed version error instead of being misread.
+const ESTIMATOR_LAYOUT: u8 = 0xE3;
 
 fn encode_estimator(w: &mut ByteWriter, e: &CausalEstimator) {
     w.write_u8(ESTIMATOR_LAYOUT);
     encode_agg(w, e.agg);
     w.write_u64(e.feature_cols.len() as u64);
     for &c in &e.feature_cols {
-        w.write_u64(c as u64);
-    }
-    w.write_u64(e.update_cols.len() as u64);
-    for &c in &e.update_cols {
         w.write_u64(c as u64);
     }
     mlcodec::encode_encoder(w, &e.encoder);
@@ -574,11 +578,6 @@ fn decode_estimator(r: &mut ByteReader<'_>) -> SResult<CausalEstimator> {
     let mut feature_cols = Vec::with_capacity(nf);
     for _ in 0..nf {
         feature_cols.push(r.read_u64("feature column")? as usize);
-    }
-    let nu = r.read_len(9, "update column count")?;
-    let mut update_cols = Vec::with_capacity(nu);
-    for _ in 0..nu {
-        update_cols.push(r.read_u64("update column")? as usize);
     }
     let encoder = mlcodec::decode_encoder(r)?;
     let model = decode_model(r)?;
@@ -634,18 +633,18 @@ fn decode_estimator(r: &mut ByteReader<'_>) -> SResult<CausalEstimator> {
             feature_cols.len()
         )));
     }
-    if !feature_cols.starts_with(&update_cols) {
+    if !feature_cols.windows(2).all(|w| w[0] < w[1]) {
         return Err(corrupt(
-            "estimator update columns do not lead its feature columns",
+            "estimator feature columns are not strictly ascending",
         ));
     }
     if let Some((p, pre, post)) = &peer {
         if pre.len() != post.len() {
             return Err(corrupt("estimator peer-mean vectors disagree in length"));
         }
-        if !update_cols.contains(&p.update_col) {
+        if feature_cols.binary_search(&p.update_col).is_err() {
             return Err(corrupt(
-                "estimator peer summary is over a non-updated column",
+                "estimator peer summary is over a column that is not a feature",
             ));
         }
     }
@@ -654,26 +653,32 @@ fn decode_estimator(r: &mut ByteReader<'_>) -> SResult<CausalEstimator> {
     // a forest tree splitting past that width would index out of bounds
     // at prediction time.
     let expected_width = encoder.width() + usize::from(peer.is_some());
-    let model_width = |m: &FittedModel| match m {
-        FittedModel::Forest(f) => f.trees().first().map(|t| t.n_features()),
-        // Cell tables clamp their key slices to the row width; any skip
-        // is safe.
-        FittedModel::Cells(_) => None,
-    };
     for m in std::iter::once(&model).chain(denom_model.iter()) {
-        if let Some(w) = model_width(m) {
-            if w != expected_width {
-                return Err(corrupt(format!(
-                    "estimator model expects {w} feature(s) but the encoder \
-                     produces {expected_width}"
-                )));
+        match m {
+            FittedModel::Forest(f) => {
+                if let Some(w) = f.trees().first().map(|t| t.n_features()) {
+                    if w != expected_width {
+                        return Err(corrupt(format!(
+                            "estimator model expects {w} feature(s) but the encoder \
+                             produces {expected_width}"
+                        )));
+                    }
+                }
+            }
+            // A cell table reads its marginal dimensions out of each row.
+            FittedModel::Cells(t) => {
+                if t.marginal_dims.iter().any(|&d| d >= expected_width) {
+                    return Err(corrupt(format!(
+                        "cell table conditions on a dimension past the encoder's \
+                         {expected_width}"
+                    )));
+                }
             }
         }
     }
     Ok(CausalEstimator {
         agg,
         feature_cols,
-        update_cols,
         encoder,
         model,
         denom_model,

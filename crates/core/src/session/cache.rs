@@ -7,12 +7,14 @@
 //!    join and aggregate the whole database,
 //! 2. **block decompositions** (Prop. 1) — one per (database, graph) pair,
 //!    i.e. exactly one per session,
-//! 3. **fitted causal estimators** — one per (view, update columns,
-//!    output, adjustment set, estimator configuration); training the random
-//!    forest dominates what-if latency. The update *functions* are not part
-//!    of the key: they are applied at evaluation, so every candidate value
-//!    of a how-to attribute or binding of a parameter sweep shares one
-//!    model.
+//! 3. **fitted causal estimators** — one per (view, feature set, output,
+//!    `For` clause, estimator configuration); training the random forest
+//!    dominates what-if latency. The feature set is the updated columns
+//!    and their adjustment set as one sorted set. The update *functions*
+//!    are not part of the key, and neither is which features are updated:
+//!    both are applied at evaluation, so every candidate value of a how-to
+//!    attribute, every binding of a parameter sweep, and every attribute
+//!    whose adjustment set completes the same feature set share one model.
 //!
 //! The cache keys each artifact by a canonical [`QueryKey`] fingerprint
 //! derived *structurally from the IR* (not from rendered text), so a query
@@ -81,20 +83,20 @@ use hyper_causal::{BlockDecomposition, CausalGraph};
 use hyper_query::{key as qkey, QueryKey, UseClause, WhatIfQuery};
 use hyper_storage::Database;
 
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, EstimatorKind};
 use crate::error::Result;
 use crate::persist::{DiskArtifact, DiskTier};
 use crate::session::shared::{FetchOutcome, SharedCache, SharedShard};
 use crate::view::{build_relevant_view, RelevantView};
-use crate::whatif::estimator::CausalEstimator;
+use crate::whatif::estimator::{CausalEstimator, PeerSummary};
 
 /// A size budget for the artifact cache: the maximum number of entries kept
 /// per artifact kind (`None` = unbounded). Exceeding a cap evicts the
 /// least-recently-used entry.
 ///
 /// Estimators are the store that grows with workload variety — one per
-/// distinct (view, update-column list, output, `For`, adjustment set) —
-/// so [`CacheBudget::estimators`] is the common configuration.
+/// distinct (view, feature set, output, `For`) — so
+/// [`CacheBudget::estimators`] is the common configuration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheBudget {
     /// Maximum relevant views kept (`None` = unbounded).
@@ -128,8 +130,10 @@ impl CacheBudget {
 
 /// Layout tag of [`ArtifactCache::estimator_key`]. Bump it whenever the
 /// key's facets change meaning (the estimator payload carries its own
-/// layout byte in `crate::persist`).
-const ESTIMATOR_KEY_FORMAT: &str = "m2:";
+/// layout byte in `crate::persist`). `m3:` keys on the sorted feature set;
+/// `m2:` keyed on the update columns in update order, followed by the
+/// adjustment set.
+const ESTIMATOR_KEY_FORMAT: &str = "m3:";
 
 /// Cache hit/miss/eviction counters, exposed through
 /// [`super::SessionStats`].
@@ -523,26 +527,38 @@ impl ArtifactCache {
     }
 
     /// Fingerprint of everything a fitted estimator depends on: the view it
-    /// was trained over, the resolved update *columns* in update order
-    /// (feature order shapes the forest), the output (ψ and Y), the `For`
-    /// clause (whose pre-conjuncts feed the adjustment set), the resolved
-    /// adjustment columns, and the estimator-relevant configuration.
+    /// was trained over, its feature set (`feature_cols`: the updated and
+    /// adjustment columns as one ascending set — the model is fitted on
+    /// them in that order), the output (ψ and Y), the `For` clause (whose
+    /// post-conjuncts enter ψ), and the estimator settings.
     ///
-    /// Two query parts are deliberately absent. The update *functions*
+    /// Which features are updated stays out of the key wherever the
+    /// fitted state does not depend on it, so `Update(A)` adjusted for
+    /// `{B, C}` and `Update(B)` adjusted for `{A, C}` share one model. It
+    /// enters in two cases only:
+    /// - a peer summary (`peer`), whose pre-update peer means are computed
+    ///   from the updated column it summarises, within its group column;
+    /// - the cell estimator, whose marginal fallback conditions on the
+    ///   non-updated features: `update_cols` enters as a sorted set.
+    ///
+    /// Other query parts are deliberately absent. The update *functions*
     /// are applied at evaluation time (Eqs. 35–40 reduce the post-update
     /// conditional to a pre-update one queried at `f(b)`), so every value
     /// of a how-to candidate or a swept parameter shares one model, and
     /// `Update(status)` and `Update(STATUS)` resolve to the same column.
-    /// The `When` clause only masks rows at evaluation time (§3.3).
+    /// The `When` clause only masks rows at evaluation time (§3.3). The
+    /// adjustment-set policy and the peer-summary switch act through the
+    /// feature set and `peer`.
     ///
     /// The key opens, after the view key, with [`ESTIMATOR_KEY_FORMAT`]:
     /// an estimator file spilled under an older key layout hashes to
     /// another file name and is simply never read.
     pub(crate) fn estimator_key(
         view_key: &str,
+        feature_cols: &[usize],
         update_cols: &[usize],
+        peer: Option<&PeerSummary>,
         q: &WhatIfQuery,
-        backdoor_cols: &[usize],
         config: &EngineConfig,
     ) -> String {
         use std::fmt::Write as _;
@@ -550,7 +566,7 @@ impl ArtifactCache {
         key.push_str(view_key);
         key.push('\u{1f}');
         key.push_str(ESTIMATOR_KEY_FORMAT);
-        let _ = write!(key, "{update_cols:?}");
+        let _ = write!(key, "{feature_cols:?}");
         key.push('\u{1f}');
         qkey::write_output(&mut key, &q.output);
         key.push('\u{1f}');
@@ -558,18 +574,20 @@ impl ArtifactCache {
             qkey::write_expr(&mut key, fc);
         }
         key.push('\u{1f}');
-        let _ = write!(key, "{backdoor_cols:?}");
+        if let Some(p) = peer {
+            let _ = write!(key, "peer:{}/{}", p.update_col, p.group_col);
+        }
+        key.push('\u{1f}');
+        if config.estimator == EstimatorKind::Cells {
+            let mut updated = update_cols.to_vec();
+            updated.sort_unstable();
+            let _ = write!(key, "{updated:?}");
+        }
         key.push('\u{1f}');
         let _ = write!(
             key,
-            "{:?}|{:?}|{:?}|{}|{}|{}|{}",
-            config.backdoor,
-            config.estimator,
-            config.sample_cap,
-            config.n_trees,
-            config.max_depth,
-            config.seed,
-            config.peer_summaries,
+            "{:?}|{:?}|{}|{}|{}",
+            config.estimator, config.sample_cap, config.n_trees, config.max_depth, config.seed,
         );
         // Same case discipline as `view_key` for the output and `For`
         // parts: exact text, no folding (`Post(color) = 'Red'` ≠ `= 'red'`).

@@ -97,8 +97,8 @@ pub struct EstimatorPlan {
     pub sample_cap: Option<usize>,
     /// Training seed.
     pub seed: u64,
-    /// Full estimator cache key (view ⊕ update columns ⊕ output ⊕ for ⊕
-    /// adjustment ⊕ config).
+    /// Full estimator cache key (view ⊕ feature set ⊕ output ⊕ for ⊕
+    /// config; see `ArtifactCache::estimator_key`).
     pub key: String,
     /// Cache provenance (never `Miss`: explain does not train).
     pub provenance: Provenance,
@@ -381,6 +381,7 @@ impl HyperSession {
                     &view,
                     view_key.as_str(),
                 )?;
+                let deterministic = plan.estimator_key.is_none();
                 let estimator = plan.estimator_key.map(|key| EstimatorPlan {
                     kind: config.estimator,
                     n_trees: config.n_trees,
@@ -401,7 +402,7 @@ impl HyperSession {
                     view: view_plan,
                     blocks,
                     adjustment: plan.backdoor,
-                    deterministic: !plan.needs_estimation,
+                    deterministic,
                     estimator,
                     howto: None,
                     data_version: self.inner.data_version,

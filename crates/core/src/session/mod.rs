@@ -307,8 +307,9 @@ impl SessionBuilder {
     /// and `budget.max_estimators` fitted estimators are kept, evicting the
     /// least-recently-used entry past a cap. Unbounded by default — set
     /// this for long-lived sessions serving many distinct query shapes,
-    /// which accumulate one estimator per distinct (view, update columns,
-    /// output, `For` clause, adjustment set).
+    /// which accumulate one estimator per distinct (view, feature set,
+    /// output, `For` clause), the feature set being the updated and
+    /// adjustment columns together.
     pub fn cache_budget(mut self, budget: CacheBudget) -> SessionBuilder {
         self.cache_budget = budget;
         self

@@ -9,9 +9,10 @@
 //!
 //! The reduction is what lets one fitted model serve every update
 //! function over the same attributes: `f` enters only as the point the
-//! model is queried at. So [`CausalEstimator`] is the fitted model alone,
-//! and the update functions are passed to [`CausalEstimator::evaluate`]
-//! per query.
+//! model is queried at. Nor does the model depend on which of its inputs
+//! are updated: it regresses ψ on the feature set `B ∪ C`, kept in
+//! view-column order. So [`CausalEstimator`] is the fitted model alone,
+//! and the updates are passed to [`CausalEstimator::evaluate`] per query.
 //!
 //! Training targets (`1{ψ}`, `Y·1{ψ}`) come from the unmodified world
 //! (post = pre), so [`CausalEstimator::fit`] builds them column at a time
@@ -97,7 +98,9 @@ impl PeerSummary {
 
     /// Per-row peer means of `values` (leave-one-out within each group).
     /// Groups are keyed by the typed column's `(tag, bits)` key parts — no
-    /// `Value` materialization or hashing.
+    /// `Value` materialization or hashing. Each group's sum is exact
+    /// ([`ExactSum`]) and each leave-one-out mean is its exact quotient
+    /// rounded once, so a mean does not depend on the order of the rows.
     fn peer_means(&self, groups: &Column, values: &[f64]) -> Vec<f64> {
         let mut buf: Vec<u64> = Vec::with_capacity(2);
         let keys: Vec<[u64; 2]> = (0..groups.len())
@@ -107,30 +110,38 @@ impl PeerSummary {
                 [buf[0], buf[1]]
             })
             .collect();
-        let mut sum: HashMap<[u64; 2], (f64, usize)> = HashMap::new();
+        let mut sum: HashMap<[u64; 2], (ExactSum, u32)> = HashMap::new();
         for (k, v) in keys.iter().zip(values) {
-            let e = sum.entry(*k).or_insert((0.0, 0));
-            e.0 += *v;
+            let e = sum.entry(*k).or_default();
+            e.0.add(*v);
             e.1 += 1;
         }
         keys.iter()
             .zip(values)
             .map(|(k, v)| {
-                let (s, c) = sum[k];
-                if c <= 1 {
+                let (s, c) = &sum[k];
+                if *c <= 1 {
                     *v // singleton group: fall back to own value
                 } else {
-                    (s - v) / (c - 1) as f64
+                    let mut rest = s.clone();
+                    rest.add(-v);
+                    rest.round_div(c - 1)
                 }
             })
             .collect()
     }
 }
 
-/// Everything needed to fit the estimator.
+/// Everything needed to fit the estimator. The model's features are the
+/// *set* of updated and adjustment columns, in view-column order: the
+/// regression of ψ on `B ∪ C` (Eqs. 35–40) does not depend on which of
+/// its inputs a query updates, so one fit serves every update over the
+/// same feature set.
 pub struct EstimatorSpec<'a> {
-    /// Updated columns, in update order (the functions are not needed to
-    /// fit: they are applied at evaluation).
+    /// Updated columns, in any order. The functions are not needed to
+    /// fit (they are applied at evaluation), and the columns matter only
+    /// to the cell estimator, whose marginal fallback conditions on the
+    /// other features.
     pub update_cols: &'a [usize],
     /// Backdoor adjustment columns.
     pub backdoor_cols: &'a [usize],
@@ -153,29 +164,27 @@ pub struct EstimatorSpec<'a> {
 }
 
 /// Empirical cell-mean table over encoded feature combinations: the
-/// §3.3 support-index computation executed literally. `skip` is the number
-/// of leading encoded dimensions occupied by the update attributes; the
-/// marginal table conditions only on the remaining (backdoor) dimensions
-/// and is the fallback for post-update combinations with zero support.
+/// §3.3 support-index computation executed literally. The marginal table
+/// conditions only on the encoded dimensions in `marginal_dims` (those of
+/// the non-updated features) and is the fallback for post-update
+/// combinations with zero support.
 pub(crate) struct CellTable {
     pub(crate) cells: HashMap<Vec<u64>, (f64, u32)>,
     pub(crate) marginal: HashMap<Vec<u64>, (f64, u32)>,
     pub(crate) global: f64,
-    pub(crate) skip: usize,
+    /// Encoded dimensions the marginal table is keyed on, ascending.
+    pub(crate) marginal_dims: Vec<usize>,
 }
 
 impl CellTable {
-    fn fit(x: &hyper_ml::Matrix, y: &[f64], skip: usize) -> CellTable {
+    fn fit(x: &hyper_ml::Matrix, y: &[f64], marginal_dims: Vec<usize>) -> CellTable {
         let mut cells: HashMap<Vec<u64>, (f64, u32)> = HashMap::new();
         let mut marginal: HashMap<Vec<u64>, (f64, u32)> = HashMap::new();
         let mut total = 0.0;
         for (i, &yi) in y.iter().enumerate().take(x.rows()) {
             let row = x.row(i);
             let key: Vec<u64> = row.iter().map(|f| f.to_bits()).collect();
-            let mkey: Vec<u64> = row[skip.min(row.len())..]
-                .iter()
-                .map(|f| f.to_bits())
-                .collect();
+            let mkey: Vec<u64> = marginal_dims.iter().map(|&d| row[d].to_bits()).collect();
             let e = cells.entry(key).or_insert((0.0, 0));
             e.0 += yi;
             e.1 += 1;
@@ -192,7 +201,7 @@ impl CellTable {
             } else {
                 0.0
             },
-            skip,
+            marginal_dims,
         }
     }
 
@@ -201,9 +210,10 @@ impl CellTable {
         if let Some((s, c)) = self.cells.get(&key) {
             return s / *c as f64;
         }
-        let mkey: Vec<u64> = row[self.skip.min(row.len())..]
+        let mkey: Vec<u64> = self
+            .marginal_dims
             .iter()
-            .map(|f| f.to_bits())
+            .map(|&d| row[d].to_bits())
             .collect();
         if let Some((s, c)) = self.marginal.get(&mkey) {
             return s / *c as f64;
@@ -229,18 +239,19 @@ impl FittedModel {
     }
 }
 
-/// A fitted causal estimator: the model of one what-if query family over
-/// a fixed set of update *attributes*. It holds no update functions —
-/// every query that updates the same columns (in the same order) with the
-/// same output, `For` clause and adjustment set shares it, and supplies
-/// its own functions to [`CausalEstimator::evaluate`]. Fields are
-/// crate-visible so `crate::persist` can serialize a fitted estimator for
-/// the disk cache tier.
+/// A fitted causal estimator: the regression of one output over a fixed
+/// *feature set* — updated attributes and adjustment set together, in
+/// view-column order. It holds no update functions and no update list:
+/// every query with the same output and `For` clause whose updated and
+/// adjustment columns make up the same set shares it (`Update(A)` over
+/// `{B, C}` and `Update(B)` over `{A, C}` alike), and supplies its own
+/// updates to [`CausalEstimator::evaluate`]. Fields are crate-visible so
+/// `crate::persist` can serialize a fitted estimator for the disk cache
+/// tier.
 pub struct CausalEstimator {
     pub(crate) agg: AggFunc,
+    /// The feature columns, ascending (view-column order).
     pub(crate) feature_cols: Vec<usize>,
-    /// The updated columns, in update order: the leading feature columns.
-    pub(crate) update_cols: Vec<usize>,
     pub(crate) encoder: TableEncoder,
     /// Main model: E[target | features] where target is `1{ψ}` (Count),
     /// `Y·1{ψ}` (Sum/Avg numerator).
@@ -279,9 +290,7 @@ impl CausalEstimator {
             return Err(EngineError::Plan("relevant view is empty".into()));
         }
 
-        // Feature columns: updates first, then backdoor set.
-        let mut feature_cols: Vec<usize> = spec.update_cols.to_vec();
-        feature_cols.extend_from_slice(spec.backdoor_cols);
+        let feature_cols = feature_set(spec.update_cols, spec.backdoor_cols);
         let names: Vec<String> = feature_cols
             .iter()
             .map(|&c| table.schema().field(c).name.clone())
@@ -357,13 +366,19 @@ impl CausalEstimator {
         };
         let trained_rows = yt.len();
 
-        // Leading encoded dimensions occupied by the update attributes (for
-        // the cell estimator's marginal fallback).
-        let update_dims: usize = encoder
-            .column_widths()
-            .iter()
-            .take(spec.update_cols.len())
-            .sum();
+        // Encoded dimensions of the non-updated features, and the peer
+        // column after them (the cell estimator's marginal fallback).
+        let mut marginal_dims: Vec<usize> = Vec::new();
+        let mut offset = 0;
+        for (c, width) in feature_cols.iter().zip(encoder.column_widths()) {
+            if !spec.update_cols.contains(c) {
+                marginal_dims.extend(offset..offset + width);
+            }
+            offset += width;
+        }
+        if peer.is_some() {
+            marginal_dims.push(offset);
+        }
         let fit_model = |targets: &[f64]| -> Result<FittedModel> {
             Ok(match spec.kind {
                 crate::config::EstimatorKind::Forest => {
@@ -382,7 +397,7 @@ impl CausalEstimator {
                     )
                 }
                 crate::config::EstimatorKind::Cells => {
-                    FittedModel::Cells(CellTable::fit(xt, targets, update_dims))
+                    FittedModel::Cells(CellTable::fit(xt, targets, marginal_dims.clone()))
                 }
             })
         };
@@ -396,7 +411,6 @@ impl CausalEstimator {
         Ok(CausalEstimator {
             agg,
             feature_cols,
-            update_cols: spec.update_cols.to_vec(),
             encoder,
             model,
             denom_model,
@@ -421,8 +435,7 @@ impl CausalEstimator {
     pub(crate) fn fits_view(&self, view: &RelevantView) -> bool {
         let ncols = view.table.num_columns();
         let nrows = view.table.num_rows();
-        let cols_ok = self.feature_cols.iter().all(|&c| c < ncols)
-            && self.update_cols.iter().all(|&c| c < ncols);
+        let cols_ok = self.feature_cols.iter().all(|&c| c < ncols);
         let exprs_ok = [&self.psi, &self.y].into_iter().all(|e| {
             e.as_ref().is_none_or(|b| {
                 b.pre_columns()
@@ -438,9 +451,11 @@ impl CausalEstimator {
     }
 
     /// Evaluate the query value over the view for the update `updates`
-    /// (column, function) — the columns must be this estimator's update
-    /// columns, in order — given the update (`when`) and scope (`for`-pre)
-    /// masks. An absent mask holds on every row.
+    /// (column, function), given the update (`when`) and scope (`for`-pre)
+    /// masks. An absent mask holds on every row. Any update whose columns
+    /// are all features of this estimator is accepted, in any order: the
+    /// model is queried at the post-update feature values, whichever of
+    /// them changed (with a peer summary, its column must be updated).
     pub fn evaluate(
         &self,
         view: &RelevantView,
@@ -594,15 +609,22 @@ impl CausalEstimator {
         Ok(out)
     }
 
-    /// Reject updates of columns other than this estimator's update
-    /// columns (in order).
+    /// Reject updates of columns that are not features of this estimator,
+    /// and, with a peer summary, updates that leave its column alone.
     fn check_updates(&self, updates: &[(usize, UpdateFunc)]) -> Result<()> {
-        if updates.iter().map(|(c, _)| c).eq(&self.update_cols) {
+        let features = updates
+            .iter()
+            .all(|(c, _)| self.feature_cols.binary_search(c).is_ok());
+        let peer = self
+            .peer
+            .as_ref()
+            .is_none_or(|(p, _, _)| func_of(updates, p.update_col).is_some());
+        if features && peer {
             return Ok(());
         }
         Err(EngineError::Plan(format!(
-            "estimator fitted for update columns {:?} cannot evaluate an update of {:?}",
-            self.update_cols,
+            "estimator over feature columns {:?} cannot evaluate an update of {:?}",
+            self.feature_cols,
             updates.iter().map(|(c, _)| *c).collect::<Vec<_>>()
         )))
     }
@@ -865,6 +887,16 @@ impl Predictions {
         let denominator = self.dens.as_ref().map_or(1.0, |d| d[slot]);
         parts.denominator.add_scaled(count, denominator);
     }
+}
+
+/// The feature columns of an estimator: the updated and adjustment columns
+/// as one set, ascending (view-column order). The update order does not
+/// enter, so every update over the same feature set fits the same model.
+pub(crate) fn feature_set(update_cols: &[usize], backdoor_cols: &[usize]) -> Vec<usize> {
+    let mut cols: Vec<usize> = update_cols.iter().chain(backdoor_cols).copied().collect();
+    cols.sort_unstable();
+    cols.dedup();
+    cols
 }
 
 /// The function `updates` applies to column `c`, if any.

@@ -428,7 +428,7 @@ fn golden_parts_equal_the_oracle_sums() {
             hyper_datasets::german_syn(20_000, 3),
             "Use german_syn When age = 1 Update(status) = 3 \
              Output Avg(Post(credit_amount)) For Post(credit) = 'Good'",
-            0x3ffb1a291687fb8bu64,
+            0x3ffb21fb8a90c67du64,
         ),
         (
             hyper_datasets::german_syn_extended(3_000, 1),
@@ -572,4 +572,60 @@ fn a_peer_mean_moved_by_less_than_1e_12_still_affects_its_rows() {
         );
     }
     assert_eq!(affected, expected);
+}
+
+/// Peer means are exact: each group's sum is exact and each
+/// leave-one-out mean its exact quotient rounded once. Over 200 rows in
+/// two groups with values k/7, permuting the rows gives every row the
+/// same peer-mean bits, which equal the oracle's quotient — while a plain
+/// row-order fold of the same means moves with the permutation.
+#[test]
+fn peer_means_do_not_depend_on_row_order() {
+    let n = 200;
+    let groups: Vec<Value> = (0..n).map(|k| Value::Int(k as i64 % 2)).collect();
+    let values: Vec<f64> = (0..n).map(|k| k as f64 / 7.0).collect();
+    let peer = PeerSummary {
+        update_col: 0,
+        group_col: 1,
+    };
+    let means = |order: &[usize]| {
+        let g: Vec<Value> = order.iter().map(|&i| groups[i].clone()).collect();
+        let v: Vec<f64> = order.iter().map(|&i| values[i]).collect();
+        peer.peer_means(&Column::from_values_inferred(&g).unwrap(), &v)
+    };
+    // The leave-one-out means of a plain fold in row order.
+    let folded = |order: &[usize]| -> Vec<f64> {
+        let mut sum = [0.0f64; 2];
+        for &i in order {
+            sum[i % 2] += values[i];
+        }
+        order
+            .iter()
+            .map(|&i| (sum[i % 2] - values[i]) / (n / 2 - 1) as f64)
+            .collect()
+    };
+    let identity: Vec<usize> = (0..n).collect();
+    let base = means(&identity);
+    for (i, m) in base.iter().enumerate() {
+        let peers: Vec<f64> = (0..n)
+            .filter(|&j| j != i && j % 2 == i % 2)
+            .map(|j| values[j])
+            .collect();
+        let want = oracle::quotient(&peers, peers.len() as u32);
+        assert_eq!(m.to_bits(), want.to_bits(), "row {i}: {m:e} vs {want:e}");
+    }
+    let base_folded = folded(&identity);
+    let mut rng = StdRng::seed_from_u64(0x9ee7);
+    let mut order_sensitive = 0;
+    for _ in 0..8 {
+        let mut order = identity.clone();
+        order.shuffle(&mut rng);
+        let got = means(&order);
+        let got_folded = folded(&order);
+        for (pos, &i) in order.iter().enumerate() {
+            assert_eq!(got[pos].to_bits(), base[i].to_bits(), "row {i}");
+            order_sensitive += usize::from(got_folded[pos].to_bits() != base_folded[i].to_bits());
+        }
+    }
+    assert!(order_sensitive > 0, "a plain fold depends on row order");
 }

@@ -9,7 +9,8 @@
 //! only every [`CARRY_EVERY`] additions. Every addition is exact, and
 //! [`ExactSum::round`] rounds once, to nearest with ties to even. The
 //! result is the correctly rounded exact sum, so it does not depend on the
-//! order of the terms. [`ExactSum::add_scaled`] adds `count × x` exactly
+//! order of the terms; [`ExactSum::round_div`] likewise rounds an exact
+//! mean once. [`ExactSum::add_scaled`] adds `count × x` exactly
 //! in one step: that is what lets the what-if estimator fold support
 //! cells instead of rows.
 //!
@@ -32,6 +33,7 @@ const LIMBS: usize = 72;
 const CARRY_EVERY: u32 = 1 << 30;
 
 /// Exact running sum of `f64` terms, rounded once at the end.
+#[derive(Clone)]
 pub(crate) struct ExactSum {
     /// Limb `k` weighs 2^(32k − 1074); limbs may go negative, or past 32
     /// bits, until the next carry propagation.
@@ -94,6 +96,14 @@ impl ExactSum {
 
     /// The exact sum, rounded to nearest (ties to even).
     pub(crate) fn round(&self) -> f64 {
+        self.round_div(1)
+    }
+
+    /// The exact sum divided by `d ≥ 1`, rounded once to nearest (ties to
+    /// even): the correctly rounded quotient, as an exact mean needs. An
+    /// infinity divides to itself and NaN stays NaN.
+    pub(crate) fn round_div(&self, d: u32) -> f64 {
+        debug_assert!(d > 0, "division by zero");
         if self.nan || (self.pos_inf && self.neg_inf) {
             return f64::NAN;
         }
@@ -114,25 +124,53 @@ impl ExactSum {
         }
         let sign = if negative { 1u64 << 63 } else { 0 };
         if limbs[LIMBS - 1] != 0 {
-            // At least 2^(32·71 − 1074): far beyond the range.
+            // At least 2^(32·71 − 1074): far beyond the range, even after
+            // a division by d < 2^32.
             return f64::from_bits(sign | f64::INFINITY.to_bits());
         }
         let Some(top) = limbs.iter().rposition(|&l| l != 0) else {
             let zero_sign = !self.empty && self.neg_zeros_only;
             return if zero_sign { -0.0 } else { 0.0 };
         };
+        // Long division of the top four limbs by `d`: the quotient's top
+        // limb is `top` or `top − 1`, so they hold its 53 bits and the
+        // rounding bit. Below them only whether anything is left matters
+        // (`sticky`); where they reach limb 0, `rem / d` is the exact
+        // fraction below the unit.
+        let d = u64::from(d);
+        let low = top.saturating_sub(3);
+        let mut rem = 0u64;
+        let mut sticky = false;
+        if d > 1 {
+            for l in limbs[low..=top].iter_mut().rev() {
+                let v = rem << 32 | *l as u64;
+                *l = (v / d) as i64;
+                rem = v % d;
+            }
+            sticky = rem != 0 || limbs[..low].iter().any(|&l| l != 0);
+            limbs[..low].fill(0);
+        }
         // Position of the highest set bit, in units of 2^-1074.
-        let msb = 32 * top + 63 - limbs[top].leading_zeros() as usize;
-        if msb <= 52 {
+        let msb = limbs
+            .iter()
+            .rposition(|&l| l != 0)
+            .map(|t| 32 * t + 63 - limbs[t].leading_zeros() as usize);
+        let Some(msb) = msb.filter(|&m| m > 52) else {
             // Below 2^-1021: every such integer is exact, and its bit
             // pattern is the integer itself (subnormals and the first
-            // normal binade share the unit 2^-1074).
-            return f64::from_bits(sign | bits_at(&limbs, 0, msb + 1));
-        }
+            // normal binade share the unit 2^-1074). The quotient is
+            // that small only when the division reached limb 0, so
+            // `rem / d` is exact: round it at the unit.
+            debug_assert_eq!(low, 0);
+            let q = msb.map_or(0, |m| bits_at(&limbs, 0, m + 1));
+            let up = rem > d - rem || (rem == d - rem && q & 1 == 1);
+            return f64::from_bits(sign | (q + u64::from(up)));
+        };
         let mut shift = msb - 52;
         let mut mantissa = bits_at(&limbs, shift, 53);
         let half = bits_at(&limbs, shift - 1, 1) == 1;
-        let below_half = (0..(shift - 1) / 32).any(|k| limbs[k] != 0)
+        let below_half = sticky
+            || (0..(shift - 1) / 32).any(|k| limbs[k] != 0)
             || bits_at(&limbs, (shift - 1) / 32 * 32, (shift - 1) % 32) != 0;
         if half && (below_half || mantissa & 1 == 1) {
             mantissa += 1;

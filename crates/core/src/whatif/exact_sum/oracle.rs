@@ -11,6 +11,12 @@ use std::cmp::Ordering;
 /// NaN; an infinity wins over finite terms; an empty sum is `+0.0`, and a
 /// sum of `-0.0` terms only is `-0.0`. A zero count adds nothing.
 pub(crate) fn scaled_sum(terms: &[(u64, f64)]) -> f64 {
+    scaled_quotient(terms, 1)
+}
+
+/// The correctly rounded quotient of the [`scaled_sum`] of `terms` by
+/// `d ≥ 1`.
+pub(crate) fn scaled_quotient(terms: &[(u64, f64)], d: u32) -> f64 {
     let terms: Vec<(u64, f64)> = terms.iter().copied().filter(|&(k, _)| k > 0).collect();
     let has = |v: f64| terms.iter().any(|&(_, x)| x == v);
     if terms.iter().any(|(_, x)| x.is_nan()) || (has(f64::INFINITY) && has(f64::NEG_INFINITY)) {
@@ -50,13 +56,25 @@ pub(crate) fn scaled_sum(terms: &[(u64, f64)]) -> f64 {
         Ordering::Greater => (subtract(&positive, &negative), false),
         Ordering::Less => (subtract(&negative, &positive), true),
     };
-    // magnitude · 2^-1074 = magnitude · 5^1074 · 10^-1074.
+    // The quotient is magnitude / d units of 2^-1074. In quarter units
+    // (2^-1076) take 2·⌊2·magnitude / d⌋, plus 1 when the division leaves
+    // a remainder: every rounding boundary (a multiple of 2^-1075) is an
+    // even number of quarter units, so the odd stand-in for an inexact
+    // quotient lies strictly between the same two boundaries as the
+    // quotient itself and rounds the same way.
     let mut scaled = magnitude;
-    for _ in 0..1074 {
+    shift_left(&mut scaled, 1);
+    let inexact = divide_small(&mut scaled, d) != 0;
+    shift_left(&mut scaled, 1);
+    if inexact {
+        add_into(&mut scaled, &[1]);
+    }
+    // scaled · 2^-1076 = scaled · 5^1076 · 10^-1076.
+    for _ in 0..1076 {
         multiply_small(&mut scaled, 5);
     }
     let text = format!(
-        "{}{}e-1074",
+        "{}{}e-1076",
         if minus { "-" } else { "" },
         to_decimal(scaled)
     );
@@ -65,8 +83,13 @@ pub(crate) fn scaled_sum(terms: &[(u64, f64)]) -> f64 {
 
 /// The correctly rounded sum of `terms`.
 pub(crate) fn sum(terms: &[f64]) -> f64 {
+    quotient(terms, 1)
+}
+
+/// The correctly rounded quotient of the exact sum of `terms` by `d ≥ 1`.
+pub(crate) fn quotient(terms: &[f64], d: u32) -> f64 {
     let scaled: Vec<(u64, f64)> = terms.iter().map(|&x| (1, x)).collect();
-    scaled_sum(&scaled)
+    scaled_quotient(&scaled, d)
 }
 
 fn from_u128(v: u128) -> Vec<u32> {

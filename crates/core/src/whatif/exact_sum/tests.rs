@@ -200,6 +200,69 @@ fn carry_propagation_mid_sum_keeps_sums_exact() {
     assert_eq!(acc.round().to_bits(), oracle::scaled_sum(&scaled).to_bits());
 }
 
+#[test]
+fn quotients_are_correctly_rounded() {
+    let quotient = |terms: &[f64], d: u32| {
+        let mut acc = ExactSum::default();
+        for &x in terms {
+            acc.add(x);
+        }
+        acc.round_div(d)
+    };
+    let check = |terms: &[f64], d: u32| {
+        let got = quotient(terms, d);
+        let want = oracle::quotient(terms, d);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{terms:?} / {d}: accumulator {got:e} vs oracle {want:e}"
+        );
+        got
+    };
+    // An exactly representable sum divides as IEEE division does.
+    assert_eq!(check(&[1.0, 2.0, 4.0], 3), 7.0 / 3.0);
+    assert_eq!(check(&[1e300, 1.0, -1e300], 7), 1.0 / 7.0);
+    assert_eq!(check(&[f64::MAX, f64::MAX], 2), f64::MAX);
+    // Below the least subnormal: ties go to even, the sign survives.
+    let tiny = f64::from_bits(1);
+    assert_eq!(check(&[tiny], 2).to_bits(), 0.0f64.to_bits());
+    assert_eq!(check(&[-tiny], 3).to_bits(), (-0.0f64).to_bits());
+    assert_eq!(check(&[tiny, tiny, tiny], 2), f64::from_bits(2));
+    assert_eq!(check(&[tiny, tiny], 3), tiny);
+    assert_eq!(check(&[-0.0, -0.0], 5).to_bits(), (-0.0f64).to_bits());
+    // Just above a tie (1 + 2^-53), with the excess far below the
+    // quotient's 53 bits: in the dividend's low limbs, and in the
+    // division's remainder.
+    let above_tie = 1.0 + f64::EPSILON;
+    assert_eq!(check(&[2.0, f64::EPSILON, tiny], 2), above_tie);
+    assert_eq!(
+        check(&[3.0, 1.5 * f64::EPSILON, 2f64.powi(-114)], 3),
+        above_tie
+    );
+    assert_eq!(
+        check(&[2.0, f64::EPSILON], 2),
+        1.0,
+        "an exact tie goes to even"
+    );
+    assert!(check(&[f64::INFINITY, 1.0], 4).is_infinite());
+    assert!(check(&[f64::NAN], 4).is_nan());
+
+    let mut rng = StdRng::seed_from_u64(0xd1f);
+    for _ in 0..400 {
+        let n = rng.gen_range(1..12);
+        let terms: Vec<f64> = (0..n).map(|_| random_value(&mut rng)).collect();
+        let d = match rng.gen_range(0..3) {
+            0 => rng.gen_range(1..16),
+            1 => rng.gen_range(1..1 << 20),
+            _ => rng.gen_range(1..=u32::MAX),
+        };
+        check(&terms, d);
+        // Sums around one, where a mean of data usually lands.
+        let near: Vec<f64> = (0..n).map(|_| rng.gen_range(-4.0..4.0)).collect();
+        check(&near, d);
+    }
+}
+
 /// A value of random sign and magnitude over the whole `f64` range,
 /// including subnormals.
 fn random_value(rng: &mut StdRng) -> f64 {

@@ -33,7 +33,7 @@ use crate::hexpr::{bind_hexpr, conjoin, resolve_column, split_pre_post, BoundHEx
 use crate::session::cache::ArtifactCache;
 use crate::view::{build_relevant_view, RelevantView};
 
-use estimator::{CausalEstimator, EstimatorSpec, PeerSummary};
+use estimator::{feature_set, CausalEstimator, EstimatorSpec, PeerSummary};
 use exact_sum::ExactSum;
 
 /// Result of a what-if query.
@@ -124,17 +124,29 @@ pub(crate) fn output_decomposition(
 /// The static plan of a what-if query over an already-resolved view:
 /// everything `HyperSession::explain` reports without executing — update
 /// columns, whether the deterministic fast path applies, the chosen
-/// adjustment set, and the estimator cache key. Mirrors the decisions
-/// [`evaluate_whatif_on_view`] makes (through the same helpers).
+/// adjustment set, and the estimator cache key. Evaluation
+/// ([`evaluate_whatif_on_view`]) runs from this plan too, so `explain`
+/// and execution cannot disagree about which estimator a query uses.
 #[derive(Debug, Clone)]
 pub(crate) struct WhatIfQueryPlan {
-    /// False when every post reference is an updated attribute (the
-    /// deterministic fast path: no estimator is trained).
-    pub needs_estimation: bool,
     /// Chosen backdoor adjustment columns (names, view schema order).
     pub backdoor: Vec<String>,
-    /// The estimator cache key, when estimation is needed.
+    /// The estimator cache key; `None` when every post reference is an
+    /// updated attribute (the deterministic fast path: no estimator is
+    /// trained).
     pub estimator_key: Option<String>,
+    /// Resolved updates, in update order.
+    updates: Vec<(usize, UpdateFunc)>,
+    /// The bound `For` pre-conjuncts (the scope), if any.
+    scope: Option<BoundHExpr>,
+    /// ψ (post-world predicate) and Y (post value), shared (not
+    /// deep-cloned) with the estimator fitted from this plan.
+    psi: Option<Arc<BoundHExpr>>,
+    y: Option<Arc<BoundHExpr>>,
+    /// Backdoor adjustment columns (view schema order).
+    backdoor_cols: Vec<usize>,
+    /// The cross-tuple peer summary the estimator carries, if any.
+    peer: Option<PeerSummary>,
 }
 
 /// Compute the static plan of `q` over `view` (no masks, no training).
@@ -152,69 +164,85 @@ pub(crate) fn plan_whatif(
     validate_whatif(q, Some(&cols))?;
     let schema = view.table.schema().clone();
 
-    let mut update_cols: Vec<(usize, UpdateFunc)> = Vec::with_capacity(q.updates.len());
+    let mut updates: Vec<(usize, UpdateFunc)> = Vec::with_capacity(q.updates.len());
     for u in &q.updates {
-        update_cols.push((resolve_column(&schema, &u.attr)?, u.func.clone()));
+        updates.push((resolve_column(&schema, &u.attr)?, u.func.clone()));
     }
-    check_multi_update_validity(view, graph, &update_cols)?;
+    check_multi_update_validity(view, graph, &updates)?;
 
     let (pre_conj, post_conj) = match &q.for_clause {
         Some(fc) => split_pre_post(fc, Temporal::Pre),
         None => (Vec::new(), Vec::new()),
     };
-    let pre_bound = conjoin(&pre_conj)
+    let scope = conjoin(&pre_conj)
         .map(|e| bind_hexpr(&e, &schema, Temporal::Pre))
         .transpose()?;
     let (psi_expr, y_expr) = output_decomposition(&q.output, &post_conj)?;
-    let psi = psi_expr
-        .as_ref()
-        .map(|e| bind_hexpr(e, &schema, Temporal::Post))
-        .transpose()?;
-    let y = y_expr
-        .as_ref()
-        .map(|e| bind_hexpr(e, &schema, Temporal::Post))
-        .transpose()?;
+    let bind_post = |e: &Option<HExpr>| {
+        e.as_ref()
+            .map(|e| bind_hexpr(e, &schema, Temporal::Post).map(Arc::new))
+            .transpose()
+    };
+    let psi = bind_post(&psi_expr)?;
+    let y = bind_post(&y_expr)?;
 
     let post_cols: HashSet<usize> = psi
         .iter()
         .flat_map(|e| e.post_columns())
         .chain(y.iter().flat_map(|e| e.post_columns()))
         .collect();
-    let update_col_set: HashSet<usize> = update_cols.iter().map(|(c, _)| *c).collect();
+    let update_col_set: HashSet<usize> = updates.iter().map(|(c, _)| *c).collect();
     let needs_estimation = post_cols.iter().any(|c| !update_col_set.contains(c));
+    let mut plan = WhatIfQueryPlan {
+        backdoor: Vec::new(),
+        estimator_key: None,
+        updates,
+        scope,
+        psi,
+        y,
+        backdoor_cols: Vec::new(),
+        peer: None,
+    };
     if !needs_estimation {
-        return Ok(WhatIfQueryPlan {
-            needs_estimation: false,
-            backdoor: Vec::new(),
-            estimator_key: None,
-        });
+        return Ok(plan);
     }
 
-    let for_pre_cols: HashSet<usize> = pre_bound.iter().flat_map(|e| e.pre_columns()).collect();
-    let backdoor_cols = select_backdoor_columns(
+    // `For` pre-conditions add conditioning features (§5.5: "adding
+    // conditions involving Pre values … increases the number of attributes
+    // used to train the regressor"); attributes already in the backdoor set
+    // are deduplicated, which is why the paper observes *faster* evaluation
+    // when the added attribute was in the backdoor set.
+    let for_pre_cols: HashSet<usize> = plan.scope.iter().flat_map(|e| e.pre_columns()).collect();
+    plan.backdoor_cols = select_backdoor_columns(
         db,
         view,
         graph,
         config,
-        &update_cols,
+        &plan.updates,
         &post_cols,
         &for_pre_cols,
     )?;
-    let estimator_key = ArtifactCache::estimator_key(
+    let update_cols = column_indices(&plan.updates);
+    // Optional cross-tuple peer summary (ψ of §2.2).
+    plan.peer = if config.peer_summaries {
+        PeerSummary::detect(view, graph, &update_cols)?
+    } else {
+        None
+    };
+    plan.estimator_key = Some(ArtifactCache::estimator_key(
         view_key,
-        &column_indices(&update_cols),
+        &feature_set(&update_cols, &plan.backdoor_cols),
+        &update_cols,
+        plan.peer.as_ref(),
         q,
-        &backdoor_cols,
         config,
-    );
-    Ok(WhatIfQueryPlan {
-        needs_estimation: true,
-        backdoor: backdoor_cols
-            .iter()
-            .map(|&c| schema.field(c).name.clone())
-            .collect(),
-        estimator_key: Some(estimator_key),
-    })
+    ));
+    plan.backdoor = plan
+        .backdoor_cols
+        .iter()
+        .map(|&c| schema.field(c).name.clone())
+        .collect();
+    Ok(plan)
 }
 
 /// Evaluate a what-if query against `db` under `config`, optionally with a
@@ -286,10 +314,9 @@ pub(crate) fn evaluate_whatif_maybe_cached(
 }
 
 /// Core what-if evaluation over an already-resolved relevant view
-/// (§3.3 steps 2–5). `view_key` is the cache key of `view` (empty outside
-/// a session); when `cache` is present the fitted estimator is fetched
-/// from / inserted into it under a fingerprint derived from `view_key`.
-#[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
+/// (§3.3 steps 2–5): [`plan_whatif`], then [`evaluate_planned`].
+/// `view_key` is the cache key of `view` (empty outside a session).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_whatif_on_view(
     db: &Database,
     graph: Option<&CausalGraph>,
@@ -301,53 +328,39 @@ pub(crate) fn evaluate_whatif_on_view(
     runtime: &HyperRuntime,
 ) -> Result<WhatIfResult> {
     let started = Instant::now();
-    // Planning: validation, expression binding, mask evaluation, and
-    // adjustment-set selection (dropped before estimator training).
-    let plan_span = hyper_trace::span(hyper_trace::Phase::Plan);
-    reject_unresolved_params(q)?;
-    let cols = view.column_names();
-    validate_whatif(q, Some(&cols))?;
-    let schema = view.table.schema().clone();
+    let plan = plan_whatif(db, graph, config, q, view, view_key)?;
+    let mut result = evaluate_planned(config, q, view, plan, cache, runtime)?;
+    result.elapsed = started.elapsed();
+    Ok(result)
+}
+
+/// Evaluate `q` over `view` from its plan. When `cache` is present the
+/// fitted estimator is fetched from / inserted into it under the plan's
+/// estimator key.
+pub(crate) fn evaluate_planned(
+    config: &EngineConfig,
+    q: &WhatIfQuery,
+    view: &Arc<RelevantView>,
+    plan: WhatIfQueryPlan,
+    cache: Option<&ArtifactCache>,
+    runtime: &HyperRuntime,
+) -> Result<WhatIfResult> {
+    let started = Instant::now();
     let n = view.table.num_rows();
 
-    // Update columns and their post values.
-    let mut update_cols: Vec<(usize, UpdateFunc)> = Vec::with_capacity(q.updates.len());
-    for u in &q.updates {
-        update_cols.push((resolve_column(&schema, &u.attr)?, u.func.clone()));
-    }
-    check_multi_update_validity(view, graph, &update_cols)?;
-
     // Masks; an absent clause holds on every row and builds none.
+    let plan_span = hyper_trace::span(hyper_trace::Phase::Plan);
     let when_mask = q
         .when
         .as_ref()
-        .map(|w| bind_hexpr(w, &schema, Temporal::Pre)?.eval_mask(&view.table))
+        .map(|w| bind_hexpr(w, view.table.schema(), Temporal::Pre)?.eval_mask(&view.table))
         .transpose()?;
-
-    let (pre_conj, post_conj) = match &q.for_clause {
-        Some(fc) => split_pre_post(fc, Temporal::Pre),
-        None => (Vec::new(), Vec::new()),
-    };
-    let pre_bound = conjoin(&pre_conj)
-        .map(|e| bind_hexpr(&e, &schema, Temporal::Pre))
-        .transpose()?;
-    let scope_mask = pre_bound
+    let scope_mask = plan
+        .scope
         .as_ref()
         .map(|p| p.eval_mask(&view.table))
         .transpose()?;
-
-    // Output decomposition: ψ (post-world predicate) and Y (post value).
-    let (psi_expr, y_expr) = output_decomposition(&q.output, &post_conj)?;
-    // ψ and Y are shared (not deep-cloned) with the estimator fitted from
-    // this query.
-    let psi: Option<Arc<BoundHExpr>> = psi_expr
-        .as_ref()
-        .map(|e| bind_hexpr(e, &schema, Temporal::Post).map(Arc::new))
-        .transpose()?;
-    let y: Option<Arc<BoundHExpr>> = y_expr
-        .as_ref()
-        .map(|e| bind_hexpr(e, &schema, Temporal::Post).map(Arc::new))
-        .transpose()?;
+    drop(plan_span);
 
     let rows_in = |mask: &Option<Vec<bool>>| {
         mask.as_ref()
@@ -356,24 +369,16 @@ pub(crate) fn evaluate_whatif_on_view(
     let n_scope = rows_in(&scope_mask);
     let n_updated = rows_in(&when_mask);
 
-    // Fast path: nothing probabilistic to estimate.
-    let post_cols: HashSet<usize> = psi
-        .iter()
-        .flat_map(|e| e.post_columns())
-        .chain(y.iter().flat_map(|e| e.post_columns()))
-        .collect();
-    let update_col_set: HashSet<usize> = update_cols.iter().map(|(c, _)| *c).collect();
-    let needs_estimation = post_cols.iter().any(|c| !update_col_set.contains(c));
-
-    if !needs_estimation {
-        // Post values are fully determined by the update functions.
+    let Some(key) = &plan.estimator_key else {
+        // Fast path: post values are fully determined by the update
+        // functions, so there is nothing probabilistic to estimate.
         let value = deterministic_eval(
             view,
-            &update_cols,
+            &plan.updates,
             when_mask.as_deref(),
             scope_mask.as_deref(),
-            &psi,
-            &y,
+            &plan.psi,
+            &plan.y,
             q.output.agg,
         )?;
         return Ok(WhatIfResult {
@@ -385,42 +390,15 @@ pub(crate) fn evaluate_whatif_on_view(
             trained_rows: 0,
             elapsed: started.elapsed(),
         });
-    }
-
-    // `For` pre-conditions add conditioning features (§5.5: "adding
-    // conditions involving Pre values … increases the number of attributes
-    // used to train the regressor"); attributes already in the backdoor set
-    // are deduplicated, which is why the paper observes *faster* evaluation
-    // when the added attribute was in the backdoor set.
-    let for_pre_cols: HashSet<usize> = pre_bound.iter().flat_map(|e| e.pre_columns()).collect();
-
-    // Backdoor adjustment set over view columns.
-    let backdoor_cols = select_backdoor_columns(
-        db,
-        view,
-        graph,
-        config,
-        &update_cols,
-        &post_cols,
-        &for_pre_cols,
-    )?;
-    drop(plan_span);
-
-    // The fitted model depends on the update columns, never on the
-    // functions (Eqs. 35–40): those are applied at evaluation.
-    let fit_cols = column_indices(&update_cols);
-
-    // Optional cross-tuple peer summary (ψ of §2.2).
-    let peer = if config.peer_summaries {
-        PeerSummary::detect(view, graph, &fit_cols)?
-    } else {
-        None
     };
 
+    // The fitted model depends on the feature set, never on the update
+    // functions (Eqs. 35–40): those are applied at evaluation.
+    let update_cols = column_indices(&plan.updates);
     let spec = EstimatorSpec {
-        update_cols: &fit_cols,
-        backdoor_cols: &backdoor_cols,
-        peer,
+        update_cols: &update_cols,
+        backdoor_cols: &plan.backdoor_cols,
+        peer: plan.peer.clone(),
         sample_cap: config.sample_cap,
         n_trees: config.n_trees,
         max_depth: config.max_depth,
@@ -428,28 +406,21 @@ pub(crate) fn evaluate_whatif_on_view(
         kind: config.estimator,
         runtime,
     };
-    // Inside a session, fitted estimators are cached under a fingerprint of
-    // (view, update columns, output, adjustment set, estimator config): a
-    // repeated prepared query — or any query updating the same columns
-    // with other functions — skips training entirely.
+    let fit = || CausalEstimator::fit(view, &spec, &plan.psi, &plan.y, q.output.agg);
+    // Inside a session, fitted estimators are cached under the plan's key
+    // (view, feature set, output, `For`, estimator config): a repeated
+    // prepared query — or any query over the same feature set with other
+    // updates — skips training entirely.
     let est: Arc<CausalEstimator> = match cache {
-        Some(c) => {
-            let key = ArtifactCache::estimator_key(view_key, &fit_cols, q, &backdoor_cols, config);
-            // The `fits_view` vet applies to disk-recovered estimators
-            // (untrusted bytes whose indices the context-free decoder
-            // cannot range-check); a failing artifact is a plain miss
-            // and this closure refits.
-            c.estimator(
-                &key,
-                |e| e.fits_view(view),
-                || CausalEstimator::fit(view, &spec, &psi, &y, q.output.agg),
-            )?
-        }
-        None => Arc::new(CausalEstimator::fit(view, &spec, &psi, &y, q.output.agg)?),
+        // The `fits_view` vet applies to disk-recovered estimators
+        // (untrusted bytes whose indices the context-free decoder cannot
+        // range-check); a failing artifact is a plain miss and `fit` runs.
+        Some(c) => c.estimator(key, |e| e.fits_view(view), fit)?,
+        None => Arc::new(fit()?),
     };
     let value = est.evaluate(
         view,
-        &update_cols,
+        &plan.updates,
         when_mask.as_deref(),
         scope_mask.as_deref(),
     )?;
@@ -459,10 +430,7 @@ pub(crate) fn evaluate_whatif_on_view(
         n_view_rows: n,
         n_scope_rows: n_scope,
         n_updated_rows: n_updated,
-        backdoor: backdoor_cols
-            .iter()
-            .map(|&c| schema.field(c).name.clone())
-            .collect(),
+        backdoor: plan.backdoor,
         trained_rows: est.trained_rows(),
         elapsed: started.elapsed(),
     })

@@ -225,3 +225,28 @@ fn trainings_follow_attribute_subsets_not_candidate_values() {
     );
     assert!((ip.objective - brute.objective).abs() < 1e-6);
 }
+
+/// Attributes whose adjustment sets complete one feature set share one
+/// model: on German-Syn-ext each of `status`, `savings`, `housing` and
+/// `credit_amount` is adjusted for the other three, so the IP trains once
+/// for all its candidates and the joint re-evaluation of its choice.
+#[test]
+fn attributes_over_one_feature_set_train_once() {
+    let data = hyper_datasets::german_syn_extended(2_000, 38);
+    let session = HyperSession::builder(data.db)
+        .graph(data.graph)
+        .howto_options(HowToOptions {
+            buckets: 3,
+            max_attrs_updated: None,
+        })
+        .share_artifacts(false)
+        .build();
+    let r = session
+        .howto_text(
+            "Use german_syn HowToUpdate status, savings, housing, credit_amount \
+             ToMaximize Count(Post(credit) = 'Good')",
+        )
+        .unwrap();
+    assert!(r.whatif_evals > 4, "{} evaluations", r.whatif_evals);
+    assert_eq!(session.stats().estimator_misses, 1);
+}

@@ -392,6 +392,73 @@ fn pre_change_estimator_file_is_a_miss() {
     assert_eq!(again[0].to_bits(), expected[0].to_bits());
 }
 
+/// An estimator file in the `0xE2` layout of the `m2:` keys (update
+/// columns stored after the feature columns, which they led) is a miss
+/// and a retrain, and the retrain rewrites the file in the current
+/// layout. An `m2:` key hashes to another file name than its `m3:`
+/// successor, so this plants the old layout under the *current* key —
+/// the worst case — to check the decoder refuses it.
+#[test]
+fn m2_layout_estimator_file_is_a_miss_and_is_rewritten() {
+    use hyper_store::{read_artifact, write_artifact, ArtifactKind, ArtifactMeta};
+
+    let _guard = store_lock();
+    let dir = TempDir::new("m2_layout");
+    let (expected, _) = run_isolated(&dir, (1611, 51), &[WHATIF]);
+
+    let path = walk(dir.path())
+        .into_iter()
+        .find(|p| p.to_string_lossy().contains("estimators"))
+        .expect("an estimator file was spilled");
+    let shard = path.parent().and_then(|p| p.parent()).unwrap();
+    let shard_name = shard.file_name().unwrap().to_string_lossy().into_owned();
+    let (db_fp, graph_fp) = shard_name.split_once('-').unwrap();
+    let (db, _, graph) = confounded_db(1611, 51);
+    let key = HyperSession::builder(db)
+        .graph(graph)
+        .share_artifacts(false)
+        .build()
+        .explain(WHATIF)
+        .unwrap()
+        .estimator
+        .unwrap()
+        .key;
+    assert!(key.contains("\u{1f}m3:"), "{key:?}");
+    let meta = ArtifactMeta {
+        kind: ArtifactKind::Estimator,
+        key,
+        db_fingerprint: u64::from_str_radix(db_fp, 16).unwrap(),
+        graph_fingerprint: u64::from_str_radix(graph_fp, 16).unwrap(),
+    };
+    let payload = read_artifact(&path, &meta).unwrap();
+    assert_eq!(payload[0], 0xE3, "the current layout byte");
+
+    // Rewrite it in the 0xE2 layout: its layout byte, and one update
+    // column (the first feature) after the feature columns.
+    let n_features = u64::from_le_bytes(payload[2..10].try_into().unwrap()) as usize;
+    let after_features = 2 + 8 + 8 * n_features;
+    let mut old = vec![0xE2];
+    old.extend_from_slice(&payload[1..after_features]);
+    old.extend_from_slice(&1u64.to_le_bytes());
+    old.extend_from_slice(&payload[10..18]);
+    old.extend_from_slice(&payload[after_features..]);
+    write_artifact(&path, &meta, old).unwrap();
+
+    let (got, st) = run_isolated(&dir, (1611, 51), &[WHATIF]);
+    assert_eq!(st.estimator_disk_hits, 0, "the 0xE2 layout never loads");
+    assert_eq!(st.estimator_misses, 1, "…so the estimator retrains");
+    assert_eq!(got[0].to_bits(), expected[0].to_bits());
+    assert_eq!(
+        read_artifact(&path, &meta).unwrap()[0],
+        0xE3,
+        "the retrain rewrote the file"
+    );
+
+    let (again, st) = run_isolated(&dir, (1611, 51), &[WHATIF]);
+    assert_eq!(st.estimator_disk_hits, 1, "the next restart warm-starts");
+    assert_eq!(again[0].to_bits(), expected[0].to_bits());
+}
+
 /// Artifacts recovered from the disk tier carry no support index (it is
 /// derived data, never spilled): the recovered view rebuilds it on first
 /// use, and the recovered estimator then answers every `When` mask

@@ -7,7 +7,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{confounded_db, credit_db};
+use common::{confounded_db, credit_db, three_cause_db};
 use hyper_core::{CacheBudget, EngineConfig, HowToOptions, HyperSession, Provenance, QueryOutcome};
 use hyper_query::{Bindings, HExpr, WhatIf};
 
@@ -501,11 +501,14 @@ fn cache_budget_evicts_least_recently_used_estimators() {
         format!("Use d Update({attr}) = {v} Output Count(Post(credit) = 'Good')")
     };
 
+    // `status` and `income` adjust for each other here: one feature set,
+    // one model. `age` and `edu` are roots, so each is a feature set of
+    // its own.
     session.whatif_text(&q("status", 1)).unwrap();
-    session.whatif_text(&q("income", 1)).unwrap();
-    // Touch the first estimator so `income` becomes least-recent…
+    session.whatif_text(&q("age", 1)).unwrap();
+    // Touch the first estimator so `age` becomes least-recent…
     session.whatif_text(&q("status", 1)).unwrap();
-    // …then overflow the budget with a third attribute: `income` is
+    // …then overflow the budget with a third attribute: `age` is
     // evicted. (Another `status` value would not do: it shares the
     // `status` model.)
     session.whatif_text(&q("edu", 1)).unwrap();
@@ -520,7 +523,7 @@ fn cache_budget_evicts_least_recently_used_estimators() {
     session.whatif_text(&q("status", 1)).unwrap();
     session.whatif_text(&q("status", 0)).unwrap();
     assert_eq!(session.stats().estimator_misses, 3);
-    session.whatif_text(&q("income", 1)).unwrap();
+    session.whatif_text(&q("age", 1)).unwrap();
     let done = session.stats();
     assert_eq!(done.estimator_misses, 4, "evicted estimator retrained");
     assert_eq!(done.estimators_cached, 2);
@@ -529,8 +532,8 @@ fn cache_budget_evicts_least_recently_used_estimators() {
     let (db2, _, graph2) = credit_db(500, 4);
     let unbounded = HyperSession::builder(db2).graph(graph2).build();
     assert_eq!(
-        unbounded.whatif_text(&q("income", 1)).unwrap().value,
-        session.whatif_text(&q("income", 1)).unwrap().value
+        unbounded.whatif_text(&q("age", 1)).unwrap().value,
+        session.whatif_text(&q("age", 1)).unwrap().value
     );
 }
 
@@ -780,4 +783,86 @@ fn explain_analyze_reports_phase_timings() {
     let text = warm.to_string();
     assert!(text.contains("timings:"), "{text}");
     assert!(text.contains("cache_lookup"), "{text}");
+}
+
+/// An isolated session over `db`/`graph` under `config`: no shared store,
+/// so its counters see only its own work.
+fn isolated(
+    db: hyper_storage::Database,
+    graph: hyper_causal::CausalGraph,
+    config: EngineConfig,
+) -> HyperSession {
+    HyperSession::builder(db)
+        .graph(graph)
+        .config(config)
+        .share_artifacts(false)
+        .build()
+}
+
+/// The estimator is keyed and fitted on the feature set, not the update
+/// order: `Update(a) And Update(b)` and `Update(b) And Update(a)` train
+/// one model and answer with the same bits.
+#[test]
+fn update_order_does_not_change_the_model() {
+    let (db, _, graph) = three_cause_db(900, 61);
+    let session = isolated(db, graph, EngineConfig::hyper());
+    let ab = session
+        .whatif_text("Use d Update(a) = 2 And Update(b) = 0 Output Count(Post(y) = 1)")
+        .unwrap();
+    let ba = session
+        .whatif_text("Use d Update(b) = 0 And Update(a) = 2 Output Count(Post(y) = 1)")
+        .unwrap();
+    assert_eq!(ab.value.to_bits(), ba.value.to_bits());
+    let stats = session.stats();
+    assert_eq!(stats.estimator_misses, 1, "one training for both orders");
+    assert_eq!(stats.estimator_hits, 1);
+}
+
+/// Single-attribute what-ifs whose update and adjustment columns make up
+/// the same set share one training, and each answers exactly as a fresh
+/// session that only ever ran it. Under HypeR-NB every cause of `y` is
+/// adjusted for the other two, so all three — and their joint update —
+/// have the feature set `{a, b, c}`.
+#[test]
+fn what_ifs_over_one_feature_set_share_one_training() {
+    let queries = [
+        "Use d Update(a) = 2 Output Count(Post(y) = 1)",
+        "Use d Update(b) = 0 Output Count(Post(y) = 1)",
+        "Use d Update(c) = 1 Output Count(Post(y) = 1)",
+        "Use d Update(c) = 1 And Update(a) = 0 Output Count(Post(y) = 1)",
+    ];
+    let (db, _, graph) = three_cause_db(900, 62);
+    let session = isolated(db.clone(), graph.clone(), EngineConfig::hyper_nb());
+    for q in queries {
+        let shared = session.whatif_text(q).unwrap();
+        let fresh = isolated(db.clone(), graph.clone(), EngineConfig::hyper_nb())
+            .whatif_text(q)
+            .unwrap();
+        assert_eq!(shared.value.to_bits(), fresh.value.to_bits(), "{q}");
+    }
+    let stats = session.stats();
+    assert_eq!(stats.estimator_misses, 1, "one training for four what-ifs");
+    assert_eq!(stats.estimator_hits, 3);
+    assert_eq!(stats.estimators_cached, 1);
+}
+
+/// `explain` reads the estimator key from the same plan execution uses:
+/// once `Update(savings)` has trained the model of German-Syn's feature
+/// set, `explain` of `Update(status)` — the same set — reports a hit, and
+/// executing it trains nothing.
+#[test]
+fn explain_reports_a_hit_for_a_shared_feature_set() {
+    let data = hyper_datasets::german_syn_extended(1_000, 63);
+    let session = isolated(data.db, data.graph, EngineConfig::hyper());
+    let q = |attr: &str| {
+        format!("Use german_syn Update({attr}) = 2 Output Count(Post(credit) = 'Good')")
+    };
+    let cold = session.explain(q("status")).unwrap().estimator.unwrap();
+    assert_eq!(cold.provenance, Provenance::WouldBuild);
+    session.whatif_text(&q("savings")).unwrap();
+    let warm = session.explain(q("status")).unwrap().estimator.unwrap();
+    assert_eq!(warm.provenance, Provenance::Hit, "{}", warm.key);
+    assert_eq!(warm.key, cold.key);
+    session.whatif_text(&q("status")).unwrap();
+    assert_eq!(session.stats().estimator_misses, 1);
 }

@@ -97,7 +97,8 @@ fn local_eviction_falls_back_to_shared_store() {
     let q = |attr: &str| format!("Use d Update({attr}) = 1 Output Count(Post(credit) = 'Good')");
 
     session.whatif_text(&q("status")).unwrap();
-    session.whatif_text(&q("income")).unwrap(); // evicts `status` locally
+    // `edu` is a root: its model has a feature set of its own.
+    session.whatif_text(&q("edu")).unwrap(); // evicts `status` locally
     let mid = session.stats();
     assert_eq!(mid.estimator_misses, 2);
     assert_eq!(mid.estimator_evictions, 1);

@@ -17,7 +17,11 @@
 //! `whatif::estimator::tests::golden_parts_equal_the_oracle_sums` shows
 //! both equal to an independent big-integer oracle's rounding of the
 //! same contributions. The chosen updates and the integer `baseline` did
-//! not move. Any change to binning, cell ids, bootstrap order, the
+//! not move. The what-if value was re-pinned once more when estimators
+//! became keyed and fitted on their feature set in view-column order
+//! (its `status` update no longer leads its features); the how-to
+//! `objective` kept its bits, as its joint update's columns already lead
+//! theirs. Any change to binning, cell ids, bootstrap order, the
 //! per-tree RNG or the sums shows up here as a changed bit pattern. CI
 //! also runs this file with `HYPER_RUNTIME_WORKERS=0`, the zero-worker
 //! lane of the runtime.
@@ -39,7 +43,7 @@ fn avg_whatif_value_bits_are_pinned() {
     assert_eq!(session.stats().estimator_misses, 1);
     assert_eq!(
         r.value.to_bits(),
-        0x3ffb1a291687fb8b,
+        0x3ffb21fb8a90c67d,
         "value {:?} = {:#018x}",
         r.value,
         r.value.to_bits()
@@ -89,4 +93,33 @@ fn howto_answer_bits_are_pinned() {
         r.baseline.to_bits()
     );
     assert_eq!((r.candidates, r.whatif_evals), (16, 17));
+}
+
+/// The estimator's features are its feature set in view-column order, so
+/// a what-if whose update column already leads that order (`status`
+/// precedes its adjustment set `savings, housing, credit_amount` in the
+/// German-Syn-ext view) fits the same forest as when features were
+/// ordered update-first, and keeps its bits; the how-to `objective`
+/// above is such a value.
+#[test]
+fn leading_update_column_keeps_its_bits() {
+    let data = hyper_repro::datasets::german_syn_extended(3_000, 1);
+    let session = HyperSession::builder(data.db.clone())
+        .graph(data.graph.clone())
+        .share_artifacts(false)
+        .build();
+    let r = session
+        .whatif_text(
+            "Use german_syn Update(status) = 2.625 \
+             Output Count(Post(credit) = 'Good')",
+        )
+        .unwrap();
+    assert_eq!(r.backdoor, ["savings", "housing", "credit_amount"]);
+    assert_eq!(
+        r.value.to_bits(),
+        0x40a4d3e2b6d47151,
+        "value {:?} = {:#018x}",
+        r.value,
+        r.value.to_bits()
+    );
 }
