@@ -24,18 +24,26 @@ pub struct Candidate {
 }
 
 /// Per-attribute candidate lists for a how-to query. `when_mask` marks the
-/// update set `S` (the rows whose L1 distance the `Limit` bounds).
+/// update set `S` (the rows whose L1 distance the `Limit` bounds); `None`
+/// stands for every row.
+///
+/// A numeric attribute's domain needs only its minimum and maximum, read
+/// off the typed column ([`ColumnStats::min_max`]); the frequency map of
+/// [`ColumnStats::compute`] is built only for a categorical attribute's
+/// observed domain.
 pub fn generate_candidates(
     view: &RelevantView,
-    when_mask: &[bool],
+    when_mask: Option<&[bool]>,
     q: &HowToQuery,
     buckets: usize,
 ) -> Result<Vec<Vec<Candidate>>> {
+    // The rows of S, listed only when a mask selects them.
+    let s_rows: Option<Vec<usize>> = when_mask.map(|m| (0..m.len()).filter(|&i| m[i]).collect());
+    let s_len = s_rows.as_ref().map_or(view.table.num_rows(), Vec::len);
+    let s_row = |k: usize| s_rows.as_ref().map_or(k, |rows| rows[k]);
     let mut out = Vec::with_capacity(q.update_attrs.len());
     for attr in &q.update_attrs {
         let col = resolve_column(view.table.schema(), attr)?;
-        let stats = ColumnStats::compute(&view.table, &view.table.schema().field(col).name)
-            .map_err(EngineError::from)?;
 
         // Collect this attribute's constraints. Bounds must be resolved
         // by now — a template with `Param(…)` bounds is bound per
@@ -81,13 +89,12 @@ pub fn generate_candidates(
         // typed column: numbers (NULL and strings are `None`) and, for a
         // string column, dictionary codes (NULL is `None`).
         let pre_col = view.table.column(col);
-        let s_rows: Vec<usize> = (0..when_mask.len()).filter(|&i| when_mask[i]).collect();
-        let pre_num: Vec<Option<f64>> = s_rows.iter().map(|&i| pre_col.f64_at(i)).collect();
+        let pre_num: Vec<Option<f64>> = (0..s_len).map(|k| pre_col.f64_at(s_row(k))).collect();
         let pre_codes: Option<(Vec<Option<u32>>, &StrDict)> =
             pre_col.as_str().map(|(codes, dict, nulls)| {
-                let codes = s_rows
-                    .iter()
-                    .map(|&i| (!nulls.is_null(i)).then_some(codes[i]))
+                let codes = (0..s_len)
+                    .map(s_row)
+                    .map(|i| (!nulls.is_null(i)).then_some(codes[i]))
                     .collect();
                 (codes, dict)
             });
@@ -97,7 +104,7 @@ pub fn generate_candidates(
         // (as `Value::sql_eq`: NULL matches nothing, and a string never
         // equals a number).
         let mean_l1 = |v: &Value| -> f64 {
-            if s_rows.is_empty() {
+            if s_len == 0 {
                 return 0.0;
             }
             let total: f64 = match (v.as_f64(), v.as_str(), &pre_codes) {
@@ -112,9 +119,9 @@ pub fn generate_candidates(
                         .map(|&c| if c.is_some() && c == target { 0.0 } else { 1.0 })
                         .sum()
                 }
-                _ => s_rows.iter().map(|_| 1.0).sum(),
+                _ => (0..s_len).map(|_| 1.0).sum(),
             };
-            total / s_rows.len() as f64
+            total / s_len as f64
         };
 
         let numeric = matches!(
@@ -125,8 +132,10 @@ pub fn generate_candidates(
         let raw_values: Vec<Value> = if let Some(values) = in_set {
             values.to_vec()
         } else if numeric {
-            let dom_lo = stats.min.as_ref().and_then(Value::as_f64).unwrap_or(0.0);
-            let dom_hi = stats.max.as_ref().and_then(Value::as_f64).unwrap_or(0.0);
+            let (dom_lo, dom_hi) = match ColumnStats::min_max(pre_col) {
+                Some((lo, hi)) => (lo.as_f64().unwrap_or(0.0), hi.as_f64().unwrap_or(0.0)),
+                None => (0.0, 0.0),
+            };
             let range_lo = lo.unwrap_or(dom_lo);
             let range_hi = hi.unwrap_or(dom_hi);
             if range_lo > range_hi {
@@ -144,7 +153,9 @@ pub fn generate_candidates(
             }
         } else {
             // Categorical without an In-set: the observed domain.
-            stats.domain()
+            ColumnStats::compute(&view.table, &view.table.schema().field(col).name)
+                .map_err(EngineError::from)?
+                .domain()
         };
 
         let mut cands = Vec::with_capacity(raw_values.len());
@@ -227,7 +238,7 @@ mod tests {
         );
         let v = view();
         // Update set = first row only (pre price 529).
-        let cands = generate_candidates(&v, &[true, false, false], &q, 6).unwrap();
+        let cands = generate_candidates(&v, Some(&[true, false, false]), &q, 6).unwrap();
         assert_eq!(cands.len(), 1);
         assert!(!cands[0].is_empty());
         for c in &cands[0] {
@@ -247,7 +258,7 @@ mod tests {
              ToMaximize Avg(Post(rating))",
         );
         let v = view();
-        let cands = generate_candidates(&v, &[true, true, true], &q, 4).unwrap();
+        let cands = generate_candidates(&v, None, &q, 4).unwrap();
         assert_eq!(cands[0].len(), 2);
     }
 
@@ -255,7 +266,7 @@ mod tests {
     fn categorical_defaults_to_domain() {
         let q = howto("Use V HowToUpdate color ToMaximize Avg(Post(rating))");
         let v = view();
-        let cands = generate_candidates(&v, &[true, true, true], &q, 4).unwrap();
+        let cands = generate_candidates(&v, None, &q, 4).unwrap();
         // Observed domain: Black, Silver.
         assert_eq!(cands[0].len(), 2);
     }
@@ -264,7 +275,7 @@ mod tests {
     fn numeric_defaults_to_observed_range() {
         let q = howto("Use V HowToUpdate price ToMaximize Avg(Post(rating))");
         let v = view();
-        let cands = generate_candidates(&v, &[true, true, true], &q, 5).unwrap();
+        let cands = generate_candidates(&v, None, &q, 5).unwrap();
         assert_eq!(cands[0].len(), 5);
         for c in &cands[0] {
             let UpdateFunc::Set(Value::Float(x)) = c.func else {
@@ -298,7 +309,7 @@ mod tests {
              Limit Post(color) In ('Silver', 'Red', 1) And L1(Pre(color), Post(color)) <= 2
              ToMaximize Avg(Post(rating))",
         );
-        let cands = generate_candidates(&v, &[true, true, true], &q, 4).unwrap();
+        let cands = generate_candidates(&v, None, &q, 4).unwrap();
         let costs: Vec<(String, f64)> = cands[0]
             .iter()
             .map(|c| (c.func.to_string(), c.l1_cost))
@@ -320,7 +331,7 @@ mod tests {
              ToMaximize Avg(Post(rating))",
         );
         let v = view();
-        let cands = generate_candidates(&v, &[true, true, true], &q, 3).unwrap();
+        let cands = generate_candidates(&v, None, &q, 3).unwrap();
         assert_eq!(cands[0].len(), 1);
         // Mean |600 - {529, 999, 599}| = (71 + 399 + 1)/3.
         let expected = (71.0 + 399.0 + 1.0) / 3.0;

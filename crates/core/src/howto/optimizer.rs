@@ -25,7 +25,7 @@ use crate::howto::candidates::{generate_candidates, Candidate};
 use crate::howto::HowToResult;
 use crate::session::cache::ArtifactCache;
 use crate::view::{build_relevant_view, RelevantView};
-use crate::whatif::{evaluate_planned, evaluate_whatif_maybe_cached, plan_whatif};
+use crate::whatif::{evaluate_planned, evaluate_whatif_maybe_cached, plan_whatif, WhatIfQueryPlan};
 
 /// Shared pre-processing for the optimizer, the brute-force baseline, and
 /// the lexicographic extension.
@@ -75,13 +75,14 @@ impl HowToContext {
         let schema = view.table.schema();
 
         // When mask for candidate costing (typed-column scan, no row
-        // materialization).
-        let when_mask = match &q.when {
-            Some(w) => bind_hexpr(w, schema, Temporal::Pre)?.eval_mask(&view.table)?,
-            None => vec![true; view.table.num_rows()],
-        };
+        // materialization); without a When clause, S is every row.
+        let when_mask = q
+            .when
+            .as_ref()
+            .map(|w| bind_hexpr(w, schema, Temporal::Pre)?.eval_mask(&view.table))
+            .transpose()?;
 
-        let candidates = generate_candidates(&view, &when_mask, q, opts.buckets)?;
+        let candidates = generate_candidates(&view, when_mask.as_deref(), q, opts.buckets)?;
 
         // The Definition-7 what-if template: same Use/When/For, Output from
         // the objective. A predicate objective (`Count(Post(credit) =
@@ -126,8 +127,40 @@ impl HowToContext {
         // already-materialized view.
         let baseline = evaluate_identity_objective(&view, &q.for_clause, &output_spec)?;
 
-        // Assemble every candidate's what-if query, then evaluate. All
-        // candidates of one attribute share one fitted estimator (it is
+        // Plan one what-if per attribute. Validation, ψ/Y binding, the
+        // backdoor search and the estimator key depend on the attribute,
+        // never on the candidate's value, so every candidate evaluates a
+        // copy of its attribute's plan holding its own update function
+        // (the query itself supplies only the shared When and Output). A
+        // plan that fails is reported in place of each of its candidates.
+        let mut attr_plans: Vec<Option<(WhatIfQuery, Result<WhatIfQueryPlan>)>> =
+            Vec::with_capacity(candidates.len());
+        for cands in &candidates {
+            attr_plans.push(match cands.first() {
+                None => None,
+                Some(c) => {
+                    let wq = candidate_whatif(
+                        &whatif_template,
+                        vec![UpdateSpec {
+                            attr: c.attr.clone(),
+                            func: c.func.clone(),
+                        }],
+                    )?;
+                    let plan = plan_whatif(db, graph, config, &wq, &view, &view_key);
+                    Some((wq, plan))
+                }
+            });
+        }
+        let evaluate = |i: usize, j: usize| -> Result<f64> {
+            let (wq, plan) = attr_plans[i]
+                .as_ref()
+                .expect("an attribute with candidates is planned");
+            let plan = plan.as_ref().map_err(Clone::clone)?;
+            let plan = plan.with_func(candidates[i][j].func.clone());
+            evaluate_planned(config, wq, &view, plan, cache, runtime).map(|r| r.value)
+        };
+
+        // All candidates of one attribute share one fitted estimator (it is
         // keyed on the feature set, not the value), and attributes whose
         // adjustment sets complete the same feature set share it too — on
         // German-Syn every attribute of a how-to does. Inside a session
@@ -140,52 +173,35 @@ impl HowToContext {
         // (training is seeded and order-independent). Nesting is safe — a
         // batch of how-to queries and the forest trainers below them all
         // draw from the same fixed pool.
-        let mut flat: Vec<(usize, usize, WhatIfQuery)> = Vec::new();
-        for (i, cands) in candidates.iter().enumerate() {
-            for (j, c) in cands.iter().enumerate() {
-                let wq = candidate_whatif(
-                    &whatif_template,
-                    vec![UpdateSpec {
-                        attr: c.attr.clone(),
-                        func: c.func.clone(),
-                    }],
-                )?;
-                flat.push((i, j, wq));
-            }
-        }
+        let flat: Vec<(usize, usize)> = candidates
+            .iter()
+            .enumerate()
+            .flat_map(|(i, cands)| (0..cands.len()).map(move |j| (i, j)))
+            .collect();
         let whatif_evals = flat.len();
         let mut values: Vec<Vec<f64>> = candidates.iter().map(|c| vec![0.0; c.len()]).collect();
         let slots: Vec<OnceLock<Result<f64>>> = (0..flat.len()).map(|_| OnceLock::new()).collect();
         if cache.is_some() {
-            let mut fitted: HashSet<String> = HashSet::new();
-            for (k, (_, j, wq)) in flat.iter().enumerate() {
-                if *j > 0 {
-                    continue;
+            let mut fitted: HashSet<&str> = HashSet::new();
+            let mut first_slot = 0;
+            for (i, planned) in attr_plans.iter().enumerate() {
+                if let Some((_, Ok(plan))) = planned {
+                    let key = plan.estimator_key.as_deref();
+                    if key.is_some_and(|key| fitted.insert(key)) {
+                        let _ = slots[first_slot].set(evaluate(i, 0));
+                    }
                 }
-                // A plan that fails is left to the fan-out, which reports
-                // the candidate's error in its place.
-                let Ok(plan) = plan_whatif(db, graph, config, wq, &view, &view_key) else {
-                    continue;
-                };
-                let new_key = plan
-                    .estimator_key
-                    .as_ref()
-                    .is_some_and(|key| fitted.insert(key.clone()));
-                if new_key {
-                    let r = evaluate_planned(config, wq, &view, plan, cache, runtime);
-                    let _ = slots[k].set(r.map(|r| r.value));
-                }
+                first_slot += candidates[i].len();
             }
         }
         runtime.for_each_parallel(flat.len(), |k| {
             if slots[k].get().is_none() {
-                let r = evaluate_whatif_maybe_cached(db, graph, config, &flat[k].2, cache, runtime)
-                    .map(|r| r.value);
-                let _ = slots[k].set(r);
+                let (i, j) = flat[k];
+                let _ = slots[k].set(evaluate(i, j));
             }
         });
-        for ((i, j, _), slot) in flat.iter().zip(slots) {
-            values[*i][*j] = slot.into_inner().expect("every candidate slot is filled")?;
+        for (&(i, j), slot) in flat.iter().zip(slots) {
+            values[i][j] = slot.into_inner().expect("every candidate slot is filled")?;
         }
 
         Ok(HowToContext {

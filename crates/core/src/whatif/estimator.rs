@@ -17,8 +17,13 @@
 //! Training targets (`1{ψ}`, `Y·1{ψ}`) come from the unmodified world
 //! (post = pre), so [`CausalEstimator::fit`] builds them column at a time
 //! over the typed columns ([`BoundHExpr::eval_mask`],
-//! [`BoundHExpr::eval_numbers`]), and trains on the encoded matrix as it
-//! is unless a sample cap binds.
+//! [`BoundHExpr::eval_numbers`]). Features are fitted from the same §3.3
+//! support that evaluation iterates: a forest encodes one representative
+//! row per support cell and trains over the cells
+//! ([`RandomForest::fit_on_cells`]), bit-identical to training on the
+//! encoded view matrix. The matrix route remains for what the cells
+//! cannot express: a peer summary (per-row peer means), a binding sample
+//! cap (a random subset of rows) and the cell estimator.
 //!
 //! Evaluation follows §3.3's "iterating only over combinations with
 //! non-zero support": the view's `SupportIndex` numbers the distinct raw
@@ -44,6 +49,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+use crate::config::EstimatorKind;
 use crate::error::{EngineError, Result};
 use crate::hexpr::BoundHExpr;
 use crate::view::RelevantView;
@@ -163,6 +169,31 @@ pub struct EstimatorSpec<'a> {
     pub runtime: &'a hyper_runtime::HyperRuntime,
 }
 
+/// Where [`CausalEstimator::fit`] reads its training features from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TrainRows {
+    /// One encoded representative per cell of the view's `SupportIndex`
+    /// over the feature columns, plus each row's cell id.
+    Support,
+    /// The encoded view matrix (with any peer column), sampled when a cap
+    /// binds.
+    Matrix,
+}
+
+impl TrainRows {
+    /// The route `spec` takes over a view of `rows` rows: the support
+    /// cells for a forest with no peer summary whose sample cap (if any)
+    /// does not bind, else the matrix.
+    pub(crate) fn for_spec(spec: &EstimatorSpec<'_>, rows: usize) -> TrainRows {
+        let cap_binds = spec.sample_cap.is_some_and(|cap| cap < rows);
+        if spec.kind == EstimatorKind::Forest && spec.peer.is_none() && !cap_binds {
+            TrainRows::Support
+        } else {
+            TrainRows::Matrix
+        }
+    }
+}
+
 /// Empirical cell-mean table over encoded feature combinations: the
 /// §3.3 support-index computation executed literally. The marginal table
 /// conditions only on the encoded dimensions in `marginal_dims` (those of
@@ -271,14 +302,48 @@ pub struct CausalEstimator {
 impl CausalEstimator {
     /// Fit the estimator on the relevant view. Training targets are
     /// evaluated column at a time ([`BoundHExpr::eval_mask`],
-    /// [`BoundHExpr::eval_numbers`]), and the feature matrix is filled
-    /// column-wise ([`TableEncoder::encode_table`]).
+    /// [`BoundHExpr::eval_numbers`]); the features are encoded along one
+    /// of two routes (`TrainRows::for_spec`):
+    ///
+    /// - **From the support cells**, for a forest with no peer summary
+    ///   and no binding sample cap. Rows sharing a cell of the view's
+    ///   `SupportIndex` over the feature columns hold identical raw
+    ///   features, so they encode identically: only each cell's first row
+    ///   is gathered and encoded, and the forest fits over those
+    ///   representatives plus each row's cell id
+    ///   ([`RandomForest::fit_on_cells`]). Per-row work is the ψ/Y targets
+    ///   and one `u32` cell id; the same index then serves evaluation.
+    /// - **From the encoded matrix** ([`TableEncoder::encode_table`]),
+    ///   otherwise: a peer summary appends per-row peer means, which are
+    ///   not a function of the feature cells; a binding sample cap trains
+    ///   on a random subset of rows, not on whole cells; and the cell
+    ///   estimator ([`EstimatorKind::Cells`]) keys its table on encoded
+    ///   rows.
+    ///
+    /// Both routes fit the same forest bit for bit: the cells reproduce
+    /// the layout [`RandomForest::fit_on`] derives from the matrix, and
+    /// continuous features, whose cells exceed the layout's cap, fit
+    /// row-wise over their representatives' bins.
     pub fn fit(
         view: &RelevantView,
         spec: &EstimatorSpec<'_>,
         psi: &Option<Arc<BoundHExpr>>,
         y: &Option<Arc<BoundHExpr>>,
         agg: AggFunc,
+    ) -> Result<CausalEstimator> {
+        let rows = TrainRows::for_spec(spec, view.table.num_rows());
+        Self::fit_via(view, spec, psi, y, agg, rows)
+    }
+
+    /// [`CausalEstimator::fit`] along a given route; `TrainRows::Matrix`
+    /// serves every spec.
+    pub(crate) fn fit_via(
+        view: &RelevantView,
+        spec: &EstimatorSpec<'_>,
+        psi: &Option<Arc<BoundHExpr>>,
+        y: &Option<Arc<BoundHExpr>>,
+        agg: AggFunc,
+        rows: TrainRows,
     ) -> Result<CausalEstimator> {
         // Covers the whole fit (target evaluation, sampling, encoding);
         // the nested `EncoderFit`/`ForestTrain` spans from `hyper-ml`
@@ -340,73 +405,95 @@ impl CausalEstimator {
             }
         };
 
-        // Feature matrix (with optional peer column appended).
-        let mut x = encoder.encode_table(table)?;
-        if let Some((_, pre_means, _)) = &peer {
-            x = x
-                .with_appended_column(pre_means)
-                .map_err(EngineError::from)?;
-        }
-
-        // Sampling (HypeR-sampled): train on a random subset; without a
-        // binding cap, on the encoded matrix and targets as they are.
-        let sampled = match spec.sample_cap {
-            Some(cap) if cap < n => {
-                let mut rng = StdRng::seed_from_u64(spec.seed);
-                let mut idx: Vec<u32> = (0..n as u32).collect();
-                idx.shuffle(&mut rng);
-                idx.truncate(cap);
-                Some(subset(&x, &target, &denom_target, &idx)?)
-            }
-            _ => None,
+        let params = ForestParams {
+            n_trees: spec.n_trees,
+            tree: TreeParams {
+                max_depth: spec.max_depth,
+                ..TreeParams::default()
+            },
+            bootstrap: true,
+            seed: spec.seed,
         };
-        let (xt, yt, dt) = match &sampled {
-            Some((xs, ys, ds)) => (xs, ys, ds),
-            None => (&x, &target, &denom_target),
-        };
-        let trained_rows = yt.len();
-
-        // Encoded dimensions of the non-updated features, and the peer
-        // column after them (the cell estimator's marginal fallback).
-        let mut marginal_dims: Vec<usize> = Vec::new();
-        let mut offset = 0;
-        for (c, width) in feature_cols.iter().zip(encoder.column_widths()) {
-            if !spec.update_cols.contains(c) {
-                marginal_dims.extend(offset..offset + width);
-            }
-            offset += width;
-        }
-        if peer.is_some() {
-            marginal_dims.push(offset);
-        }
-        let fit_model = |targets: &[f64]| -> Result<FittedModel> {
-            Ok(match spec.kind {
-                crate::config::EstimatorKind::Forest => {
-                    let params = ForestParams {
-                        n_trees: spec.n_trees,
-                        tree: TreeParams {
-                            max_depth: spec.max_depth,
-                            ..TreeParams::default()
-                        },
-                        bootstrap: true,
-                        seed: spec.seed,
-                    };
-                    FittedModel::Forest(
-                        RandomForest::fit_on(spec.runtime, xt, targets, &params)
-                            .map_err(EngineError::from)?,
-                    )
-                }
-                crate::config::EstimatorKind::Cells => {
-                    FittedModel::Cells(CellTable::fit(xt, targets, marginal_dims.clone()))
-                }
-            })
-        };
-        let model = fit_model(yt)?;
-        let denom_model = if agg == AggFunc::Avg && psi.is_some() {
-            Some(fit_model(dt)?)
+        let with_denom = agg == AggFunc::Avg && psi.is_some();
+        let (model, denom_model) = if rows == TrainRows::Support {
+            debug_assert_eq!(TrainRows::for_spec(spec, n), TrainRows::Support);
+            // Every row encodes like the first row of its support cell:
+            // encode those alone and fit over the cells.
+            let support = view.support_index(&feature_cols)?;
+            let reps: Vec<usize> = support.first_rows().iter().map(|&i| i as usize).collect();
+            let cols: Vec<Column> = feature_cols
+                .iter()
+                .map(|&c| table.column(c).gather(&reps))
+                .collect();
+            let x = encoder.encode_columns(&cols.iter().collect::<Vec<_>>())?;
+            let fit = |targets: &[f64]| -> Result<FittedModel> {
+                let forest = RandomForest::fit_on_cells(
+                    spec.runtime,
+                    &x,
+                    support.cell_ids(),
+                    targets,
+                    &params,
+                )?;
+                Ok(FittedModel::Forest(forest))
+            };
+            let model = fit(&target)?;
+            (model, with_denom.then(|| fit(&denom_target)).transpose()?)
         } else {
-            None
+            // Feature matrix (with optional peer column appended).
+            let mut x = encoder.encode_table(table)?;
+            if let Some((_, pre_means, _)) = &peer {
+                x = x
+                    .with_appended_column(pre_means)
+                    .map_err(EngineError::from)?;
+            }
+
+            // Sampling (HypeR-sampled): train on a random subset; without a
+            // binding cap, on the encoded matrix and targets as they are.
+            let sampled = match spec.sample_cap {
+                Some(cap) if cap < n => {
+                    let mut rng = StdRng::seed_from_u64(spec.seed);
+                    let mut idx: Vec<u32> = (0..n as u32).collect();
+                    idx.shuffle(&mut rng);
+                    idx.truncate(cap);
+                    Some(subset(&x, &target, &denom_target, &idx)?)
+                }
+                _ => None,
+            };
+            let (xt, yt, dt) = match &sampled {
+                Some((xs, ys, ds)) => (xs, ys, ds),
+                None => (&x, &target, &denom_target),
+            };
+
+            // Encoded dimensions of the non-updated features, and the peer
+            // column after them (the cell estimator's marginal fallback).
+            let mut marginal_dims: Vec<usize> = Vec::new();
+            let mut offset = 0;
+            for (c, width) in feature_cols.iter().zip(encoder.column_widths()) {
+                if !spec.update_cols.contains(c) {
+                    marginal_dims.extend(offset..offset + width);
+                }
+                offset += width;
+            }
+            if peer.is_some() {
+                marginal_dims.push(offset);
+            }
+            let fit = |targets: &[f64]| -> Result<FittedModel> {
+                Ok(match spec.kind {
+                    EstimatorKind::Forest => FittedModel::Forest(RandomForest::fit_on(
+                        spec.runtime,
+                        xt,
+                        targets,
+                        &params,
+                    )?),
+                    EstimatorKind::Cells => {
+                        FittedModel::Cells(CellTable::fit(xt, targets, marginal_dims.clone()))
+                    }
+                })
+            };
+            let model = fit(yt)?;
+            (model, with_denom.then(|| fit(dt)).transpose()?)
         };
+        let trained_rows = spec.sample_cap.map_or(n, |cap| cap.min(n));
 
         Ok(CausalEstimator {
             agg,

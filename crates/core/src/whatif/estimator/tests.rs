@@ -380,6 +380,25 @@ fn fit_for(
     backdoor: &[&str],
     config: &EngineConfig,
 ) -> (RelevantView, CausalEstimator, Vec<(usize, UpdateFunc)>) {
+    let (view, est, updates, _) = fit_along(db, q, backdoor, None, config, None);
+    (view, est, updates)
+}
+
+/// [`fit_for`] with a peer summary `(update, group)`, along `rows` (the
+/// route `fit` picks when `None`); also returns the route `fit` picks.
+fn fit_along(
+    db: &Database,
+    q: &hyper_query::WhatIfQuery,
+    backdoor: &[&str],
+    peer: Option<(&str, &str)>,
+    config: &EngineConfig,
+    rows: Option<TrainRows>,
+) -> (
+    RelevantView,
+    CausalEstimator,
+    Vec<(usize, UpdateFunc)>,
+    TrainRows,
+) {
     let view = build_relevant_view(db, &q.use_clause).unwrap();
     let schema = view.table.schema().clone();
     let col = |name: &str| resolve_column(&schema, name).unwrap();
@@ -404,7 +423,10 @@ fn fit_for(
     let spec = EstimatorSpec {
         update_cols: &update_cols,
         backdoor_cols: &backdoor_cols,
-        peer: None,
+        peer: peer.map(|(u, g)| PeerSummary {
+            update_col: col(u),
+            group_col: col(g),
+        }),
         sample_cap: config.sample_cap,
         n_trees: config.n_trees,
         max_depth: config.max_depth,
@@ -412,8 +434,187 @@ fn fit_for(
         kind: config.estimator,
         runtime: HyperRuntime::global(),
     };
-    let est = CausalEstimator::fit(&view, &spec, &bind(psi), &bind(y), q.output.agg).unwrap();
-    (view, est, updates)
+    let picked = TrainRows::for_spec(&spec, view.table.num_rows());
+    let (psi, y) = (bind(psi), bind(y));
+    let est = match rows {
+        None => CausalEstimator::fit(&view, &spec, &psi, &y, q.output.agg),
+        Some(rows) => CausalEstimator::fit_via(&view, &spec, &psi, &y, q.output.agg, rows),
+    };
+    (view, est.unwrap(), updates, picked)
+}
+
+/// A random table `t` for the training routes: the update column `b`;
+/// adjustment candidates `nz` (nullable Int), `f` (nullable Float holding
+/// `0.0`, `-0.0` and two NaN payloads), `s` (nullable Str) and `c` (a
+/// Float with about 150 distinct values); outcomes `y` and `ok`.
+fn route_db(n: usize, seed: u64) -> Database {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let schema = Schema::new(vec![
+        Field::new("b", DataType::Int),
+        Field::nullable("nz", DataType::Int),
+        Field::nullable("f", DataType::Float),
+        Field::nullable("s", DataType::Str),
+        Field::new("c", DataType::Float),
+        Field::new("y", DataType::Float),
+        Field::new("ok", DataType::Int),
+    ])
+    .unwrap();
+    let nan2 = f64::from_bits(f64::NAN.to_bits() | 1);
+    let mut t = TableBuilder::new("t", schema);
+    for _ in 0..n {
+        let b: i64 = rng.gen_range(0..4);
+        let nz = match rng.gen_range(0..4) {
+            0 => Value::Null,
+            v => Value::Int(v),
+        };
+        let f = [
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(nan2),
+            Value::Float(0.5),
+            Value::Null,
+        ][rng.gen_range(0..6usize)]
+        .clone();
+        let s = match rng.gen_range(0..4usize) {
+            3 => Value::Null,
+            k => ["a", "b", "c"][k].into(),
+        };
+        let c = rng.gen_range(0..150) as f64 * 0.37;
+        // Inexact, over several magnitudes: sums of `y` round, so they
+        // depend on the order the trainer adds cells in.
+        let y = (b as f64 + rng.gen_range(0..3) as f64 * 0.25 + 0.1) / 3.0
+            * 10f64.powi(rng.gen_range(-4..4));
+        let ok = i64::from(rng.gen_range(0..5i64) < b + 1);
+        t.push(vec![
+            Value::Int(b),
+            nz,
+            f,
+            s,
+            Value::Float(c),
+            Value::Float(y),
+            Value::Int(ok),
+        ])
+        .unwrap();
+    }
+    let mut db = Database::new();
+    db.add_table(t.build()).unwrap();
+    db
+}
+
+/// Fit `text`'s estimator along the route `fit` picks and along the
+/// matrix route, and require bit-equal parts with and without masks.
+/// Returns the route `fit` picks.
+fn check_routes(
+    db: &Database,
+    text: &str,
+    backdoor: &[&str],
+    peer: Option<(&str, &str)>,
+    config: &EngineConfig,
+) -> TrainRows {
+    let HypotheticalQuery::WhatIf(q) = parse_query(text).unwrap() else {
+        panic!("expected a what-if: {text}")
+    };
+    let (view, est, updates, picked) = fit_along(db, &q, backdoor, peer, config, None);
+    let matrix = Some(TrainRows::Matrix);
+    let (_, reference, _, _) = fit_along(db, &q, backdoor, peer, config, matrix);
+    assert_eq!(est.trained_rows(), reference.trained_rows(), "{text}");
+    let (when, scope) = masks(&view, &q);
+    for (when, scope) in [(None, None), (when.as_deref(), scope.as_deref())] {
+        let got = est.evaluate_parts(&view, &updates, when, scope).unwrap();
+        let want = reference
+            .evaluate_parts(&view, &updates, when, scope)
+            .unwrap();
+        assert_eq!(
+            bits(got),
+            bits(want),
+            "{text} ({picked:?}): {got:?} vs the matrix route's {want:?}"
+        );
+    }
+    picked
+}
+
+fn route_config() -> EngineConfig {
+    EngineConfig {
+        n_trees: 4,
+        max_depth: 5,
+        seed: 7,
+        ..EngineConfig::default()
+    }
+}
+
+#[test]
+fn the_support_route_fits_the_matrix_forest() {
+    let db = route_db(300, 21);
+    for text in [
+        "Use t Update(b) = 2 Output Count(Post(ok) = 1)",
+        "Use t When Pre(s) = 'a' Update(b) = 0.5 * Pre(b) Output Sum(Post(y))",
+        // Avg with ψ: a numerator and a denominator model.
+        "Use t Update(b) = 1 + Pre(b) Output Avg(Post(y)) For Post(ok) = 1",
+        "Use t When Pre(nz) = 1 Update(b) = 3 Output Avg(Post(y)) For Pre(s) = 'b'",
+    ] {
+        for backdoor in [&["nz", "f", "s"][..], &["f"], &["s", "nz"]] {
+            let picked = check_routes(&db, text, backdoor, None, &route_config());
+            assert_eq!(picked, TrainRows::Support, "{text} over {backdoor:?}");
+        }
+    }
+}
+
+#[test]
+fn fallbacks_take_the_matrix_route() {
+    let db = route_db(300, 22);
+    let text = "Use t Update(b) = 2 Output Avg(Post(y)) For Post(ok) = 1";
+    let backdoor = ["nz", "f", "s"];
+    let forest = route_config();
+    // A binding sample cap trains on a random subset of rows, not on
+    // whole cells; a cap at the view's size does not bind.
+    for (cap, route) in [(299, TrainRows::Matrix), (300, TrainRows::Support)] {
+        let config = EngineConfig {
+            sample_cap: Some(cap),
+            ..forest.clone()
+        };
+        assert_eq!(check_routes(&db, text, &backdoor, None, &config), route);
+    }
+    // The cell estimator keys its table on encoded rows.
+    let cells = EngineConfig {
+        estimator: EstimatorKind::Cells,
+        ..forest.clone()
+    };
+    let picked = check_routes(&db, text, &backdoor, None, &cells);
+    assert_eq!(picked, TrainRows::Matrix);
+    // A peer summary appends per-row peer means.
+    let market = market_db(300, 11);
+    let picked = check_routes(
+        &market,
+        "Use product When Pre(brand) = 'asus' Update(price) = 0.9 * Pre(price) \
+         Output Avg(Post(rating))",
+        &["category", "brand"],
+        Some(("price", "category")),
+        &forest,
+    );
+    assert_eq!(picked, TrainRows::Matrix);
+}
+
+#[test]
+fn too_many_cells_fit_row_wise_from_the_support_route() {
+    // Over `{b, c}` the support cells pass the forest's cell cap
+    // (`max(rows / 4, 64)`), so the layout declines and trees fit row
+    // wise over the representatives' bins.
+    let db = route_db(300, 23);
+    let view = build_relevant_view(&db, &hyper_query::UseClause::Table("t".into())).unwrap();
+    let features: Vec<usize> = ["b", "c"]
+        .iter()
+        .map(|c| resolve_column(view.table.schema(), c).unwrap())
+        .collect();
+    let cells = crate::whatif::support::SupportIndex::build(&view.table, &features).cells();
+    assert!(cells > 300 / 4, "{cells} support cells");
+    for text in [
+        "Use t Update(b) = 2 Output Sum(Post(y))",
+        "Use t When Pre(c) < 20 Update(b) = 1 Output Avg(Post(y)) For Post(ok) = 1",
+    ] {
+        let picked = check_routes(&db, text, &["c"], None, &route_config());
+        assert_eq!(picked, TrainRows::Support, "{text}");
+    }
 }
 
 /// The pinned what-ifs of `tests/golden_bits.rs`: the `Avg` what-if, and

@@ -149,6 +149,20 @@ pub(crate) struct WhatIfQueryPlan {
     peer: Option<PeerSummary>,
 }
 
+impl WhatIfQueryPlan {
+    /// This plan of a single-attribute update, with the update's function
+    /// replaced by `func`. Nothing else in a plan depends on the function
+    /// (the estimator is keyed on its feature set, and the update is
+    /// applied at evaluation), so a how-to plans each attribute once and
+    /// evaluates every candidate value from a copy.
+    pub(crate) fn with_func(&self, func: UpdateFunc) -> WhatIfQueryPlan {
+        debug_assert_eq!(self.updates.len(), 1, "a single-attribute plan");
+        let mut plan = self.clone();
+        plan.updates[0].1 = func;
+        plan
+    }
+}
+
 /// Compute the static plan of `q` over `view` (no masks, no training).
 pub(crate) fn plan_whatif(
     db: &Database,

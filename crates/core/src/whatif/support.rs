@@ -21,6 +21,14 @@
 //! and no peer summary updates every row, so its affected rows are exactly
 //! the cells with those counts: the estimator reads the representatives
 //! and counts from here and folds cells without touching a row.
+//!
+//! The index serves fitting as well as evaluation. A forest fitted
+//! without a peer summary or a binding sample cap encodes only each
+//! cell's first row and trains over the representatives plus the per-row
+//! cell ids (`hyper_ml::RandomForest::fit_on_cells`): cell ids in
+//! first-occurrence order make the forest's layout the one it would
+//! derive from the whole encoded view, so the fit is bit-identical and
+//! the evaluation that follows finds the index already built.
 
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
@@ -106,6 +114,11 @@ impl SupportIndex {
     #[inline]
     pub(crate) fn cell(&self, i: usize) -> usize {
         self.cell_of[i] as usize
+    }
+
+    /// Cell id of every view row.
+    pub(crate) fn cell_ids(&self) -> &[u32] {
+        &self.cell_of
     }
 
     /// Number of distinct cells.

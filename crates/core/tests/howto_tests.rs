@@ -250,3 +250,113 @@ fn attributes_over_one_feature_set_train_once() {
     assert!(r.whatif_evals > 4, "{} evaluations", r.whatif_evals);
     assert_eq!(session.stats().estimator_misses, 1);
 }
+
+/// A small table whose candidate domains hit every typed min/max corner:
+/// an Int column with NULLs, a Float column whose zero class is first
+/// seen as `-0.0`, a string column with NULLs, and a Bool column.
+fn domain_corner_db() -> hyper_storage::Database {
+    use hyper_storage::{DataType, Database, Field, Schema, TableBuilder, Value};
+    let schema = Schema::new(vec![
+        Field::nullable("i", DataType::Int),
+        Field::nullable("f", DataType::Float),
+        Field::nullable("s", DataType::Str),
+        Field::new("b", DataType::Bool),
+        Field::new("y", DataType::Float),
+    ])
+    .unwrap();
+    let mut t = TableBuilder::new("d", schema);
+    for i in 0..40i64 {
+        let int = if i % 7 == 3 {
+            Value::Null
+        } else {
+            Value::Int((i * 5) % 11 - 4)
+        };
+        let float = match i {
+            0 => Value::Float(-0.0),
+            1 => Value::Float(0.0),
+            _ if i % 9 == 4 => Value::Null,
+            _ => Value::Float(((i * 3) % 13) as f64 * 0.75),
+        };
+        let s = if i % 8 == 5 {
+            Value::Null
+        } else {
+            ["lo", "mid", "hi"][i as usize % 3].into()
+        };
+        t.push(vec![
+            int,
+            float,
+            s,
+            Value::Bool(i % 2 == 0),
+            Value::Float(i as f64 / 10.0),
+        ])
+        .unwrap();
+    }
+    let mut db = Database::new();
+    db.add_table(t.build()).unwrap();
+    db
+}
+
+/// Candidate lists and L1 costs, pinned bit for bit: the values, their
+/// order and every `l1_cost` were captured before candidate domains read
+/// min/max with a typed kernel instead of a frequency map.
+#[test]
+fn candidate_lists_and_costs_are_pinned() {
+    use hyper_core::howto::candidates::generate_candidates;
+    let db = domain_corner_db();
+    let listed = |text: &str, when: Option<&[bool]>| -> Vec<String> {
+        let q = howto(text);
+        let view = hyper_core::build_relevant_view(&db, &q.use_clause).unwrap();
+        generate_candidates(&view, when, &q, 4)
+            .unwrap()
+            .iter()
+            .flatten()
+            .map(|c| format!("{} {:?} {:#x}", c.attr, c.func, c.l1_cost.to_bits()))
+            .collect()
+    };
+    let when: Vec<bool> = (0..40).map(|i| i % 4 != 0).collect();
+    let all = listed("Use d HowToUpdate i, f, s, b ToMaximize Avg(Post(y))", None);
+    let limited = listed(
+        "Use d HowToUpdate i, f, s Limit 0 <= Post(f) <= 5 And L1(Pre(i), Post(i)) <= 4 \
+         And Post(s) In ('lo', 'zz') ToMaximize Avg(Post(y))",
+        Some(&when),
+    );
+    // The Float domain's minimum is the zero class as first seen: -0.0.
+    let zero = listed(
+        "Use d HowToUpdate f Limit Post(f) <= 0 ToMaximize Avg(Post(y))",
+        None,
+    );
+    assert_eq!(zero, ["f Set(Float(-0.0)) 0x401099999999999a"]);
+    assert_eq!(
+        all,
+        [
+            "i Set(Float(-2.75)) 0x400d4ccccccccccd",
+            "i Set(Float(-0.25)) 0x40054ccccccccccd",
+            "i Set(Float(2.25)) 0x4005333333333333",
+            "i Set(Float(4.75)) 0x400c333333333333",
+            "f Set(Float(1.125)) 0x400b333333333333",
+            "f Set(Float(3.375)) 0x4003400000000000",
+            "f Set(Float(5.625)) 0x4002cccccccccccd",
+            "f Set(Float(7.875)) 0x400a733333333333",
+            "s Set(Str(\"hi\")) 0x3fe7333333333333",
+            "s Set(Str(\"lo\")) 0x3fe599999999999a",
+            "s Set(Str(\"mid\")) 0x3fe7333333333333",
+            "b Set(Bool(false)) 0x3fe0000000000000",
+            "b Set(Bool(true)) 0x3fe0000000000000",
+        ]
+    );
+    assert_eq!(
+        limited,
+        [
+            "i Set(Float(-2.75)) 0x400d888888888889",
+            "i Set(Float(-0.25)) 0x4005cccccccccccd",
+            "i Set(Float(2.25)) 0x4005aaaaaaaaaaab",
+            "i Set(Float(4.75)) 0x400baaaaaaaaaaab",
+            "f Set(Float(0.625)) 0x400c800000000000",
+            "f Set(Float(1.875)) 0x400719999999999a",
+            "f Set(Float(3.125)) 0x4003d55555555555",
+            "f Set(Float(4.375)) 0x4002d55555555555",
+            "s Set(Str(\"lo\")) 0x3fe6666666666666",
+            "s Set(Str(\"zz\")) 0x3ff0000000000000",
+        ]
+    );
+}

@@ -43,6 +43,12 @@ fn tree_seed(seed: u64, tree: usize) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The joint-cell cap of a resident fit over `rows` rows: above it, trees
+/// fit row-wise.
+fn cell_cap(rows: usize) -> usize {
+    (rows / 4).max(64)
+}
+
 /// Hyper-parameters for the forest.
 #[derive(Debug, Clone)]
 pub struct ForestParams {
@@ -151,11 +157,45 @@ impl RandomForest {
     ) -> Result<RandomForest> {
         params.check(x.rows(), y)?;
         let _span = hyper_trace::span(hyper_trace::Phase::ForestTrain);
-        let n = x.rows();
         let mut source = x;
-        match StreamedLayout::attempt(&mut source, MAX_BINS, (n / 4).max(64), usize::MAX)? {
+        let attempt =
+            StreamedLayout::attempt(&mut source, MAX_BINS, cell_cap(x.rows()), usize::MAX)?;
+        Self::fit_attempt(runtime, attempt, y, params)
+    }
+
+    /// Fit on rows given as support cells: `reps` holds one encoded row
+    /// per cell and `cell_of_row[i]` is the cell of row `i`, numbered in
+    /// first-occurrence row order (see [`StreamedLayout::from_cells`]).
+    /// The forest is bit-identical to [`RandomForest::fit_on`] over the
+    /// expanded matrix (row `i` = `reps` row `cell_of_row[i]`), under the
+    /// same cell cap, but only the representatives are ever binned: above
+    /// the cap each row takes its representative's bins.
+    pub fn fit_on_cells(
+        runtime: &HyperRuntime,
+        reps: &Matrix,
+        cell_of_row: &[u32],
+        y: &[f64],
+        params: &ForestParams,
+    ) -> Result<RandomForest> {
+        params.check(cell_of_row.len(), y)?;
+        let _span = hyper_trace::span(hyper_trace::Phase::ForestTrain);
+        let n = cell_of_row.len();
+        let attempt = StreamedLayout::attempt_cells(reps, cell_of_row, MAX_BINS, cell_cap(n))?;
+        Self::fit_attempt(runtime, attempt, y, params)
+    }
+
+    /// Fit over a resident layout attempt: per cell, or row-wise over
+    /// per-row bins above the cell cap.
+    fn fit_attempt(
+        runtime: &HyperRuntime,
+        attempt: Attempt,
+        y: &[f64],
+        params: &ForestParams,
+    ) -> Result<RandomForest> {
+        match attempt {
             Attempt::Cells(layout) => layout.fit_forest(runtime, y, params),
             Attempt::Rows(Some(binned)) => {
+                let n = binned.rows();
                 let tree_params = params.tree_params(binned.cols());
                 grow_trees(runtime, params, |rng| {
                     let idx: Vec<u32> = if params.bootstrap {

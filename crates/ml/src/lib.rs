@@ -34,15 +34,20 @@
 //!   table morsel by morsel, so peak resident bytes are
 //!   O(bins × features + cells) + O(rows) for cell ids and targets, never
 //!   O(rows × width).
+//! * **Support cells**: [`RandomForest::fit_on_cells`] reads one encoded
+//!   representative per cell of identical rows plus each row's cell id
+//!   (`hyper-core` passes its view's §3.3 support index), so only the
+//!   representatives are encoded and binned.
 //!
-//! The layout depends only on the rows, not on the chunking, so both are
-//! **bit-identical** (`f64::to_bits`) for any worker count and chunk
-//! size: splits derive from the same distinct sets, cell ids from the
-//! same first-occurrence order, and each tree's RNG from the same
-//! `(seed, tree_index)` scramble. When the joint cells exceed the cap —
-//! continuous features — [`RandomForest::fit_on`] falls back to row-wise
-//! trees over per-row bins ([`BinnedMatrix`]) derived from pass one's
-//! splits. A streamed build instead returns `None` (also when a feature
+//! The layout depends only on the rows, not on the chunking or the cell
+//! form, so all three are **bit-identical** (`f64::to_bits`) for any
+//! worker count and chunk size: splits derive from the same distinct
+//! sets, cell ids from the same first-occurrence order, and each tree's
+//! RNG from the same `(seed, tree_index)` scramble. When the joint cells
+//! exceed the cap — continuous features — [`RandomForest::fit_on`] falls
+//! back to row-wise trees over per-row bins ([`BinnedMatrix`]) derived
+//! from pass one's splits ([`RandomForest::fit_on_cells`] gives each row
+//! its representative's bins). A streamed build instead returns `None` (also when a feature
 //! exceeds [`STREAM_DISTINCT_CAP`] distinct values), and the caller
 //! materializes the matrix.
 

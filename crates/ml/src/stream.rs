@@ -1,12 +1,26 @@
 //! The cell layout every forest trains through, built in two passes over
-//! a chunked source of encoded rows.
+//! encoded rows.
 //!
-//! A [`TrainChunkSource`] yields encoded feature rows in global row order,
-//! one chunk at a time. A resident [`Matrix`] is a source with a single
-//! chunk — the [`RandomForest::fit_on`] route. `hyper-store`'s
-//! `PagedTrainSource` streams an out-of-core table morsel by morsel, so
-//! its dense encoded matrix (8 B × width per row) never exists. Either
-//! way the layout is built by reading the source twice:
+//! The rows come in one of three forms:
+//!
+//! - **A resident matrix**: a [`Matrix`] is a [`TrainChunkSource`] with a
+//!   single chunk — the [`RandomForest::fit_on`] route.
+//! - **A streamed source**: a [`TrainChunkSource`] yields encoded feature
+//!   rows in global row order, one chunk at a time. `hyper-store`'s
+//!   `PagedTrainSource` streams an out-of-core table morsel by morsel, so
+//!   its dense encoded matrix (8 B × width per row) never exists.
+//! - **Support cells** ([`StreamedLayout::from_cells`],
+//!   [`RandomForest::fit_on_cells`]): one encoded representative row per
+//!   cell of identical raw rows, plus each row's cell id — the §3.3
+//!   support index of `hyper-core`'s relevant view. Every row encodes
+//!   like its representative, so both passes read the representatives
+//!   alone (the distinct sets, hence the splits, are the same), and rows
+//!   reach the layout through one `u32` remap each. Cells numbered in
+//!   first-occurrence row order number the layout's joint cells in
+//!   first-occurrence order too, so the layout equals the one built from
+//!   the expanded matrix.
+//!
+//! Either way the layout is built by reading the rows twice:
 //!
 //! 1. **Pass one** merges each feature's *exact* distinct-value set
 //!    across chunks (sorted by `total_cmp`, deduplicated) and derives the
@@ -32,13 +46,16 @@
 //! ## Determinism contract
 //!
 //! The layout depends only on the concatenated rows, never on how they
-//! are chunked: the distinct sets (hence splits) and the first-occurrence
-//! cell ids are the same for one chunk or many, and each tree's RNG
+//! are chunked or whether they arrive as support cells: the distinct sets
+//! (hence splits) and the first-occurrence cell ids are the same for one
+//! chunk, many, or the representatives of the cells, and each tree's RNG
 //! derives from `(seed, tree_index)`. So a forest fitted over a streamed
-//! source is **bit-identical** (`f64::to_bits`) to
+//! source or over support cells is **bit-identical** (`f64::to_bits`) to
 //! [`RandomForest::fit_on`] over the collected matrix, for any worker
 //! count and any chunk size. `hyper-store`'s `prop_stream_train` suite
-//! checks this across workers × chunk sizes × paging budgets.
+//! checks this across workers × chunk sizes × paging budgets; this
+//! module's tests check the support-cell form over shuffled rows, cells
+//! sharing a bin, and the cell cap.
 
 use std::collections::HashMap;
 
@@ -157,83 +174,104 @@ impl StreamedLayout {
     ) -> Result<Attempt> {
         let max_bins = max_bins.clamp(2, crate::hist::MAX_BINS);
         let n = source.num_rows();
-        let d = source.num_cols();
         let mut stats = TrainStreamStats::default();
         let Some(features) = split_pass(source, max_bins, distinct_cap, &mut stats)? else {
             return Ok(Attempt::TooManyDistinct);
         };
-        let splits_bytes: u64 = features.iter().map(|f| f.splits().len() as u64 * 8).sum();
-
-        // Pass two: bin each chunk against the fixed splits, column by
-        // column, and number the joint cells in first-occurrence row order.
-        let mut key = vec![0u8; d];
-        let mut ids: HashMap<Vec<u8>, u32> = HashMap::new();
-        let mut cell_of_row: Vec<u32> = Vec::with_capacity(n);
-        let mut cell_bins: Vec<Vec<u8>> = vec![Vec::new(); d];
-        let mut chunk_bins: Vec<Vec<u8>> = vec![Vec::new(); d];
-        let mut chunk_rows = 0;
-        let mut too_many_cells = false;
-        source.for_each_chunk(&mut |chunk| {
-            check_width(chunk, d)?;
-            stats.chunks_streamed += 1;
-            if too_many_cells {
-                return Ok(());
-            }
-            chunk_rows = chunk.rows();
-            for (f, bins) in chunk_bins.iter_mut().enumerate() {
-                let splits = features[f].splits();
-                bins.clear();
-                bins.extend((0..chunk_rows).map(|i| bin_value(splits, chunk.get(i, f))));
-            }
-            for i in 0..chunk_rows {
-                for (k, bins) in key.iter_mut().zip(&chunk_bins) {
-                    *k = bins[i];
-                }
-                let id = match ids.get(key.as_slice()) {
-                    Some(&id) => id,
-                    None if ids.len() == max_cells => {
-                        too_many_cells = true;
-                        return Ok(());
-                    }
-                    None => {
-                        let id = ids.len() as u32;
-                        ids.insert(key.clone(), id);
-                        for (bins, &k) in cell_bins.iter_mut().zip(&key) {
-                            bins.push(k);
-                        }
-                        id
-                    }
-                };
-                cell_of_row.push(id);
-            }
-            let resident = splits_bytes
-                + cell_of_row.len() as u64 * 4
-                + ids.len() as u64 * (d as u64 + 48)
-                + (ids.len() * d) as u64
-                + (chunk_rows * d) as u64 * 9;
-            stats.peak_resident_bytes = stats.peak_resident_bytes.max(resident);
-            Ok(())
-        })?;
-        if too_many_cells {
+        let pass = cell_pass(source, &features, max_cells, &mut stats)?;
+        if pass.too_many_cells {
             // A source read as one chunk leaves every row's bins behind:
             // the row-wise trainer's input, binned once.
-            let binned = (chunk_rows == n).then(|| {
-                let features = features.into_iter().zip(chunk_bins);
+            let binned = (pass.chunk_rows == n).then(|| {
+                let features = features.into_iter().zip(pass.chunk_bins);
                 let features = features.map(|(f, bins)| f.with_bins(bins)).collect();
                 BinnedMatrix::from_features(features, n)
             });
             return Ok(Attempt::Rows(binned));
         }
-        if cell_of_row.len() != n {
+        if pass.cell_of_row.len() != n {
             return Err(MlError::InvalidInput(format!(
                 "source streamed {} rows, declared {n}",
-                cell_of_row.len()
+                pass.cell_of_row.len()
             )));
         }
-        let num_cells = ids.len();
         Ok(Attempt::Cells(StreamedLayout {
             binned: BinnedMatrix::from_features(features, n),
-            cells: CellIndex::from_parts(cell_of_row, cell_bins, num_cells),
+            cells: CellIndex::from_parts(pass.cell_of_row, pass.cell_bins, pass.num_cells),
+            rows: n,
+            stats,
+        }))
+    }
+
+    /// Build the layout from support cells: `reps` holds one encoded row
+    /// per cell (cell `c`'s representative is row `c`), and
+    /// `cell_of_row[i]` is the cell of row `i`. Cells must be numbered in
+    /// first-occurrence row order — the first row of cell `c + 1` comes
+    /// after the first row of cell `c` — and every cell must hold a row;
+    /// anything else is an `InvalidInput` error.
+    ///
+    /// Both passes read the representatives only: every row of a cell
+    /// encodes, and so bins, exactly like its representative, so the
+    /// distinct sets (hence splits) are those of the expanded rows, and
+    /// numbering bin vectors in representative order is numbering them in
+    /// first-occurrence row order. The layout is therefore the one
+    /// [`StreamedLayout::build`] derives from the expanded matrix, found
+    /// in O(cells) binning plus one `u32` remap per row. Returns
+    /// `Ok(None)` when `cell_of_row` is empty or the joint cells exceed
+    /// `max_cells`.
+    pub fn from_cells(
+        reps: &Matrix,
+        cell_of_row: &[u32],
+        max_bins: usize,
+        max_cells: usize,
+    ) -> Result<Option<StreamedLayout>> {
+        if cell_of_row.is_empty() {
+            return Ok(None);
+        }
+        let _span = hyper_trace::span(hyper_trace::Phase::ForestTrain);
+        Ok(
+            match Self::attempt_cells(reps, cell_of_row, max_bins, max_cells)? {
+                Attempt::Cells(layout) => Some(layout),
+                Attempt::Rows(_) | Attempt::TooManyDistinct => None,
+            },
+        )
+    }
+
+    /// [`StreamedLayout::from_cells`], keeping the per-row bins when the
+    /// joint cells exceed `max_cells` (each row takes its
+    /// representative's), for the row-wise trainer.
+    pub(crate) fn attempt_cells(
+        reps: &Matrix,
+        cell_of_row: &[u32],
+        max_bins: usize,
+        max_cells: usize,
+    ) -> Result<Attempt> {
+        check_first_occurrence(cell_of_row, reps.rows())?;
+        let max_bins = max_bins.clamp(2, crate::hist::MAX_BINS);
+        let n = cell_of_row.len();
+        let mut stats = TrainStreamStats::default();
+        let mut source = reps;
+        let features = split_pass(&mut source, max_bins, usize::MAX, &mut stats)?
+            .expect("a resident matrix has no distinct cap");
+        let pass = cell_pass(&mut source, &features, max_cells, &mut stats)?;
+        if pass.too_many_cells {
+            let features = features.into_iter().zip(pass.chunk_bins);
+            let features = features
+                .map(|(f, rep_bins)| {
+                    f.with_bins(cell_of_row.iter().map(|&c| rep_bins[c as usize]).collect())
+                })
+                .collect();
+            return Ok(Attempt::Rows(Some(BinnedMatrix::from_features(
+                features, n,
+            ))));
+        }
+        // Pass two numbered the representatives' bin vectors: the layout
+        // cell of each support cell.
+        let remap = pass.cell_of_row;
+        let cell_of_row = cell_of_row.iter().map(|&c| remap[c as usize]).collect();
+        Ok(Attempt::Cells(StreamedLayout {
+            binned: BinnedMatrix::from_features(features, n),
+            cells: CellIndex::from_parts(cell_of_row, pass.cell_bins, pass.num_cells),
             rows: n,
             stats,
         }))
@@ -336,6 +374,111 @@ fn split_pass<S: TrainChunkSource + ?Sized>(
             .map(|dv| BinnedFeature::from_splits(splits_from_distinct(dv, max_bins)))
             .collect(),
     ))
+}
+
+/// What pass two found.
+struct CellPass {
+    /// Cell id of each row streamed before the cap was hit.
+    cell_of_row: Vec<u32>,
+    /// Per-feature bin id of each cell (`cell_bins[f][cell]`).
+    cell_bins: Vec<Vec<u8>>,
+    num_cells: usize,
+    /// Per-feature bins of the last chunk read (of every row, for a
+    /// one-chunk source).
+    chunk_bins: Vec<Vec<u8>>,
+    chunk_rows: usize,
+    /// The joint cells passed `max_cells`; the pass stopped there.
+    too_many_cells: bool,
+}
+
+/// Pass two: bin each chunk against the fixed splits, column by column,
+/// and number the joint cells in first-occurrence row order, stopping at
+/// the first cell past `max_cells`.
+fn cell_pass<S: TrainChunkSource + ?Sized>(
+    source: &mut S,
+    features: &[BinnedFeature],
+    max_cells: usize,
+    stats: &mut TrainStreamStats,
+) -> Result<CellPass> {
+    let d = source.num_cols();
+    let splits_bytes: u64 = features.iter().map(|f| f.splits().len() as u64 * 8).sum();
+    let mut key = vec![0u8; d];
+    let mut ids: HashMap<Vec<u8>, u32> = HashMap::new();
+    let mut pass = CellPass {
+        cell_of_row: Vec::with_capacity(source.num_rows()),
+        cell_bins: vec![Vec::new(); d],
+        num_cells: 0,
+        chunk_bins: vec![Vec::new(); d],
+        chunk_rows: 0,
+        too_many_cells: false,
+    };
+    source.for_each_chunk(&mut |chunk| {
+        check_width(chunk, d)?;
+        stats.chunks_streamed += 1;
+        if pass.too_many_cells {
+            return Ok(());
+        }
+        let chunk_rows = chunk.rows();
+        pass.chunk_rows = chunk_rows;
+        for (f, bins) in pass.chunk_bins.iter_mut().enumerate() {
+            let splits = features[f].splits();
+            bins.clear();
+            bins.extend((0..chunk_rows).map(|i| bin_value(splits, chunk.get(i, f))));
+        }
+        for i in 0..chunk_rows {
+            for (k, bins) in key.iter_mut().zip(&pass.chunk_bins) {
+                *k = bins[i];
+            }
+            let id = match ids.get(key.as_slice()) {
+                Some(&id) => id,
+                None if ids.len() == max_cells => {
+                    pass.too_many_cells = true;
+                    return Ok(());
+                }
+                None => {
+                    let id = ids.len() as u32;
+                    ids.insert(key.clone(), id);
+                    for (bins, &k) in pass.cell_bins.iter_mut().zip(&key) {
+                        bins.push(k);
+                    }
+                    id
+                }
+            };
+            pass.cell_of_row.push(id);
+        }
+        let resident = splits_bytes
+            + pass.cell_of_row.len() as u64 * 4
+            + ids.len() as u64 * (d as u64 + 48)
+            + (ids.len() * d) as u64
+            + (chunk_rows * d) as u64 * 9;
+        stats.peak_resident_bytes = stats.peak_resident_bytes.max(resident);
+        Ok(())
+    })?;
+    pass.num_cells = ids.len();
+    Ok(pass)
+}
+
+/// Support cells must be numbered in first-occurrence row order, each of
+/// the `reps` cells holding at least one row: cell `c` may first appear
+/// only once cells `0..c` have.
+fn check_first_occurrence(cell_of_row: &[u32], reps: usize) -> Result<()> {
+    let mut seen = 0usize;
+    for (i, &c) in cell_of_row.iter().enumerate() {
+        let c = c as usize;
+        if c == seen && c < reps {
+            seen += 1;
+        } else if c > seen || c >= reps {
+            return Err(MlError::InvalidInput(format!(
+                "row {i} is in cell {c}, but only cells 0..{seen} of {reps} have appeared"
+            )));
+        }
+    }
+    if seen != reps {
+        return Err(MlError::InvalidInput(format!(
+            "{reps} representatives, but rows fill only {seen} cells"
+        )));
+    }
+    Ok(())
 }
 
 /// Every chunk must be exactly as wide as the source declares: a
@@ -537,6 +680,155 @@ mod tests {
                 other.map(|l| l.is_some())
             ),
         }
+    }
+
+    /// The support cells of `x`'s rows, numbered in first-occurrence
+    /// order by exact bits: one representative row per cell and the cell
+    /// of each row.
+    fn support_cells(x: &Matrix) -> (Matrix, Vec<u32>) {
+        let mut ids: HashMap<Vec<u64>, u32> = HashMap::new();
+        let mut reps = Matrix::zeros(0, 0);
+        let cells = (0..x.rows())
+            .map(|i| {
+                let key = x.row(i).iter().map(|v| v.to_bits()).collect();
+                let next = ids.len() as u32;
+                *ids.entry(key).or_insert_with(|| {
+                    reps.push_row(x.row(i)).unwrap();
+                    next
+                })
+            })
+            .collect();
+        (reps, cells)
+    }
+
+    /// `x` with its rows in a seeded random order, and `y` to match.
+    fn shuffled(x: &Matrix, y: &[f64], seed: u64) -> (Matrix, Vec<f64>) {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let mut order: Vec<usize> = (0..x.rows()).collect();
+        order.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+        let data = order.iter().flat_map(|&i| x.row(i).iter().copied());
+        let xs = Matrix::from_vec(x.rows(), x.cols(), data.collect()).unwrap();
+        (xs, order.iter().map(|&i| y[i]).collect())
+    }
+
+    /// `fit_on_cells` over `x`'s support cells predicts every row of `x`
+    /// with the bits of `fit_on` over `x` itself.
+    fn assert_cells_fit_matches(x: &Matrix, y: &[f64], what: &str) {
+        let params = ForestParams {
+            n_trees: 6,
+            seed: 17,
+            ..Default::default()
+        };
+        let rt = HyperRuntime::with_workers(0);
+        let (reps, cells) = support_cells(x);
+        let resident = RandomForest::fit_on(&rt, x, y, &params).unwrap();
+        let from_cells = RandomForest::fit_on_cells(&rt, &reps, &cells, y, &params).unwrap();
+        for i in 0..x.rows() {
+            assert_eq!(
+                resident.predict_row(x.row(i)).to_bits(),
+                from_cells.predict_row(x.row(i)).to_bits(),
+                "{what}: row {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn cells_fit_matches_the_expanded_matrix_over_shuffled_rows() {
+        let (x, y) = encoded(600);
+        for seed in [1, 2, 3] {
+            let (xs, ys) = shuffled(&x, &y, seed);
+            assert_cells_fit_matches(&xs, &ys, &format!("shuffle {seed}"));
+        }
+        // The layouts agree cell for cell: same count, same row cells.
+        let (xs, _) = shuffled(&x, &y, 4);
+        let (reps, cells) = support_cells(&xs);
+        let cap = 600 / 4;
+        let expanded = StreamedLayout::build(&mut &xs, crate::hist::MAX_BINS, cap)
+            .unwrap()
+            .unwrap();
+        let layout = StreamedLayout::from_cells(&reps, &cells, crate::hist::MAX_BINS, cap)
+            .unwrap()
+            .unwrap();
+        assert_eq!(layout.rows(), 600);
+        assert_eq!(layout.num_cells(), expanded.num_cells());
+        assert_eq!(layout.cells.cell_of_row(), expanded.cells.cell_of_row());
+        for f in 0..xs.cols() {
+            assert_eq!(layout.cells.cell_bins(f), expanded.cells.cell_bins(f));
+            assert_eq!(
+                layout.binned.feature(f).splits(),
+                expanded.binned.feature(f).splits()
+            );
+        }
+    }
+
+    #[test]
+    fn support_cells_sharing_a_bin_share_a_layout_cell() {
+        // 600 distinct values thin to MAX_BINS bins, so several support
+        // cells fall into one layout cell; a second, binary feature keeps
+        // the joint cells under the cap.
+        let n = 4000;
+        let data = (0..n).flat_map(|i| [((i * 7) % 600) as f64 / 7.0, (i % 2) as f64]);
+        let x = Matrix::from_vec(n, 2, data.collect()).unwrap();
+        let y: Vec<f64> = (0..n).map(|i| ((i * 7) % 600) as f64 / 100.0).collect();
+        let (reps, cells) = support_cells(&x);
+        assert_eq!(reps.rows(), 600);
+        let layout = StreamedLayout::from_cells(&reps, &cells, crate::hist::MAX_BINS, n / 4)
+            .unwrap()
+            .expect("binned cells stay under the cap");
+        assert!(layout.num_cells() < reps.rows(), "{}", layout.num_cells());
+        let (xs, ys) = shuffled(&x, &y, 9);
+        assert_cells_fit_matches(&xs, &ys, "wide feature");
+    }
+
+    #[test]
+    fn cells_decline_exactly_where_the_expanded_matrix_does() {
+        let (x, _) = encoded(500);
+        let (reps, cells) = support_cells(&x);
+        let joint = StreamedLayout::build(&mut &x, crate::hist::MAX_BINS, 500)
+            .unwrap()
+            .unwrap()
+            .num_cells();
+        for cap in [joint - 1, joint, joint + 1] {
+            let expanded = StreamedLayout::build(&mut &x, crate::hist::MAX_BINS, cap).unwrap();
+            let layout = StreamedLayout::from_cells(&reps, &cells, crate::hist::MAX_BINS, cap);
+            assert_eq!(
+                layout.unwrap().is_some(),
+                expanded.is_some(),
+                "cap {cap} of {joint}"
+            );
+            assert_eq!(expanded.is_some(), cap >= joint);
+        }
+        // Above the forest's cap (continuous values with repeats), both
+        // fit row-wise over the same per-row bins.
+        let n = 400;
+        let data = (0..n).map(|i| ((i * 37) % 300) as f64 / 3.0);
+        let x = Matrix::from_vec(n, 1, data.collect()).unwrap();
+        let y: Vec<f64> = (0..n).map(|i| (i % 5) as f64).collect();
+        let (reps, cells) = support_cells(&x);
+        assert!(
+            StreamedLayout::from_cells(&reps, &cells, crate::hist::MAX_BINS, n / 4)
+                .unwrap()
+                .is_none()
+        );
+        assert_cells_fit_matches(&x, &y, "row-wise");
+    }
+
+    #[test]
+    fn cells_out_of_first_occurrence_order_are_rejected() {
+        let reps = Matrix::from_vec(2, 1, vec![0.0, 1.0]).unwrap();
+        for cells in [&[1u32, 0, 1][..], &[0, 2, 1], &[0, 0, 0]] {
+            match StreamedLayout::from_cells(&reps, cells, crate::hist::MAX_BINS, 64) {
+                Err(MlError::InvalidInput(_)) => {}
+                other => panic!("{cells:?}: {:?}", other.map(|l| l.is_some())),
+            }
+        }
+        assert!(StreamedLayout::from_cells(&reps, &[0, 1, 0], 255, 64)
+            .unwrap()
+            .is_some());
+        assert!(StreamedLayout::from_cells(&reps, &[], 255, 64)
+            .unwrap()
+            .is_none());
     }
 
     #[test]

@@ -124,6 +124,70 @@ impl ColumnStats {
         })
     }
 
+    /// The `(min, max)` that [`ColumnStats::compute`] reports for `col`,
+    /// read in one pass with no frequency map: `None` when every value is
+    /// NULL. Floats compare as `compute`'s classes do — `-0.0` and `0.0`
+    /// are one class, as are all NaNs, each standing as its first value in
+    /// row order — ordered by `total_cmp`.
+    pub fn min_max(col: &Column) -> Option<(Value, Value)> {
+        let nulls = col.nulls();
+        let valid = |i: &usize| !nulls.is_null(*i);
+        let rows = 0..col.len();
+        match col {
+            Column::Int { values, .. } => {
+                let mut valid_values = rows.filter(valid).map(|i| values[i]);
+                let first = valid_values.next()?;
+                let (lo, hi) =
+                    valid_values.fold((first, first), |(lo, hi), x| (lo.min(x), hi.max(x)));
+                Some((Value::Int(lo), Value::Int(hi)))
+            }
+            Column::Float { values, .. } => {
+                let (mut zero, mut nan) = (None, None);
+                let mut ends: Option<(f64, f64)> = None;
+                for x in rows.filter(valid).map(|i| values[i]) {
+                    if x == 0.0 {
+                        zero.get_or_insert(x);
+                    } else if x.is_nan() {
+                        nan.get_or_insert(x);
+                    } else {
+                        ends = Some(ends.map_or((x, x), |(lo, hi)| {
+                            (
+                                if x.total_cmp(&lo).is_lt() { x } else { lo },
+                                if x.total_cmp(&hi).is_gt() { x } else { hi },
+                            )
+                        }));
+                    }
+                }
+                let (lo, hi) = ends.unzip();
+                let classes = [lo, hi, zero, nan].into_iter().flatten();
+                let min = classes.clone().min_by(f64::total_cmp)?;
+                let max = classes.max_by(f64::total_cmp)?;
+                Some((Value::Float(min), Value::Float(max)))
+            }
+            Column::Bool { values, .. } => {
+                let mut seen = [false; 2];
+                for i in rows.filter(valid) {
+                    seen[usize::from(values[i])] = true;
+                }
+                let lo = seen.iter().position(|&s| s)?;
+                let hi = seen.iter().rposition(|&s| s)?;
+                Some((Value::Bool(lo == 1), Value::Bool(hi == 1)))
+            }
+            Column::Str { codes, dict, .. } => {
+                let mut seen = vec![false; dict.len()];
+                for i in rows.filter(valid) {
+                    seen[codes[i] as usize] = true;
+                }
+                let present = (0..dict.len() as u32)
+                    .filter(|&c| seen[c as usize])
+                    .map(|c| dict.get(c));
+                let lo = present.clone().min()?;
+                let hi = present.max()?;
+                Some((Value::Str(Arc::clone(lo)), Value::Str(Arc::clone(hi))))
+            }
+        }
+    }
+
     /// Number of distinct non-NULL values.
     pub fn num_distinct(&self) -> usize {
         self.distinct.len()
@@ -355,6 +419,74 @@ mod tests {
             matches!(v, Value::Float(x) if x.to_bits() == (-0.0f64).to_bits()) && *n == 2
         }));
         assert!(f.mean.unwrap().is_nan());
+    }
+
+    #[test]
+    fn typed_min_max_matches_compute() {
+        let neg_nan = f64::from_bits(f64::NAN.to_bits() | (1 << 63));
+        let nan2 = f64::from_bits(f64::NAN.to_bits() | 1);
+        let columns: Vec<(DataType, Vec<Value>)> = vec![
+            (
+                DataType::Int,
+                vec![Value::Null, 3.into(), (-4).into(), Value::Null, 9.into()],
+            ),
+            (DataType::Int, vec![Value::Int(7)]),
+            (DataType::Int, vec![Value::Null, Value::Null]),
+            (
+                DataType::Float,
+                vec![Value::Float(-0.0), 2.5.into(), Value::Null, 0.0.into()],
+            ),
+            (
+                DataType::Float,
+                vec![Value::Float(0.0), Value::Float(-0.0), Value::Float(0.0)],
+            ),
+            (DataType::Float, vec![Value::Float(-0.0), (-1.0).into()]),
+            (
+                DataType::Float,
+                vec![f64::NAN.into(), 1.0.into(), nan2.into(), Value::Null],
+            ),
+            (
+                DataType::Float,
+                vec![nan2.into(), neg_nan.into(), 5.0.into()],
+            ),
+            (
+                DataType::Float,
+                vec![neg_nan.into(), f64::NAN.into(), (-3.0).into()],
+            ),
+            (
+                DataType::Float,
+                vec![f64::NEG_INFINITY.into(), f64::INFINITY.into(), Value::Null],
+            ),
+            (DataType::Float, vec![Value::Float(1.5)]),
+            (DataType::Float, vec![Value::Null]),
+            (DataType::Bool, vec![true.into(), Value::Null, false.into()]),
+            (DataType::Bool, vec![true.into(), true.into()]),
+            (DataType::Bool, vec![Value::Null, false.into()]),
+            (DataType::Bool, vec![Value::Null]),
+            (
+                DataType::Str,
+                vec!["m".into(), Value::Null, "b".into(), "z".into()],
+            ),
+            (DataType::Str, vec![Value::Null]),
+        ];
+        for (k, (dt, values)) in columns.into_iter().enumerate() {
+            let schema = Schema::new(vec![Field::nullable("v", dt)]).unwrap();
+            let mut t = crate::table::TableBuilder::new("t", schema);
+            for v in values {
+                t.push(vec![v]).unwrap();
+            }
+            let t = t.build();
+            let want = ColumnStats::compute(&t, "v").unwrap();
+            let got = ColumnStats::min_max(t.column(0));
+            assert_eq!(
+                got.as_ref().map(|(lo, hi)| (exact(lo), exact(hi))),
+                want.min
+                    .as_ref()
+                    .zip(want.max.as_ref())
+                    .map(|(lo, hi)| (exact(lo), exact(hi))),
+                "column {k}"
+            );
+        }
     }
 
     #[test]
