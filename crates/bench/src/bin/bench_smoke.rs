@@ -57,8 +57,8 @@ use std::time::Duration;
 use hyper_bench::storage_baseline::{
     encode_row_reference, encoder_columns, filter_row_reference, german_predicate,
 };
-use hyper_bench::time_avg;
-use hyper_core::{evaluate_whatif, EngineConfig, HyperSession, SharedArtifactStore};
+use hyper_bench::{cold_session, time_avg};
+use hyper_core::{EngineConfig, HyperSession, SharedArtifactStore};
 use hyper_ingest::DeltaBatch;
 use hyper_ml::{ForestParams, Matrix, RandomForest, RegressionTree, TableEncoder, TreeParams};
 use hyper_runtime::HyperRuntime;
@@ -327,7 +327,8 @@ fn main() {
         Some(secs_to_us(train_ref_t)),
     ));
 
-    // Session: cold single-shot what-if vs prepared over a warm cache.
+    // Session: cold what-if (a fresh isolated session per call) vs
+    // prepared over a warm cache.
     let q = match hyper_query::parse_query(
         "Use german_syn Update(status) = 3 Output Count(Post(credit) = 'Good')",
     )
@@ -337,12 +338,17 @@ fn main() {
         _ => unreachable!(),
     };
     let config = EngineConfig::hyper();
+    let db = Arc::new(data.db.clone());
+    let graph = Arc::new(data.graph.clone());
     let cold_reps = reps.clamp(1, 3);
     let cold_t = time_avg(cold_reps, || {
-        evaluate_whatif(&data.db, Some(&data.graph), &config, &q).unwrap()
+        cold_session(&db, &graph, &config)
+            .build()
+            .whatif(&q)
+            .unwrap()
     });
-    let session = HyperSession::builder(data.db.clone())
-        .graph(data.graph.clone())
+    let session = HyperSession::builder(Arc::clone(&db))
+        .graph(Arc::clone(&graph))
         .config(config)
         .build();
     let prepared = session.prepare(&q).unwrap();
@@ -404,8 +410,6 @@ fn main() {
     // forest from `HYPR1` artifact files instead of rebuilding them.
     let persist = std::env::temp_dir().join(format!("hyper_bench_warm_{}", std::process::id()));
     std::fs::remove_dir_all(&persist).ok();
-    let db = Arc::new(data.db.clone());
-    let graph = Arc::new(data.graph.clone());
     let restarted_session = || {
         HyperSession::builder(Arc::clone(&db))
             .graph(Arc::clone(&graph))
@@ -531,7 +535,8 @@ fn main() {
     // paging tier. Same generator, same query, only the row count moves.
     drop((x, y, forest));
     let big = hyper_datasets::german_syn(big_rows, 1);
-    let bt = big.db.table("german_syn").unwrap().clone();
+    let (big_db, big_graph) = (Arc::new(big.db), Arc::new(big.graph));
+    let bt = big_db.table("german_syn").unwrap().clone();
     let big_reps = reps.clamp(1, 2);
 
     // Storage: morsel-parallel filter vs the same scan forced into a
@@ -700,7 +705,10 @@ fn main() {
     // Session: cold what-if at the big scale point. Gated below against
     // 1.5× linear scaling of the 10k measurement (≤150× at the full 1M).
     let big_cold_t = time_avg(big_reps, || {
-        evaluate_whatif(&big.db, Some(&big.graph), &EngineConfig::hyper(), &q).unwrap()
+        cold_session(&big_db, &big_graph, &EngineConfig::hyper())
+            .build()
+            .whatif(&q)
+            .unwrap()
     });
     entries.push(Entry::new(
         "whatif_cold_german_1m",
@@ -711,7 +719,7 @@ fn main() {
     // Serving at the big scale point: fewer requests (each response is
     // the same size; the tenant just carries 100× the rows), with tail
     // latency recorded alongside throughput.
-    let serve_1m = serve_run(&big.db, &big.graph, "1m", SERVE_TEXT, 4, 25);
+    let serve_1m = serve_run(&big_db, &big_graph, "1m", SERVE_TEXT, 4, 25);
     let mut e = Entry::new("serve_qps_german_1m", serve_1m.mean_us, None);
     e.extra = vec![("p50_us", serve_1m.p50_us), ("p99_us", serve_1m.p99_us)];
     entries.push(e);

@@ -7,13 +7,15 @@
 //! cargo run --release -p hyper-bench --bin fig11 [--quick]
 //! ```
 
-//! Times the *cold* single-shot evaluation path, as the paper's figures
-//! do — a session cache would collapse the repeated runs into cache hits.
+//! Times *cold* queries, as the paper's figures do: every timed call runs
+//! on a fresh isolated session, so it pays its own view build and
+//! training — a shared session cache would collapse the repeated runs
+//! into cache hits.
 
-use hyper_bench::{pad_with_noise, print_table, secs, time_avg, Flags};
-use hyper_core::howto::baseline::evaluate_howto_bruteforce;
-use hyper_core::howto::optimizer::evaluate_howto;
-use hyper_core::{evaluate_whatif, EngineConfig, HowToOptions};
+use std::sync::Arc;
+
+use hyper_bench::{cold_session, pad_with_noise, print_table, secs, time_avg, Flags};
+use hyper_core::{EngineConfig, HowToOptions};
 
 fn main() {
     let flags = Flags::parse();
@@ -25,6 +27,7 @@ fn main() {
     let mut db = data.db.clone();
     let mut graph = data.graph.clone();
     pad_with_noise(&mut db, &mut graph, "student", 10, 42);
+    let (db, graph) = (Arc::new(db), Arc::new(graph));
 
     let view = "
         Use (Select S.sid, S.age, S.country, S.attendance,
@@ -40,6 +43,12 @@ fn main() {
     // -------- (a) what-if: attributes in For --------
     let reps = if flags.quick { 1 } else { 2 };
     let config = EngineConfig::hyper();
+    let whatif = |q: &hyper_query::WhatIfQuery| {
+        cold_session(&db, &graph, &config)
+            .build()
+            .whatif(q)
+            .expect("query evaluates")
+    };
     let mut rows = Vec::new();
     for k in [0usize, 2, 5, 8, 10] {
         let mut conds: Vec<String> = (0..k).map(|i| format!("Pre(pad_{i}) >= 0")).collect();
@@ -55,10 +64,8 @@ fn main() {
             hyper_query::HypotheticalQuery::WhatIf(w) => w,
             _ => unreachable!(),
         };
-        let d = time_avg(reps, || {
-            evaluate_whatif(&db, Some(&graph), &config, &parsed).expect("query evaluates")
-        });
-        let r = evaluate_whatif(&db, Some(&graph), &config, &parsed).expect("query evaluates");
+        let d = time_avg(reps, || whatif(&parsed));
+        let r = whatif(&parsed);
         rows.push(vec![
             k.to_string(),
             d.as_secs_f64().to_string()[..6.min(d.as_secs_f64().to_string().len())].to_string(),
@@ -96,17 +103,18 @@ fn main() {
             buckets: 3,
             max_attrs_updated: None,
         };
-        let (ip, ip_d) = hyper_bench::time(|| {
-            evaluate_howto(&db, Some(&graph), &config, &parsed, &opts).expect("IP solves")
-        });
+        let session = || {
+            cold_session(&db, &graph, &config)
+                .howto_options(opts.clone())
+                .build()
+        };
+        let (ip, ip_d) = hyper_bench::time(|| session().howto(&parsed).expect("IP solves"));
         // Opt-HowTo enumerates (buckets+1)^k combinations — cap the sweep
         // where it stays tractable, mirroring the paper's ">90 minutes for
         // 10 attributes" observation without burning the harness budget.
         let brute_cell = if (4usize).pow(k as u32) <= 300 || flags.full {
-            let (b, d) = hyper_bench::time(|| {
-                evaluate_howto_bruteforce(&db, Some(&graph), &config, &parsed, &opts)
-                    .expect("enumerates")
-            });
+            let (b, d) =
+                hyper_bench::time(|| session().howto_bruteforce(&parsed).expect("enumerates"));
             format!("{} ({} evals)", secs(d), b.whatif_evals)
         } else {
             let evals = (4usize).pow(k as u32);

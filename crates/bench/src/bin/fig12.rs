@@ -6,7 +6,12 @@
 //! cargo run --release -p hyper-bench --bin fig12 [--quick|--full]
 //! ```
 
-use hyper_bench::{print_table, secs, time, Flags};
+//! Every timed call runs on a fresh isolated session, so each query pays
+//! its own view build and training.
+
+use std::sync::Arc;
+
+use hyper_bench::{cold_session, print_table, secs, time, Flags};
 use hyper_core::{EngineConfig, HowToOptions};
 
 const WHATIF_QUERIES: &[&str] = &[
@@ -32,18 +37,15 @@ fn main() {
     let mut rows = Vec::new();
     for &n in &sizes {
         let data = hyper_datasets::german_syn(n, 21);
+        let (db, graph) = (Arc::new(data.db), Arc::new(data.graph));
         let mut cells = vec![n.to_string()];
         for (label, config) in [
             ("HypeR", EngineConfig::hyper()),
             ("HypeR-sampled", EngineConfig::hyper_sampled(cap)),
             ("Indep", EngineConfig::indep()),
         ] {
-            // Cold single-shot path: each query pays its own view build +
-            // training, as the figure's per-query times require.
-            let graph = match config.backdoor {
-                hyper_core::BackdoorMode::FromGraph => Some(&data.graph),
-                _ => None,
-            };
+            // Cold queries: each pays its own view build + training, as
+            // the figure's per-query times require.
             let mut total = std::time::Duration::ZERO;
             for q in WHATIF_QUERIES {
                 let parsed = match hyper_query::parse_query(q).unwrap() {
@@ -51,7 +53,9 @@ fn main() {
                     _ => unreachable!(),
                 };
                 let (_, d) = time(|| {
-                    hyper_core::evaluate_whatif(&data.db, graph, &config, &parsed)
+                    cold_session(&db, &graph, &config)
+                        .build()
+                        .whatif(&parsed)
                         .expect("query evaluates")
                 });
                 total += d;
@@ -84,30 +88,22 @@ fn main() {
     let mut rows = Vec::new();
     for &n in &sizes {
         let data = hyper_datasets::german_syn(n, 22);
+        let (db, graph) = (Arc::new(data.db), Arc::new(data.graph));
+        let session = |config: &EngineConfig| {
+            cold_session(&db, &graph, config)
+                .howto_options(opts.clone())
+                .build()
+        };
         let mut cells = vec![n.to_string()];
         for config in [EngineConfig::hyper(), EngineConfig::hyper_sampled(cap)] {
-            let (_, d) = time(|| {
-                hyper_core::howto::optimizer::evaluate_howto(
-                    &data.db,
-                    Some(&data.graph),
-                    &config,
-                    &q,
-                    &opts,
-                )
-                .expect("how-to evaluates")
-            });
+            let (_, d) = time(|| session(&config).howto(&q).expect("how-to evaluates"));
             cells.push(secs(d));
         }
         // Opt-HowTo on the same (small) candidate space, also cold.
         let (_, d) = time(|| {
-            hyper_core::howto::baseline::evaluate_howto_bruteforce(
-                &data.db,
-                Some(&data.graph),
-                &EngineConfig::hyper(),
-                &q,
-                &opts,
-            )
-            .expect("enumerates")
+            session(&EngineConfig::hyper())
+                .howto_bruteforce(&q)
+                .expect("enumerates")
         });
         cells.push(secs(d));
         rows.push(cells);

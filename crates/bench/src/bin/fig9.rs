@@ -8,7 +8,9 @@
 //! cargo run --release -p hyper-bench --bin fig9 [--quick]
 //! ```
 
-use hyper_bench::{ground_truth_share, print_table, secs, time, Flags};
+use std::sync::Arc;
+
+use hyper_bench::{cold_session, ground_truth_share, print_table, secs, time, Flags};
 use hyper_core::HowToOptions;
 use hyper_storage::Value;
 
@@ -17,6 +19,7 @@ fn main() {
     let n = flags.size(4_000, 20_000, 20_000);
     let data = hyper_datasets::german_syn_continuous(n, 9);
     let scm = data.scm.as_ref().unwrap();
+    let (db, graph) = (Arc::new(data.db), Arc::new(data.graph));
     let gt_n = flags.size(20_000, 50_000, 50_000);
 
     let howto = "Use german_syn
@@ -58,33 +61,24 @@ fn main() {
     };
     let mut rows = Vec::new();
     for &k in buckets {
-        // Time each solver cold (no shared session cache): the figure
-        // compares IP vs enumeration runtime, so the second solver must
-        // not inherit the first one's fitted candidate estimators.
+        // Time each solver cold, on its own fresh isolated session: the
+        // figure compares IP vs enumeration runtime, so the second solver
+        // must not inherit the first one's view or fitted estimator.
         let config = hyper_core::EngineConfig::hyper();
         let opts = HowToOptions {
             buckets: k,
             max_attrs_updated: None,
         };
-        let (ip, ip_time) = time(|| {
-            hyper_core::howto::optimizer::evaluate_howto(
-                &data.db,
-                Some(&data.graph),
-                &config,
-                &q,
-                &opts,
-            )
-            .expect("how-to evaluates")
-        });
+        let session = || {
+            cold_session(&db, &graph, &config)
+                .howto_options(opts.clone())
+                .build()
+        };
+        let (ip, ip_time) = time(|| session().howto(&q).expect("how-to evaluates"));
         let (brute, brute_time) = time(|| {
-            hyper_core::howto::baseline::evaluate_howto_bruteforce(
-                &data.db,
-                Some(&data.graph),
-                &config,
-                &q,
-                &opts,
-            )
-            .expect("brute force evaluates")
+            session()
+                .howto_bruteforce(&q)
+                .expect("brute force evaluates")
         });
 
         // Quality: evaluate the *chosen* update under the true structural
@@ -98,7 +92,7 @@ fn main() {
                 Some(a) => truth_of(a) / opt_truth,
                 None => {
                     // No change chosen: baseline share.
-                    let t = data.db.table("german_syn").unwrap();
+                    let t = db.table("german_syn").unwrap();
                     let good = t
                         .column_by_name("credit")
                         .unwrap()

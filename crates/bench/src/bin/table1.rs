@@ -6,7 +6,9 @@
 //! cargo run --release -p hyper-bench --bin table1 [--quick|--full]
 //! ```
 
-use hyper_bench::{print_table, secs, time_avg, variants, Flags};
+use std::sync::Arc;
+
+use hyper_bench::{cold_session, print_table, secs, time_avg, variants, Flags};
 use hyper_core::EngineConfig;
 
 fn main() {
@@ -24,7 +26,7 @@ fn main() {
     let student_n = flags.size(1_000, 10_000, 10_000);
     let amazon_products = flags.size(500, 3_000, 3_000);
 
-    let mut cases = [
+    let cases = [
         Case {
             label: format!("Adult [31] (15 att, {adult_n} rows)"),
             data: hyper_datasets::adult(adult_n, 1),
@@ -82,20 +84,19 @@ fn main() {
 
     let mut rows = Vec::new();
     let last = cases.len() - 1;
-    for (ci, case) in cases.iter_mut().enumerate() {
-        let mut cells = vec![case.label.clone(), case.data.total_rows().to_string()];
+    for (ci, case) in cases.into_iter().enumerate() {
+        let mut cells = vec![case.label, case.data.total_rows().to_string()];
+        let (db, graph) = (Arc::new(case.data.db), Arc::new(case.data.graph));
         let parsed = match hyper_query::parse_query(&case.query).unwrap() {
             hyper_query::HypotheticalQuery::WhatIf(w) => w,
             _ => unreachable!(),
         };
-        // Cold single-shot path per repetition: Table 1 reports per-query
-        // evaluation time, so repeated runs must not hit a session cache.
+        // A fresh isolated session per repetition: Table 1 reports
+        // per-query evaluation time, so repeated runs must not hit a cache.
         let cold = |config: &EngineConfig| {
-            let graph = match config.backdoor {
-                hyper_core::BackdoorMode::FromGraph => Some(&case.data.graph),
-                _ => None,
-            };
-            hyper_core::evaluate_whatif(&case.data.db, graph, config, &parsed)
+            cold_session(&db, &graph, config)
+                .build()
+                .whatif(&parsed)
                 .expect("query evaluates")
         };
         for (vname, config) in variants() {

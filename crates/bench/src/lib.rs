@@ -1,9 +1,9 @@
 //! # hyper-bench
 //!
 //! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (§5), printing the same rows/series the paper reports, plus
-//! Criterion microbenchmarks. Binaries accept `--full` to run at the
-//! paper's full scale (e.g. 1M-row German-Syn) and `--quick` for smoke
+//! evaluation (§5), printing the same rows/series the paper reports, and
+//! the `bench_smoke` timing harness. Binaries accept `--full` to run at
+//! the paper's full scale (e.g. 1M-row German-Syn) and `--quick` for smoke
 //! runs.
 //!
 //! | target | reproduces |
@@ -19,10 +19,11 @@
 
 #![warn(missing_docs)]
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hyper_causal::{CausalGraph, Scm};
-use hyper_core::{EngineConfig, HyperSession};
+use hyper_core::{EngineConfig, HyperSession, SessionBuilder};
 use hyper_storage::{DataType, Database, Field, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -184,10 +185,9 @@ pub fn pad_with_noise(
     }
 }
 
-/// Shared `Value`-per-cell baselines for the storage microbenchmarks
-/// (`benches/bench_storage.rs`) and the CI smoke run (`bin/bench_smoke.rs`)
-/// — one definition so the criterion numbers and the CI speedup gate
-/// always measure against the same reference loops.
+/// Shared `Value`-per-cell baselines for the CI smoke run
+/// (`bin/bench_smoke.rs`): the reference loops its speedup gates measure
+/// against.
 pub mod storage_baseline {
     use hyper_ml::{Matrix, TableEncoder};
     use hyper_storage::{col, lit, Expr, Table};
@@ -268,6 +268,26 @@ pub fn session_for(db: &Database, graph: &CausalGraph, config: &EngineConfig) ->
         .maybe_graph(g)
         .config(config.clone())
         .build()
+}
+
+/// A builder for a fresh, isolated session (graph dropped for NB/Indep,
+/// as in [`session_for`]). It neither reads nor feeds the process-wide
+/// shared store, so the first query of each session built from it pays
+/// its own view build and training: build one per timed call to time a
+/// cold query.
+pub fn cold_session(
+    db: &Arc<Database>,
+    graph: &Arc<CausalGraph>,
+    config: &EngineConfig,
+) -> SessionBuilder {
+    let g = match config.backdoor {
+        hyper_core::BackdoorMode::FromGraph => Some(Arc::clone(graph)),
+        _ => None,
+    };
+    HyperSession::builder(Arc::clone(db))
+        .maybe_graph(g)
+        .config(config.clone())
+        .share_artifacts(false)
 }
 
 #[cfg(test)]

@@ -17,30 +17,19 @@ use crate::error::Result;
 use crate::howto::optimizer::{candidate_whatif, HowToContext};
 use crate::howto::HowToResult;
 use crate::session::cache::ArtifactCache;
-use crate::whatif::evaluate_whatif_maybe_cached;
+use crate::whatif::evaluate_whatif;
 
-/// Exhaustively search all candidate-update combinations.
-pub fn evaluate_howto_bruteforce(
+/// Exhaustively search all candidate-update combinations through a
+/// session's artifact cache: all enumerated combinations reuse one
+/// relevant view, and every combination over the same feature set reuses
+/// that set's one estimator.
+pub(crate) fn evaluate_howto_bruteforce(
     db: &Database,
     graph: Option<&CausalGraph>,
     config: &EngineConfig,
     q: &HowToQuery,
     opts: &HowToOptions,
-) -> Result<HowToResult> {
-    evaluate_howto_bruteforce_cached(db, graph, config, q, opts, None, HyperRuntime::global())
-}
-
-/// Exhaustive search, optionally sharing a session's artifact cache: all
-/// enumerated combinations reuse one relevant view, and every combination
-/// over the same attribute subset reuses that subset's one estimator.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_howto_bruteforce_cached(
-    db: &Database,
-    graph: Option<&CausalGraph>,
-    config: &EngineConfig,
-    q: &HowToQuery,
-    opts: &HowToOptions,
-    cache: Option<&ArtifactCache>,
+    cache: &ArtifactCache,
     runtime: &HyperRuntime,
 ) -> Result<HowToResult> {
     let started = Instant::now();
@@ -70,7 +59,7 @@ pub(crate) fn evaluate_howto_bruteforce_cached(
         let within_budget = opts.max_attrs_updated.is_none_or(|b| n_updated <= b);
         if within_budget && !updates.is_empty() {
             let wq = candidate_whatif(&ctx.whatif_template, updates.clone())?;
-            let r = evaluate_whatif_maybe_cached(db, graph, config, &wq, cache, runtime)?;
+            let r = evaluate_whatif(db, graph, config, &wq, cache, runtime)?;
             ctx.whatif_evals += 1;
             let better = match &best {
                 None => true,

@@ -29,34 +29,15 @@ pub struct LexicographicResult {
 
 /// Solve a sequence of how-to queries sharing `Use`/`When`/`HowToUpdate`/
 /// `Limit` but with different objectives, ordered most-preferred first.
-pub fn evaluate_howto_lexicographic(
+/// The per-objective candidate evaluations share a session's artifact
+/// cache.
+pub(crate) fn evaluate_howto_lexicographic(
     db: &Database,
     graph: Option<&CausalGraph>,
     config: &EngineConfig,
     queries: &[HowToQuery],
     opts: &HowToOptions,
-) -> Result<LexicographicResult> {
-    evaluate_howto_lexicographic_cached(
-        db,
-        graph,
-        config,
-        queries,
-        opts,
-        None,
-        HyperRuntime::global(),
-    )
-}
-
-/// Lexicographic optimization, optionally sharing a session's artifact
-/// cache across the per-objective candidate evaluations.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_howto_lexicographic_cached(
-    db: &Database,
-    graph: Option<&CausalGraph>,
-    config: &EngineConfig,
-    queries: &[HowToQuery],
-    opts: &HowToOptions,
-    cache: Option<&ArtifactCache>,
+    cache: &ArtifactCache,
     runtime: &HyperRuntime,
 ) -> Result<LexicographicResult> {
     let started = Instant::now();
@@ -179,10 +160,8 @@ pub(crate) fn evaluate_howto_lexicographic_cached(
         for (k, ctx) in contexts.iter().enumerate() {
             let wq =
                 crate::howto::optimizer::candidate_whatif(&ctx.whatif_template, chosen.clone())?;
-            achieved[k] = crate::whatif::evaluate_whatif_maybe_cached(
-                db, graph, config, &wq, cache, runtime,
-            )?
-            .value;
+            achieved[k] =
+                crate::whatif::evaluate_whatif(db, graph, config, &wq, cache, runtime)?.value;
             whatif_evals += 1;
         }
     }

@@ -16,7 +16,7 @@ use hyper_runtime::HyperRuntime;
 use hyper_storage::Database;
 
 use std::collections::HashSet;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use crate::config::{EngineConfig, HowToOptions};
 use crate::error::{EngineError, Result};
@@ -24,8 +24,8 @@ use crate::hexpr::bind_hexpr;
 use crate::howto::candidates::{generate_candidates, Candidate};
 use crate::howto::HowToResult;
 use crate::session::cache::ArtifactCache;
-use crate::view::{build_relevant_view, RelevantView};
-use crate::whatif::{evaluate_planned, evaluate_whatif_maybe_cached, plan_whatif, WhatIfQueryPlan};
+use crate::view::RelevantView;
+use crate::whatif::{evaluate_planned, evaluate_whatif, plan_whatif, WhatIfQueryPlan};
 
 /// Shared pre-processing for the optimizer, the brute-force baseline, and
 /// the lexicographic extension.
@@ -48,28 +48,18 @@ pub(crate) fn candidate_whatif(template: &WhatIf, updates: Vec<UpdateSpec>) -> R
 }
 
 impl HowToContext {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn prepare(
         db: &Database,
         graph: Option<&CausalGraph>,
         config: &EngineConfig,
         q: &HowToQuery,
         opts: &HowToOptions,
-        cache: Option<&ArtifactCache>,
+        cache: &ArtifactCache,
         runtime: &HyperRuntime,
     ) -> Result<HowToContext> {
-        // Every candidate what-if shares this view; inside a session it is
-        // also shared with every other query over the same `Use` clause.
-        let (view, view_key) = match cache {
-            Some(c) => {
-                let (view, key) = c.view(db, &q.use_clause)?;
-                (view, key.as_str().to_string())
-            }
-            None => (
-                Arc::new(build_relevant_view(db, &q.use_clause)?),
-                String::new(),
-            ),
-        };
+        // Every candidate what-if shares this view, and so does every other
+        // query of the session over the same `Use` clause.
+        let (view, view_key) = cache.view(db, &q.use_clause)?;
         let cols = view.column_names();
         validate_howto(q, Some(&cols))?;
         let schema = view.table.schema();
@@ -146,7 +136,7 @@ impl HowToContext {
                             func: c.func.clone(),
                         }],
                     )?;
-                    let plan = plan_whatif(db, graph, config, &wq, &view, &view_key);
+                    let plan = plan_whatif(db, graph, config, &wq, &view, view_key.as_str());
                     Some((wq, plan))
                 }
             });
@@ -163,9 +153,9 @@ impl HowToContext {
         // All candidates of one attribute share one fitted estimator (it is
         // keyed on the feature set, not the value), and attributes whose
         // adjustment sets complete the same feature set share it too — on
-        // German-Syn every attribute of a how-to does. Inside a session
-        // the first candidate of each distinct estimator key is evaluated
-        // here on the caller, before the fan-out: its forest trains with
+        // German-Syn every attribute of a how-to does. The first candidate
+        // of each distinct estimator key is evaluated here on the caller,
+        // before the fan-out: its forest trains with
         // the whole pool under its trees, and the fanned-out candidates
         // then all hit the cache instead of blocking on one single-flight
         // slot. The rest fan out over the session's persistent worker
@@ -181,18 +171,16 @@ impl HowToContext {
         let whatif_evals = flat.len();
         let mut values: Vec<Vec<f64>> = candidates.iter().map(|c| vec![0.0; c.len()]).collect();
         let slots: Vec<OnceLock<Result<f64>>> = (0..flat.len()).map(|_| OnceLock::new()).collect();
-        if cache.is_some() {
-            let mut fitted: HashSet<&str> = HashSet::new();
-            let mut first_slot = 0;
-            for (i, planned) in attr_plans.iter().enumerate() {
-                if let Some((_, Ok(plan))) = planned {
-                    let key = plan.estimator_key.as_deref();
-                    if key.is_some_and(|key| fitted.insert(key)) {
-                        let _ = slots[first_slot].set(evaluate(i, 0));
-                    }
+        let mut fitted: HashSet<&str> = HashSet::new();
+        let mut first_slot = 0;
+        for (i, planned) in attr_plans.iter().enumerate() {
+            if let Some((_, Ok(plan))) = planned {
+                let key = plan.estimator_key.as_deref();
+                if key.is_some_and(|key| fitted.insert(key)) {
+                    let _ = slots[first_slot].set(evaluate(i, 0));
                 }
-                first_slot += candidates[i].len();
             }
+            first_slot += candidates[i].len();
         }
         runtime.for_each_parallel(flat.len(), |k| {
             if slots[k].get().is_none() {
@@ -288,30 +276,16 @@ fn evaluate_identity_objective(
     })
 }
 
-/// Solve a how-to query with the IP formulation (uncached single-shot
-/// path; sessions share their artifact cache across the candidate
-/// what-if evaluations via `evaluate_howto_cached`).
-pub fn evaluate_howto(
+/// Solve a how-to query with the IP formulation, resolving views and
+/// estimators through a session's artifact cache; candidate what-ifs fan
+/// out over `runtime`.
+pub(crate) fn evaluate_howto(
     db: &Database,
     graph: Option<&CausalGraph>,
     config: &EngineConfig,
     q: &HowToQuery,
     opts: &HowToOptions,
-) -> Result<HowToResult> {
-    evaluate_howto_cached(db, graph, config, q, opts, None, HyperRuntime::global())
-}
-
-/// Solve a how-to query with the IP formulation, optionally resolving
-/// views and estimators through a session's artifact cache; candidate
-/// what-ifs fan out over `runtime`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn evaluate_howto_cached(
-    db: &Database,
-    graph: Option<&CausalGraph>,
-    config: &EngineConfig,
-    q: &HowToQuery,
-    opts: &HowToOptions,
-    cache: Option<&ArtifactCache>,
+    cache: &ArtifactCache,
     runtime: &HyperRuntime,
 ) -> Result<HowToResult> {
     let started = Instant::now();
@@ -390,7 +364,7 @@ pub(crate) fn evaluate_howto_cached(
     } else {
         let wq = candidate_whatif(&ctx.whatif_template, chosen.clone())?;
         whatif_evals += 1;
-        evaluate_whatif_maybe_cached(db, graph, config, &wq, cache, runtime)?.value
+        evaluate_whatif(db, graph, config, &wq, cache, runtime)?.value
     };
 
     Ok(HowToResult {

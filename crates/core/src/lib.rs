@@ -73,9 +73,6 @@
 //! # Ok(()) }
 //! ```
 //!
-//! The borrow-based [`HyperEngine`] remains as a deprecated shim that
-//! recomputes every artifact per call.
-//!
 //! ## The shared execution runtime
 //!
 //! Two process-wide facilities sit underneath every session:
@@ -216,7 +213,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod engine;
 pub mod error;
 pub mod hexpr;
 pub mod howto;
@@ -226,8 +222,6 @@ pub mod view;
 pub mod whatif;
 
 pub use config::{BackdoorMode, EngineConfig, EstimatorKind, HowToOptions};
-#[allow(deprecated)]
-pub use engine::HyperEngine;
 pub use error::{EngineError, Result};
 pub use howto::multi::LexicographicResult;
 pub use howto::HowToResult;
@@ -240,4 +234,4 @@ pub use session::{
 };
 pub use view::{build_relevant_view, ColumnOrigin, RelevantView, ViewProvenance};
 pub use whatif::exact::exact_whatif;
-pub use whatif::{evaluate_whatif, WhatIfResult};
+pub use whatif::WhatIfResult;

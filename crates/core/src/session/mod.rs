@@ -1,8 +1,8 @@
 //! The owned, shareable HypeR session: prepare-once / execute-many
 //! hypothetical reasoning over a fixed database and causal model.
 //!
-//! [`HyperSession`] is the primary entry point of the engine. Unlike the
-//! deprecated borrow-based [`crate::HyperEngine`], a session *owns* its
+//! [`HyperSession`] is the one entry point of the engine: every what-if
+//! and how-to evaluates through a session. A session *owns* its
 //! database and graph (behind [`Arc`]s), is `Send + Sync + Clone`, and
 //! keeps an [`ArtifactCache`] of the expensive intermediates of the
 //! paper's computation strategy (§3.3): relevant views, the block
@@ -76,12 +76,12 @@ use hyper_trace::{Phase, TraceSnapshot, TraceTree, NUM_PHASES};
 
 use crate::config::{EngineConfig, HowToOptions};
 use crate::error::{EngineError, Result};
-use crate::howto::baseline::evaluate_howto_bruteforce_cached;
-use crate::howto::multi::{evaluate_howto_lexicographic_cached, LexicographicResult};
-use crate::howto::optimizer::evaluate_howto_cached;
+use crate::howto::baseline::evaluate_howto_bruteforce;
+use crate::howto::multi::{evaluate_howto_lexicographic, LexicographicResult};
+use crate::howto::optimizer::evaluate_howto;
 use crate::howto::HowToResult;
 use crate::view::RelevantView;
-use crate::whatif::{evaluate_whatif_cached, evaluate_whatif_on_view, WhatIfResult};
+use crate::whatif::{evaluate_whatif, evaluate_whatif_on_view, WhatIfResult};
 
 pub use cache::{ArtifactCache, CacheBudget, KeyedCache};
 pub use explain::{
@@ -564,10 +564,22 @@ impl HyperSession {
     /// include the configuration, so any shared-store entries that still
     /// apply keep applying).
     pub fn with_config(self, config: EngineConfig) -> HyperSession {
+        self.rebuilder().config(config).build()
+    }
+
+    /// Replace the how-to options, returning a session over the same
+    /// database/graph with a fresh, empty local cache.
+    pub fn with_howto_options(self, opts: HowToOptions) -> HyperSession {
+        self.rebuilder().howto_options(opts).build()
+    }
+
+    /// A builder carrying every setting of this session, for a new session
+    /// with a fresh, empty local cache.
+    fn rebuilder(&self) -> SessionBuilder {
         SessionBuilder {
             db: Arc::clone(&self.inner.db),
             graph: self.inner.graph.clone(),
-            config,
+            config: self.inner.config.clone(),
             howto_opts: self.inner.howto_opts.clone(),
             cache_budget: self.inner.cache_budget,
             share_artifacts: self.inner.share_artifacts,
@@ -576,25 +588,6 @@ impl HyperSession {
             runtime: Some(self.inner.runtime.clone()),
             tracing: self.inner.tracing.load(Ordering::Relaxed),
         }
-        .build()
-    }
-
-    /// Replace the how-to options, returning a session over the same
-    /// database/graph with a fresh, empty local cache.
-    pub fn with_howto_options(self, opts: HowToOptions) -> HyperSession {
-        SessionBuilder {
-            db: Arc::clone(&self.inner.db),
-            graph: self.inner.graph.clone(),
-            config: self.inner.config.clone(),
-            howto_opts: opts,
-            cache_budget: self.inner.cache_budget,
-            share_artifacts: self.inner.share_artifacts,
-            persist_dir: self.inner.persist_dir.clone(),
-            shared_budget_bytes: None,
-            runtime: Some(self.inner.runtime.clone()),
-            tracing: self.inner.tracing.load(Ordering::Relaxed),
-        }
-        .build()
     }
 
     /// The bound database.
@@ -856,7 +849,7 @@ impl HyperSession {
             .queries_executed
             .fetch_add(1, Ordering::Relaxed);
         self.traced(Phase::Execute, || {
-            evaluate_whatif_cached(
+            evaluate_whatif(
                 &self.inner.db,
                 self.graph(),
                 &self.inner.config,
@@ -875,13 +868,13 @@ impl HyperSession {
             .queries_executed
             .fetch_add(1, Ordering::Relaxed);
         self.traced(Phase::Execute, || {
-            evaluate_howto_cached(
+            evaluate_howto(
                 &self.inner.db,
                 self.graph(),
                 &self.inner.config,
                 q,
                 &self.inner.howto_opts,
-                Some(&self.inner.cache),
+                &self.inner.cache,
                 &self.inner.runtime,
             )
         })
@@ -894,13 +887,13 @@ impl HyperSession {
             .queries_executed
             .fetch_add(1, Ordering::Relaxed);
         self.traced(Phase::Execute, || {
-            evaluate_howto_bruteforce_cached(
+            evaluate_howto_bruteforce(
                 &self.inner.db,
                 self.graph(),
                 &self.inner.config,
                 q,
                 &self.inner.howto_opts,
-                Some(&self.inner.cache),
+                &self.inner.cache,
                 &self.inner.runtime,
             )
         })
@@ -913,13 +906,13 @@ impl HyperSession {
             .queries_executed
             .fetch_add(1, Ordering::Relaxed);
         self.traced(Phase::Execute, || {
-            evaluate_howto_lexicographic_cached(
+            evaluate_howto_lexicographic(
                 &self.inner.db,
                 self.graph(),
                 &self.inner.config,
                 qs,
                 &self.inner.howto_opts,
-                Some(&self.inner.cache),
+                &self.inner.cache,
                 &self.inner.runtime,
             )
         })
@@ -1083,16 +1076,16 @@ impl PreparedQuery {
                 q,
                 &self.view,
                 self.view_key.as_str(),
-                Some(&inner.cache),
+                &inner.cache,
                 &inner.runtime,
             )?)),
-            HypotheticalQuery::HowTo(q) => Ok(QueryOutcome::HowTo(evaluate_howto_cached(
+            HypotheticalQuery::HowTo(q) => Ok(QueryOutcome::HowTo(evaluate_howto(
                 &inner.db,
                 self.session.graph(),
                 &inner.config,
                 q,
                 &inner.howto_opts,
-                Some(&inner.cache),
+                &inner.cache,
                 &inner.runtime,
             )?)),
         }

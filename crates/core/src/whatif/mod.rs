@@ -31,7 +31,7 @@ use crate::config::{BackdoorMode, EngineConfig};
 use crate::error::{EngineError, Result};
 use crate::hexpr::{bind_hexpr, conjoin, resolve_column, split_pre_post, BoundHExpr};
 use crate::session::cache::ArtifactCache;
-use crate::view::{build_relevant_view, RelevantView};
+use crate::view::RelevantView;
 
 use estimator::{feature_set, CausalEstimator, EstimatorSpec, PeerSummary};
 use exact_sum::ExactSum;
@@ -259,35 +259,9 @@ pub(crate) fn plan_whatif(
     Ok(plan)
 }
 
-/// Evaluate a what-if query against `db` under `config`, optionally with a
-/// causal `graph` (required for [`BackdoorMode::FromGraph`]).
-///
-/// This is the uncached single-shot path: the relevant view is built and
-/// the estimator trained from scratch. Sessions
-/// ([`crate::HyperSession::whatif`]) go through
-/// `evaluate_whatif_cached` instead and reuse both artifacts.
-pub fn evaluate_whatif(
-    db: &Database,
-    graph: Option<&CausalGraph>,
-    config: &EngineConfig,
-    q: &WhatIfQuery,
-) -> Result<WhatIfResult> {
-    let view = Arc::new(build_relevant_view(db, &q.use_clause)?);
-    evaluate_whatif_on_view(
-        db,
-        graph,
-        config,
-        q,
-        &view,
-        "",
-        None,
-        HyperRuntime::global(),
-    )
-}
-
 /// Evaluate a what-if query, resolving the relevant view and the fitted
 /// estimator through a session's artifact cache.
-pub(crate) fn evaluate_whatif_cached(
+pub(crate) fn evaluate_whatif(
     db: &Database,
     graph: Option<&CausalGraph>,
     config: &EngineConfig,
@@ -303,33 +277,14 @@ pub(crate) fn evaluate_whatif_cached(
         q,
         &view,
         view_key.as_str(),
-        Some(cache),
+        cache,
         runtime,
     )
 }
 
-/// Dispatch helper for call sites (the how-to optimizers) that may or may
-/// not run inside a session.
-pub(crate) fn evaluate_whatif_maybe_cached(
-    db: &Database,
-    graph: Option<&CausalGraph>,
-    config: &EngineConfig,
-    q: &WhatIfQuery,
-    cache: Option<&ArtifactCache>,
-    runtime: &HyperRuntime,
-) -> Result<WhatIfResult> {
-    match cache {
-        Some(c) => evaluate_whatif_cached(db, graph, config, q, c, runtime),
-        None => {
-            let view = Arc::new(build_relevant_view(db, &q.use_clause)?);
-            evaluate_whatif_on_view(db, graph, config, q, &view, "", None, runtime)
-        }
-    }
-}
-
 /// Core what-if evaluation over an already-resolved relevant view
 /// (§3.3 steps 2–5): [`plan_whatif`], then [`evaluate_planned`].
-/// `view_key` is the cache key of `view` (empty outside a session).
+/// `view_key` is the cache key of `view`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_whatif_on_view(
     db: &Database,
@@ -338,7 +293,7 @@ pub(crate) fn evaluate_whatif_on_view(
     q: &WhatIfQuery,
     view: &Arc<RelevantView>,
     view_key: &str,
-    cache: Option<&ArtifactCache>,
+    cache: &ArtifactCache,
     runtime: &HyperRuntime,
 ) -> Result<WhatIfResult> {
     let started = Instant::now();
@@ -348,15 +303,14 @@ pub(crate) fn evaluate_whatif_on_view(
     Ok(result)
 }
 
-/// Evaluate `q` over `view` from its plan. When `cache` is present the
-/// fitted estimator is fetched from / inserted into it under the plan's
-/// estimator key.
+/// Evaluate `q` over `view` from its plan. The fitted estimator is
+/// fetched from / inserted into `cache` under the plan's estimator key.
 pub(crate) fn evaluate_planned(
     config: &EngineConfig,
     q: &WhatIfQuery,
     view: &Arc<RelevantView>,
     plan: WhatIfQueryPlan,
-    cache: Option<&ArtifactCache>,
+    cache: &ArtifactCache,
     runtime: &HyperRuntime,
 ) -> Result<WhatIfResult> {
     let started = Instant::now();
@@ -421,17 +375,14 @@ pub(crate) fn evaluate_planned(
         runtime,
     };
     let fit = || CausalEstimator::fit(view, &spec, &plan.psi, &plan.y, q.output.agg);
-    // Inside a session, fitted estimators are cached under the plan's key
-    // (view, feature set, output, `For`, estimator config): a repeated
-    // prepared query — or any query over the same feature set with other
-    // updates — skips training entirely.
-    let est: Arc<CausalEstimator> = match cache {
-        // The `fits_view` vet applies to disk-recovered estimators
-        // (untrusted bytes whose indices the context-free decoder cannot
-        // range-check); a failing artifact is a plain miss and `fit` runs.
-        Some(c) => c.estimator(key, |e| e.fits_view(view), fit)?,
-        None => Arc::new(fit()?),
-    };
+    // Fitted estimators are cached under the plan's key (view, feature
+    // set, output, `For`, estimator config): a repeated prepared query —
+    // or any query over the same feature set with other updates — skips
+    // training entirely. The `fits_view` vet applies to disk-recovered
+    // estimators (untrusted bytes whose indices the context-free decoder
+    // cannot range-check); a failing artifact is a plain miss and `fit`
+    // runs.
+    let est: Arc<CausalEstimator> = cache.estimator(key, |e| e.fits_view(view), fit)?;
     let value = est.evaluate(
         view,
         &plan.updates,

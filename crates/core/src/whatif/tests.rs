@@ -44,7 +44,10 @@ fn value(db: &Database, text: &str) -> f64 {
     let HypotheticalQuery::WhatIf(q) = parse_query(text).unwrap() else {
         unreachable!()
     };
-    let r = evaluate_whatif(db, None, &EngineConfig::hyper_nb(), &q).unwrap();
+    let r = crate::HyperSession::new(db.clone(), None)
+        .with_config(EngineConfig::hyper_nb())
+        .whatif(&q)
+        .unwrap();
     assert_eq!(r.trained_rows, 0, "{text} takes the deterministic path");
     r.value
 }

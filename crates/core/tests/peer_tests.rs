@@ -2,14 +2,10 @@
 //! price update on one set of products move the predicted ratings of
 //! *competitor* products in the same category (the dashed edges of
 //! Figure 2).
-// These tests deliberately run through the deprecated `HyperEngine` shim:
-// they double as coverage that the shim still delegates to the same
-// evaluation pipeline the `HyperSession` API uses.
-#![allow(deprecated)]
 
-use hyper_core::{EngineConfig, HyperEngine};
+use hyper_core::{EngineConfig, HyperSession};
 use hyper_query::{parse_query, HypotheticalQuery, WhatIfQuery};
-use hyper_storage::{DataType, Database, Field, Schema, Table};
+use hyper_storage::{DataType, Database, Field, Schema, TableBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -26,7 +22,7 @@ fn market_db(n: usize, seed: u64) -> Database {
         Field::new("rating", DataType::Float),
     ])
     .unwrap();
-    let mut t = Table::with_key("product", schema, &["pid"]).unwrap();
+    let mut t = TableBuilder::with_key("product", schema, &["pid"]).unwrap();
 
     // Generate prices first so peer means are computable.
     let cats = ["a", "b", "c", "d"];
@@ -53,7 +49,7 @@ fn market_db(n: usize, seed: u64) -> Database {
             price
         };
         let rating = 3.0 + (peer_mean - price) / 100.0 + 0.2 * (rng.gen::<f64>() - 0.5);
-        t.push_row(vec![
+        t.push(vec![
             pid.into(),
             cat.into(),
             brand.into(),
@@ -63,7 +59,7 @@ fn market_db(n: usize, seed: u64) -> Database {
         .unwrap();
     }
     let mut db = Database::new();
-    db.add_table(t).unwrap();
+    db.add_table(t.build()).unwrap();
     db
 }
 
@@ -104,8 +100,10 @@ fn competitor_price_hike_helps_unchanged_products() {
          Output Avg(Post(rating))
          For Pre(brand) <> 'asus'",
     );
-    let with_peers = HyperEngine::new(&db, Some(&graph)).whatif(&q).unwrap();
-    let without_peers = HyperEngine::new(&db, Some(&graph))
+    let with_peers = HyperSession::new(db.clone(), Some(&graph))
+        .whatif(&q)
+        .unwrap();
+    let without_peers = HyperSession::new(db.clone(), Some(&graph))
         .with_config(EngineConfig {
             peer_summaries: false,
             ..EngineConfig::hyper()
@@ -118,8 +116,8 @@ fn competitor_price_hike_helps_unchanged_products() {
     let mut obs_sum = 0.0;
     let mut obs_n = 0usize;
     for i in 0..t.num_rows() {
-        if t.get(i, 2).as_str() != Some("asus") {
-            obs_sum += t.get(i, 4).as_f64().unwrap();
+        if t.column(2).str_at(i) != Some("asus") {
+            obs_sum += t.column(4).f64_at(i).unwrap();
             obs_n += 1;
         }
     }
@@ -153,9 +151,9 @@ fn peer_effect_direction_reverses_with_price_cut() {
          Output Avg(Post(rating))
          For Pre(brand) <> 'asus'",
     );
-    let engine = HyperEngine::new(&db, Some(&graph));
-    let up = engine.whatif(&hike).unwrap().value;
-    let down = engine.whatif(&cut).unwrap().value;
+    let session = HyperSession::new(db.clone(), Some(&graph));
+    let up = session.whatif(&hike).unwrap().value;
+    let down = session.whatif(&cut).unwrap().value;
     assert!(
         up > down + 0.05,
         "competitor hike ({up:.3}) must help more than competitor cut ({down:.3})"
@@ -179,14 +177,16 @@ fn no_cross_tuple_edge_means_no_peer_feature() {
          Output Avg(Post(rating))
          For Pre(brand) <> 'asus'",
     );
-    let r = HyperEngine::new(&db, Some(&graph)).whatif(&q).unwrap();
+    let r = HyperSession::new(db.clone(), Some(&graph))
+        .whatif(&q)
+        .unwrap();
     // Non-updated rows unaffected → exact observed mean.
     let t = db.table("product").unwrap();
     let mut obs_sum = 0.0;
     let mut obs_n = 0usize;
     for i in 0..t.num_rows() {
-        if t.get(i, 2).as_str() != Some("asus") {
-            obs_sum += t.get(i, 4).as_f64().unwrap();
+        if t.column(2).str_at(i) != Some("asus") {
+            obs_sum += t.column(4).f64_at(i).unwrap();
             obs_n += 1;
         }
     }

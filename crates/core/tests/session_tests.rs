@@ -61,24 +61,58 @@ fn ad_hoc_text_shares_the_prepared_query_caches() {
     assert!(stats.estimator_hits >= 1);
 }
 
+/// A session over `(db, graph)`: isolated (a cold reference that neither
+/// reads nor feeds the shared store) or sharing.
+fn session_over(
+    db: &Arc<hyper_storage::Database>,
+    graph: &Arc<hyper_causal::CausalGraph>,
+    opts: &HowToOptions,
+    share: bool,
+) -> HyperSession {
+    HyperSession::builder(Arc::clone(db))
+        .graph(Arc::clone(graph))
+        .howto_options(opts.clone())
+        .share_artifacts(share)
+        .build()
+}
+
 #[test]
 fn caching_does_not_change_results() {
     let (db, _, graph) = confounded_db(700, 3);
-    // Uncached path (single-shot free function via the deprecated shim).
-    #[allow(deprecated)]
-    let uncached = hyper_core::HyperEngine::new(&db, Some(&graph))
-        .whatif_text(WHATIF)
-        .unwrap();
-    // Cached path, executed twice (second run exercises the hit path).
-    let session = HyperSession::builder(db).graph(graph).build();
-    let c1 = session.whatif_text(WHATIF).unwrap();
-    let c2 = session.whatif_text(WHATIF).unwrap();
-    assert_eq!(
-        uncached.value, c1.value,
-        "cache must be semantically invisible"
-    );
-    assert_eq!(c1.value, c2.value);
-    assert_eq!(uncached.backdoor, c1.backdoor);
+    let (db, graph) = (Arc::new(db), Arc::new(graph));
+    let opts = HowToOptions::default();
+    let shared = || session_over(&db, &graph, &opts, true);
+    let cold = session_over(&db, &graph, &opts, false);
+    // A cold, isolated session builds the view and trains the estimator.
+    let reference = cold.whatif_text(WHATIF).unwrap();
+    assert_eq!(cold.stats().view_misses, 1);
+    assert_eq!(cold.stats().estimator_misses, 1);
+
+    // A sharing session builds them again and publishes them; a second
+    // sharing session is served by the shared store, then by its own
+    // local tier.
+    let first = shared();
+    let built = first.whatif_text(WHATIF).unwrap();
+    assert_eq!(first.stats().estimator_misses, 1);
+    let second = shared();
+    let shared_hit = second.whatif_text(WHATIF).unwrap();
+    assert_eq!(second.stats().estimator_misses, 0);
+    assert_eq!(second.stats().estimator_shared_hits, 1);
+    let local_hit = second.whatif_text(WHATIF).unwrap();
+    assert_eq!(second.stats().estimator_hits, 1);
+
+    for (what, r) in [
+        ("built", &built),
+        ("shared hit", &shared_hit),
+        ("local hit", &local_hit),
+    ] {
+        assert_eq!(
+            r.value.to_bits(),
+            reference.value.to_bits(),
+            "{what}: the cache must be semantically invisible"
+        );
+        assert_eq!(r.backdoor, reference.backdoor, "{what}");
+    }
 }
 
 #[test]
@@ -207,29 +241,20 @@ fn cold_concurrent_identical_queries_build_each_artifact_once() {
 }
 
 #[test]
-fn howto_through_a_session_reuses_one_view_and_matches_the_shim() {
+fn howto_through_a_session_reuses_one_view_and_matches_a_cold_session() {
     let (db, _, graph) = credit_db(800, 9);
+    let (db, graph) = (Arc::new(db), Arc::new(graph));
     let text = "Use d HowToUpdate status, income ToMaximize Count(Post(credit) = 'Good')";
     let opts = HowToOptions {
         buckets: 3,
         max_attrs_updated: Some(1),
     };
+    let shared = || session_over(&db, &graph, &opts, true);
+    let cold = session_over(&db, &graph, &opts, false);
+    let reference = cold.howto_text(text).unwrap();
 
-    #[allow(deprecated)]
-    let uncached = hyper_core::HyperEngine::new(&db, Some(&graph))
-        .with_howto_options(opts.clone())
-        .howto_text(text)
-        .unwrap();
-
-    let session = HyperSession::builder(db)
-        .graph(graph)
-        .howto_options(opts)
-        .build();
+    let session = shared();
     let cached = session.howto_text(text).unwrap();
-    assert_eq!(cached.objective, uncached.objective);
-    assert_eq!(cached.baseline, uncached.baseline);
-    assert_eq!(cached.chosen.len(), uncached.chosen.len());
-
     let stats = session.stats();
     assert_eq!(
         stats.view_misses, 1,
@@ -244,15 +269,38 @@ fn howto_through_a_session_reuses_one_view_and_matches_the_shim() {
         cached.whatif_evals
     );
 
+    // A second session is served by the shared store and trains nothing.
+    let other = shared();
+    let shared_hit = other.howto_text(text).unwrap();
+    assert_eq!(other.stats().estimator_misses, 0);
+    assert!(other.stats().estimator_shared_hits > 0);
+
     // Re-running the same how-to hits the per-attribute estimator cache.
     let before = session.stats().estimator_misses;
     let rerun = session.howto_text(text).unwrap();
-    assert_eq!(rerun.objective, cached.objective);
     assert_eq!(
         session.stats().estimator_misses,
         before,
         "second how-to trains no new estimators"
     );
+
+    for (what, r) in [
+        ("built", &cached),
+        ("shared hit", &shared_hit),
+        ("local hit", &rerun),
+    ] {
+        assert_eq!(
+            r.objective.to_bits(),
+            reference.objective.to_bits(),
+            "{what}"
+        );
+        assert_eq!(r.baseline.to_bits(), reference.baseline.to_bits(), "{what}");
+        assert_eq!(
+            format!("{:?}", r.chosen),
+            format!("{:?}", reference.chosen),
+            "{what}"
+        );
+    }
 }
 
 #[test]

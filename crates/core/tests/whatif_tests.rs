@@ -1,15 +1,11 @@
 //! What-if engine integration tests: the estimator must track the exact
 //! possible-world oracle, the variants must behave as the paper describes
 //! (Fig. 10: HypeR ≈ ground truth, Indep biased by confounding).
-// These tests deliberately run through the deprecated `HyperEngine` shim:
-// they double as coverage that the shim still delegates to the same
-// evaluation pipeline the `HyperSession` API uses.
-#![allow(deprecated)]
 
 mod common;
 
 use common::{confounded_db, credit_db};
-use hyper_core::{exact_whatif, EngineConfig, HyperEngine};
+use hyper_core::{exact_whatif, EngineConfig, HyperSession};
 use hyper_query::{parse_query, HypotheticalQuery, WhatIfQuery};
 
 fn whatif(text: &str) -> WhatIfQuery {
@@ -26,8 +22,8 @@ fn estimator_tracks_oracle_on_count_query() {
     let (db, scm, graph) = confounded_db(N, 7);
     let q = whatif("Use d Update(b) = 1 Output Count(Post(y) = 1)");
     let exact = exact_whatif(&scm, db.table("d").unwrap(), &q).unwrap();
-    let engine = HyperEngine::new(&db, Some(&graph));
-    let est = engine.whatif(&q).unwrap();
+    let session = HyperSession::new(db.clone(), Some(&graph));
+    let est = session.whatif(&q).unwrap();
     // Exact interventional: P(y=1 | do(b=1)) = 0.66 → count ≈ 0.66·N.
     let rel_err = (est.value - exact).abs() / exact;
     assert!(
@@ -44,8 +40,10 @@ fn indep_baseline_is_confounded() {
     let q = whatif("Use d Update(b) = 1 Output Count(Post(y) = 1)");
     let exact = exact_whatif(&scm, db.table("d").unwrap(), &q).unwrap();
 
-    let hyper = HyperEngine::new(&db, Some(&graph)).whatif(&q).unwrap();
-    let indep = HyperEngine::new(&db, None)
+    let hyper = HyperSession::new(db.clone(), Some(&graph))
+        .whatif(&q)
+        .unwrap();
+    let indep = HyperSession::new(db.clone(), None)
         .with_config(EngineConfig::indep())
         .whatif(&q)
         .unwrap();
@@ -68,14 +66,16 @@ fn nb_variant_matches_hyper_when_all_attrs_are_safe() {
     let (db, scm, graph) = confounded_db(N, 13);
     let q = whatif("Use d Update(b) = 1 Output Count(Post(y) = 1)");
     let exact = exact_whatif(&scm, db.table("d").unwrap(), &q).unwrap();
-    let nb = HyperEngine::new(&db, None)
+    let nb = HyperSession::new(db.clone(), None)
         .with_config(EngineConfig::hyper_nb())
         .whatif(&q)
         .unwrap();
     let err = (nb.value - exact).abs() / exact;
     assert!(err < 0.05, "NB err {err:.3}");
     assert_eq!(nb.backdoor, vec!["z".to_string()]);
-    let hyper = HyperEngine::new(&db, Some(&graph)).whatif(&q).unwrap();
+    let hyper = HyperSession::new(db.clone(), Some(&graph))
+        .whatif(&q)
+        .unwrap();
     assert_eq!(hyper.backdoor, vec!["z".to_string()]);
 }
 
@@ -84,7 +84,7 @@ fn sampled_variant_stays_accurate() {
     let (db, scm, graph) = confounded_db(N, 17);
     let q = whatif("Use d Update(b) = 1 Output Count(Post(y) = 1)");
     let exact = exact_whatif(&scm, db.table("d").unwrap(), &q).unwrap();
-    let sampled = HyperEngine::new(&db, Some(&graph))
+    let sampled = HyperSession::new(db.clone(), Some(&graph))
         .with_config(EngineConfig::hyper_sampled(4_000))
         .whatif(&q)
         .unwrap();
@@ -99,7 +99,9 @@ fn when_clause_restricts_update_set() {
     // Update only z=0 rows; z=1 rows keep observational behaviour.
     let q = whatif("Use d When z = 0 Update(b) = 1 Output Count(Post(y) = 1)");
     let exact = exact_whatif(&scm, db.table("d").unwrap(), &q).unwrap();
-    let est = HyperEngine::new(&db, Some(&graph)).whatif(&q).unwrap();
+    let est = HyperSession::new(db.clone(), Some(&graph))
+        .whatif(&q)
+        .unwrap();
     let rel = (est.value - exact).abs() / exact;
     assert!(rel < 0.05, "estimate {} vs oracle {exact}", est.value);
     // The oracle itself: z=0 rows contribute P(y=1|z=0,do(b=1)) = 0.5 each;
@@ -112,7 +114,9 @@ fn for_clause_pre_conditions_select_scope() {
     let (db, scm, graph) = confounded_db(N, 23);
     let q = whatif("Use d Update(b) = 1 Output Count(Post(y) = 1) For Pre(z) = 1");
     let exact = exact_whatif(&scm, db.table("d").unwrap(), &q).unwrap();
-    let est = HyperEngine::new(&db, Some(&graph)).whatif(&q).unwrap();
+    let est = HyperSession::new(db.clone(), Some(&graph))
+        .whatif(&q)
+        .unwrap();
     // All scoped rows have z=1: P(y=1 | z=1, do(b=1)) = 0.9.
     let n_z1 = est.n_scope_rows as f64;
     assert!((exact / n_z1 - 0.9).abs() < 0.02);
@@ -126,7 +130,9 @@ fn avg_aggregate_tracks_oracle() {
     let q = whatif("Use d Update(status) = 1 Output Avg(Post(income))");
     // income is NOT a descendant of status → avg income unchanged.
     let exact = exact_whatif(&scm, db.table("d").unwrap(), &q).unwrap();
-    let est = HyperEngine::new(&db, Some(&graph)).whatif(&q).unwrap();
+    let est = HyperSession::new(db.clone(), Some(&graph))
+        .whatif(&q)
+        .unwrap();
     assert!(
         (est.value - exact).abs() < 0.03,
         "estimate {} vs oracle {exact}",
@@ -139,7 +145,9 @@ fn count_on_string_outcome() {
     let (db, scm, graph) = credit_db(N, 31);
     let q = whatif("Use d Update(status) = 1 Output Count(Post(credit) = 'Good')");
     let exact = exact_whatif(&scm, db.table("d").unwrap(), &q).unwrap();
-    let est = HyperEngine::new(&db, Some(&graph)).whatif(&q).unwrap();
+    let est = HyperSession::new(db.clone(), Some(&graph))
+        .whatif(&q)
+        .unwrap();
     let rel = (est.value - exact).abs() / exact;
     assert!(rel < 0.05, "estimate {} vs oracle {exact}", est.value);
 }
@@ -149,7 +157,9 @@ fn deterministic_path_when_post_refers_to_updated_attr() {
     let (db, _, graph) = confounded_db(1000, 37);
     // Post(b) is fully determined by the update: no estimation needed.
     let q = whatif("Use d Update(b) = 1 Output Count(Post(b) = 1)");
-    let est = HyperEngine::new(&db, Some(&graph)).whatif(&q).unwrap();
+    let est = HyperSession::new(db.clone(), Some(&graph))
+        .whatif(&q)
+        .unwrap();
     assert_eq!(est.value, 1000.0);
     assert_eq!(est.trained_rows, 0, "deterministic fast path");
 }
@@ -158,7 +168,9 @@ fn deterministic_path_when_post_refers_to_updated_attr() {
 fn count_star_with_post_free_for_is_plain_count() {
     let (db, _, graph) = confounded_db(1000, 41);
     let q = whatif("Use d Update(b) = 1 Output Count(*) For Pre(z) = 0");
-    let est = HyperEngine::new(&db, Some(&graph)).whatif(&q).unwrap();
+    let est = HyperSession::new(db.clone(), Some(&graph))
+        .whatif(&q)
+        .unwrap();
     let z0 = db
         .table("d")
         .unwrap()
@@ -174,7 +186,9 @@ fn count_star_with_post_free_for_is_plain_count() {
 fn scale_and_shift_updates_apply() {
     let (db, _, graph) = confounded_db(500, 43);
     let q = whatif("Use d Update(b) = 2 * Pre(b) Output Avg(Post(b))");
-    let est = HyperEngine::new(&db, Some(&graph)).whatif(&q).unwrap();
+    let est = HyperSession::new(db.clone(), Some(&graph))
+        .whatif(&q)
+        .unwrap();
     let mean_b: f64 = db
         .table("d")
         .unwrap()
@@ -191,22 +205,24 @@ fn scale_and_shift_updates_apply() {
 fn unknown_attribute_is_a_validation_error() {
     let (db, _, graph) = confounded_db(100, 47);
     let q = whatif("Use d Update(ghost) = 1 Output Count(Post(y) = 1)");
-    assert!(HyperEngine::new(&db, Some(&graph)).whatif(&q).is_err());
+    assert!(HyperSession::new(db.clone(), Some(&graph))
+        .whatif(&q)
+        .is_err());
 }
 
 #[test]
 fn from_graph_mode_without_graph_errors() {
     let (db, _, _) = confounded_db(100, 53);
     let q = whatif("Use d Update(b) = 1 Output Count(Post(y) = 1)");
-    let err = HyperEngine::new(&db, None).whatif(&q).unwrap_err();
+    let err = HyperSession::new(db.clone(), None).whatif(&q).unwrap_err();
     assert!(matches!(err, hyper_core::EngineError::Causal(_)));
 }
 
 #[test]
 fn engine_execute_dispatches_by_query_kind() {
     let (db, _, graph) = confounded_db(2000, 59);
-    let engine = HyperEngine::new(&db, Some(&graph));
-    let out = engine
+    let session = HyperSession::new(db.clone(), Some(&graph));
+    let out = session
         .execute("Use d Update(b) = 1 Output Count(Post(y) = 1)")
         .unwrap();
     assert!(matches!(out, hyper_core::QueryOutcome::WhatIf(_)));
@@ -221,7 +237,9 @@ fn multi_update_tracks_oracle() {
          Output Count(Post(credit) = 'Good')",
     );
     let exact = exact_whatif(&scm, db.table("d").unwrap(), &q).unwrap();
-    let est = HyperEngine::new(&db, Some(&graph)).whatif(&q).unwrap();
+    let est = HyperSession::new(db.clone(), Some(&graph))
+        .whatif(&q)
+        .unwrap();
     let rel = (est.value - exact).abs() / exact;
     assert!(rel < 0.05, "estimate {} vs oracle {exact}", est.value);
 }
@@ -234,7 +252,9 @@ fn multi_update_on_connected_attrs_rejected() {
         "Use d Update(edu) = 1 And Update(income) = 1
          Output Count(Post(credit) = 'Good')",
     );
-    let err = HyperEngine::new(&db, Some(&graph)).whatif(&q).unwrap_err();
+    let err = HyperSession::new(db.clone(), Some(&graph))
+        .whatif(&q)
+        .unwrap_err();
     assert!(matches!(err, hyper_core::EngineError::Unsupported(_)));
 }
 
@@ -247,7 +267,9 @@ fn avg_with_post_condition_in_for_tracks_oracle() {
     // degenerate check; use Sum with a post condition.
     let q = whatif("Use d Update(b) = 1 Output Sum(Post(y)) For Post(y) = 1");
     let exact = exact_whatif(&scm, db.table("d").unwrap(), &q).unwrap();
-    let est = HyperEngine::new(&db, Some(&graph)).whatif(&q).unwrap();
+    let est = HyperSession::new(db.clone(), Some(&graph))
+        .whatif(&q)
+        .unwrap();
     let rel = (est.value - exact).abs() / exact.max(1.0);
     assert!(rel < 0.05, "estimate {} vs oracle {exact}", est.value);
 }
@@ -259,7 +281,7 @@ fn cells_estimator_is_nearly_exact_on_discrete_data() {
     let (db, scm, graph) = confounded_db(N, 83);
     let q = whatif("Use d Update(b) = 1 Output Count(Post(y) = 1)");
     let exact = exact_whatif(&scm, db.table("d").unwrap(), &q).unwrap();
-    let cells = HyperEngine::new(&db, Some(&graph))
+    let cells = HyperSession::new(db.clone(), Some(&graph))
         .with_config(EngineConfig {
             estimator: hyper_core::EstimatorKind::Cells,
             ..EngineConfig::hyper()
@@ -279,7 +301,7 @@ fn cells_estimator_handles_unseen_update_values() {
     // fallback must keep the estimate finite and in range.
     let (db, _, graph) = confounded_db(2000, 89);
     let q = whatif("Use d Update(b) = 7 Output Count(Post(y) = 1)");
-    let cells = HyperEngine::new(&db, Some(&graph))
+    let cells = HyperSession::new(db.clone(), Some(&graph))
         .with_config(EngineConfig {
             estimator: hyper_core::EstimatorKind::Cells,
             ..EngineConfig::hyper()

@@ -246,8 +246,6 @@ pub use hyper_store as store;
 /// Common imports for applications.
 pub mod prelude {
     pub use hyper_causal::{BlockDecomposition, CausalGraph, Intervention, InterventionOp, Scm};
-    #[allow(deprecated)]
-    pub use hyper_core::HyperEngine;
     pub use hyper_core::{
         exact_whatif, BackdoorMode, CacheBudget, EngineConfig, ExplainReport, HowToOptions,
         HowToResult, HyperSession, IntoQuery, Phase, PreparedQuery, Provenance, QueryOutcome,

@@ -1,10 +1,14 @@
-//! Pinned `f64::to_bits` of two answers:
+//! Pinned `f64::to_bits` of three kinds of answer:
 //!
 //! - a what-if whose estimator trains both a numerator and a denominator
 //!   forest (an `Avg` output with a post `For` condition);
 //! - a four-attribute how-to (candidate enumeration and L1 costing, the
 //!   baseline objective, one training per attribute, the IP and the joint
 //!   re-evaluation of the chosen updates).
+//!
+//! - a what-if whose ψ/Y targets are inexact, non-dyadic floats (an
+//!   `Avg` over the continuous `credit_amount`), so a forest's leaf sums
+//!   depend on the order in which it adds its cells.
 //!
 //! The forest-level pins (one cell-mode fit, one row-wise fit) live with
 //! the trainer in `crates/ml/src/forest.rs`.
@@ -118,6 +122,34 @@ fn leading_update_column_keeps_its_bits() {
     assert_eq!(
         r.value.to_bits(),
         0x40a4d3e2b6d47151,
+        "value {:?} = {:#018x}",
+        r.value,
+        r.value.to_bits()
+    );
+}
+
+/// Count targets are 0/1 and the `Avg` pin above averages an integer, so
+/// their sums are exact in any order. Here Y is a continuous amount: a
+/// change in the order in which a forest numbers (and so adds) its
+/// support cells moves these bits.
+#[test]
+fn inexact_targets_keep_their_bits() {
+    let data = hyper_repro::datasets::german_syn_continuous(4_000, 7);
+    let session = HyperSession::builder(data.db.clone())
+        .graph(data.graph.clone())
+        .share_artifacts(false)
+        .build();
+    let r = session
+        .whatif_text(
+            "Use german_syn When age = 1 Update(status) = 3 \
+             Output Avg(Post(credit_amount))",
+        )
+        .unwrap();
+    assert_eq!(r.backdoor, ["age", "sex"]);
+    assert_eq!(session.stats().estimator_misses, 1);
+    assert_eq!(
+        r.value.to_bits(),
+        0x40b266aadb53f1f4,
         "value {:?} = {:#018x}",
         r.value,
         r.value.to_bits()
