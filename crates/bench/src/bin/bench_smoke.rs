@@ -25,18 +25,14 @@
 //! at the full 1M), the morsel-parallel filter must beat the sequential
 //! scan ≥1.5× when the global runtime has ≥2 workers (auto-skipped on
 //! 1-core runners, where the parity property tests still cover
-//! correctness), and the big table must scan correctly through the
-//! `hyper-store` paging tier under a resident-byte budget far smaller
-//! than the table. Serve entries report `p50_us`/`p99_us` tail latency
+//! correctness). Serve entries report `p50_us`/`p99_us` tail latency
 //! alongside throughput, at both 10k and the big-row scale point.
 //!
-//! PR-9 additions: `forest_train_german_1m` trains a forest over the
-//! **out-of-core** table through the streaming two-pass layout under a
-//! paging budget of 1/8 the spilled bytes — asserted bit-identical to
-//! the resident trainer with peak resident bytes under the dense
-//! encoded matrix — and the morsel-parallel fit is gated ≥2× over the
-//! single-threaded resident fit when the pool has ≥2 workers
-//! (auto-skipped on 1-core runners). On those 1-core runners the
+//! `forest_train_german_1m` fits a 16-tree forest over the big table on
+//! the global pool and on a zero-worker runtime — asserted
+//! bit-identical — and the pool's fit is gated ≥2× over the zero-worker
+//! fit when the pool has ≥2 workers (auto-skipped on 1-core runners).
+//! On those 1-core runners the
 //! morsel-parallel filter is instead asserted to cost ≤1.05× the
 //! sequential scan (the zero-worker fast path must not allocate morsel
 //! state it cannot use).
@@ -530,9 +526,9 @@ fn main() {
 
     // ---------------------------------------------------------------
     // The big-row scale point (German-Syn 1M by default): the same data
-    // path — filter scan, forest predict, cold what-if, serving — at
-    // 100× the rows, plus an out-of-core scan through the hyper-store
-    // paging tier. Same generator, same query, only the row count moves.
+    // path — filter scan, forest train and predict, cold what-if,
+    // serving — at 100× the rows. Same generator, same query, only the
+    // row count moves.
     drop((x, y, forest));
     let big = hyper_datasets::german_syn(big_rows, 1);
     let (big_db, big_graph) = (Arc::new(big.db), Arc::new(big.graph));
@@ -568,118 +564,44 @@ fn main() {
         Some(secs_to_us(seq_t)),
     ));
 
-    // Out-of-core: spill the big table into HYPR1 column chunks (chunk
-    // granularity = morsel granularity) and scan it chunk-at-a-time
-    // under a resident budget of ~1/8 of the table, verifying the
-    // selection matches the in-memory scan. This is the acceptance
-    // criterion that a table larger than its budget still scans
-    // correctly; the time shows what paging costs over the in-memory
-    // scan above.
-    let spill_dir = std::env::temp_dir().join(format!("hyper_bench_paged_{}", std::process::id()));
-    std::fs::remove_dir_all(&spill_dir).ok();
-    let paged = hyper_store::PagedTable::spill(
-        &bt,
-        &spill_dir,
-        DEFAULT_MORSEL_ROWS,
-        0, // resolved below: budget must be < spilled size
-    )
-    .unwrap();
-    let budget = paged.spilled_bytes() / 8;
-    std::fs::remove_dir_all(&spill_dir).ok();
-    let paged =
-        hyper_store::PagedTable::spill(&bt, &spill_dir, DEFAULT_MORSEL_ROWS, budget).unwrap();
-    let in_memory = hyper_storage::ops::matching_rows(&bt, &pred).unwrap();
-    let paged_sel = paged.matching_rows(&pred).unwrap();
-    assert_eq!(
-        in_memory, paged_sel,
-        "paged scan under budget diverged from the in-memory scan"
-    );
-    drop((in_memory, paged_sel));
-    let paged_t = time_avg(big_reps, || paged.matching_rows(&pred).unwrap().len());
-    // Predicate scans decode column-projected chunks straight off disk
-    // (counted as loads, bypassing the resident LRU entirely); a
-    // full-chunk pass then exercises the LRU, which must evict under a
-    // budget of 1/8 the table.
-    assert!(
-        paged.stats().loads > 0,
-        "projected predicate scans must read chunks from disk"
-    );
-    paged.for_each_chunk(|_, _, _| Ok(())).unwrap();
-    assert!(
-        paged.stats().evictions > 0,
-        "a budget of 1/8 the table must actually evict"
-    );
-    entries.push(Entry::new(
-        "paged_scan_german_1m",
-        secs_to_us(paged_t),
-        Some(secs_to_us(seq_t)),
-    ));
-
-    // Streaming forest training over the out-of-core table (PR 9): fit
-    // the encoder and collect the target chunk-at-a-time, build the
-    // two-pass binned layout under the same 1/8 paging budget, then
-    // train morsel-parallel on the global pool. The fitted forest must
-    // be bit-identical to the resident trainer's, and the layout's peak
-    // resident footprint must stay under the dense encoded matrix it
-    // replaces.
+    // Forest training at the big scale point: the same 16-tree fit on
+    // the global pool and on a zero-worker runtime. Each tree derives its
+    // RNG from (seed, tree index), so the two forests must be
+    // bit-identical; with ≥2 workers the pool must win ≥2× (gated below).
     let train_cols = encoder_columns();
-    let enc_paged = hyper_store::fit_encoder_paged(&paged, &train_cols).unwrap();
-    let enc_resident = TableEncoder::fit(&bt, &train_cols).unwrap();
-    assert_eq!(
-        enc_paged.parts().1,
-        enc_resident.parts().1,
-        "chunk-fitted encoder diverged from the resident fit"
-    );
-    let big_y_age = hyper_store::target_vector_paged(&paged, "age").unwrap();
+    let big_enc = TableEncoder::fit(&bt, &train_cols).unwrap();
+    let xm = big_enc.encode_table(&bt).unwrap();
+    let big_y_age = TableEncoder::target_vector(&bt, "age").unwrap();
     let train_params = ForestParams {
         n_trees: 16,
         ..ForestParams::default()
     };
-    let cell_cap = (bt.num_rows() / 4).max(64);
-    let build_start = std::time::Instant::now();
-    let mut src = hyper_store::PagedTrainSource::new(&paged, &enc_paged);
-    let layout = hyper_ml::StreamedLayout::build(&mut src, hyper_ml::MAX_BINS, cell_cap)
-        .unwrap()
-        .expect("german-syn features are cell-trainable");
-    let layout_build_us = secs_to_us(build_start.elapsed());
-    let matrix_bytes = (bt.num_rows() * enc_resident.width() * 8) as u64;
-    assert!(
-        layout.stats().peak_resident_bytes < matrix_bytes,
-        "streaming layout resident bytes {} must undercut the {}-byte dense matrix",
-        layout.stats().peak_resident_bytes,
-        matrix_bytes
-    );
-    paged.remove_files().unwrap();
-    let stream_train_t = time_avg(big_reps, || {
-        layout
-            .fit_forest(rt, &big_y_age, &train_params)
+    let rt0 = HyperRuntime::with_workers(0);
+    let pool_train_t = time_avg(big_reps, || {
+        RandomForest::fit_on(rt, &xm, &big_y_age, &train_params)
             .unwrap()
             .num_trees()
     });
-    let rt0 = HyperRuntime::with_workers(0);
-    let xm = enc_resident.encode_table(&bt).unwrap();
-    let resident_train_t = time_avg(big_reps, || {
+    let seq_train_t = time_avg(big_reps, || {
         RandomForest::fit_on(&rt0, &xm, &big_y_age, &train_params)
             .unwrap()
             .num_trees()
     });
-    let streamed_forest = layout.fit_forest(rt, &big_y_age, &train_params).unwrap();
-    let resident_forest = RandomForest::fit_on(&rt0, &xm, &big_y_age, &train_params).unwrap();
+    let pool_forest = RandomForest::fit_on(rt, &xm, &big_y_age, &train_params).unwrap();
+    let seq_forest = RandomForest::fit_on(&rt0, &xm, &big_y_age, &train_params).unwrap();
     for i in [0, bt.num_rows() / 2, bt.num_rows() - 1] {
         assert_eq!(
-            resident_forest.predict_row(xm.row(i)).to_bits(),
-            streamed_forest.predict_row(xm.row(i)).to_bits(),
-            "streamed forest diverged from the resident trainer at row {i}"
+            seq_forest.predict_row(xm.row(i)).to_bits(),
+            pool_forest.predict_row(xm.row(i)).to_bits(),
+            "forest fitted on the global pool diverged from the zero-worker fit at row {i}"
         );
     }
-    drop((xm, layout, streamed_forest, resident_forest));
-    let mut e = Entry::new(
+    drop((xm, pool_forest, seq_forest));
+    entries.push(Entry::new(
         "forest_train_german_1m",
-        secs_to_us(stream_train_t),
-        Some(secs_to_us(resident_train_t)),
-    );
-    e.extra = vec![("layout_build_us", layout_build_us)];
-    entries.push(e);
+        secs_to_us(pool_train_t),
+        Some(secs_to_us(seq_train_t)),
+    ));
 
     // ML: encode + batch-predict at the big scale point (the morsel
     // fan-out paths).
@@ -983,13 +905,12 @@ fn main() {
         eprintln!("note: parallel-filter gate skipped ({workers} workers in the global pool)");
     }
 
-    // Streaming-training gate (PR 9): with ≥2 workers, the
-    // morsel-parallel fit over the streamed layout must beat the
-    // single-threaded resident fit ≥2× (both sides measured live over
-    // the same targets; the forests are asserted bit-identical above).
-    // On 1-core runners both sides run the same sequential loop and the
-    // gate auto-skips — bit-identity still holds and is property-tested
-    // in crates/store.
+    // Parallel forest-training gate: with ≥2 workers, the fit on
+    // the global pool must beat the zero-worker fit ≥2× (both sides
+    // measured live over the same targets; the forests are asserted
+    // bit-identical above). On 1-core runners both sides run the same
+    // sequential loop and the gate auto-skips — bit-identity across
+    // worker counts is still property-tested in crates/ml.
     if workers >= 2 {
         let e = entries
             .iter()
@@ -998,12 +919,12 @@ fn main() {
         let speedup = e.baseline_micros.unwrap() / e.micros;
         if speedup < 2.0 {
             eprintln!(
-                "REGRESSION: streamed parallel forest training speedup {speedup:.2} < 2.0 \
+                "REGRESSION: parallel forest training speedup {speedup:.2} < 2.0 \
                  with {workers} workers"
             );
             std::process::exit(1);
         }
     } else {
-        eprintln!("note: streaming-training gate skipped ({workers} workers in the global pool)");
+        eprintln!("note: forest-training gate skipped ({workers} workers in the global pool)");
     }
 }

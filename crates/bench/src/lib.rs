@@ -224,10 +224,8 @@ pub mod storage_baseline {
     }
 
     /// The seed's per-row encode loop: materialize each row's feature
-    /// cells, encode, push into the matrix. (Deliberately exercises the
-    /// deprecated cell API — it *is* the `Value`-per-cell baseline the
-    /// speedup gates compare against.)
-    #[allow(deprecated)]
+    /// cells as `Value`s, encode, push into the matrix — the
+    /// `Value`-per-cell baseline the speedup gates compare against.
     pub fn encode_row_reference(enc: &TableEncoder, t: &Table) -> Matrix {
         let idxs: Vec<usize> = enc
             .columns()
@@ -239,7 +237,7 @@ pub mod storage_baseline {
         for i in 0..t.num_rows() {
             buf.clear();
             for &c in &idxs {
-                buf.push(t.get(i, c));
+                buf.push(t.column(c).value(i));
             }
             m.push_row(&enc.encode_values(&buf).unwrap()).unwrap();
         }

@@ -182,13 +182,12 @@
 //! | `view_build` | [`build_relevant_view`] |
 //! | `block_decomp` | Prop.-1 decomposition computation |
 //! | `encoder_fit` | feature-encoder fitting (`hyper-ml`) |
-//! | `forest_train` | estimator training, resident and streamed |
+//! | `forest_train` | estimator training (`hyper-ml`) |
 //! | `predict` | forest inference during mask evaluation |
 //! | `cache_lookup` | [`ArtifactCache`] tiered fetches (lookup overhead only) |
 //! | `queue_wait` / `execute` | `hyper-serve` admission queue vs. work |
 //! | `snapshot_load` | disk-tier artifact recovery, server snapshot loads |
 //! | `refresh` | [`HyperSession::refresh`] root span |
-//! | `paged_io` | out-of-core chunk reads (`hyper-store` paging) |
 //!
 //! Tracing is **per session** ([`SessionBuilder::tracing`], default off)
 //! and attributes **exclusive** time: nested spans subtract, so the

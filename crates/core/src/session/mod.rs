@@ -166,16 +166,10 @@ pub struct SessionStats {
     /// The data version this session serves: the number of delta batches
     /// applied since the base snapshot (0 = the snapshot itself).
     pub data_version: u64,
-    /// Always 0: estimators train on the resident encoded view, never
-    /// from a stream. The benchmark report still reads it.
+    /// Always 0: no estimator trains from a stream. The benchmark report
+    /// still reads it as `ml.trainings_streamed_per_query`; the benchmark
+    /// change that retires that metric removes this field.
     pub trainings_streamed: u64,
-    /// Out-of-core chunk loads (disk reads) by [`hyper_store::PagedTable`]
-    /// scans, **process-wide** (paged tables are not session-scoped).
-    pub paging_loads: u64,
-    /// Out-of-core chunk reads served by the resident LRU, process-wide.
-    pub paging_hits: u64,
-    /// Out-of-core chunk evictions under a resident budget, process-wide.
-    pub paging_evictions: u64,
     /// Cumulative **exclusive** (self) time per [`Phase`], in nanoseconds,
     /// across every traced query this session lineage ran. Zero unless
     /// tracing was enabled ([`SessionBuilder::tracing`] /
@@ -701,7 +695,6 @@ impl HyperSession {
 
     fn read_stats_once(&self) -> SessionStats {
         let c = &self.inner.cache.counters;
-        let paging = hyper_store::global_paging_stats();
         SessionStats {
             view_hits: c.view_hits.load(Ordering::Relaxed),
             view_misses: c.view_misses.load(Ordering::Relaxed),
@@ -732,9 +725,6 @@ impl HyperSession {
             refreshes: self.inner.exec.refreshes.load(Ordering::Relaxed),
             data_version: self.inner.data_version,
             trainings_streamed: 0,
-            paging_loads: paging.loads,
-            paging_hits: paging.hits,
-            paging_evictions: paging.evictions,
             trace_phase_ns: std::array::from_fn(|i| {
                 self.inner.exec.phase_ns[i].load(Ordering::Relaxed)
             }),

@@ -247,8 +247,8 @@ pub fn german_syn(n: usize, seed: u64) -> Dataset {
     }
 }
 
-/// German-Syn at the 1M-row scale point used by the out-of-core and
-/// morsel-parallel benchmarks (`*_german_1m` entries in `bench_smoke`).
+/// German-Syn at the 1M-row scale point used by the morsel-parallel
+/// benchmarks (`*_german_1m` entries in `bench_smoke`).
 /// Identical generator to [`german_syn`] — only the row count differs —
 /// so scaling curves compare like against like.
 pub fn german_syn_1m(seed: u64) -> Dataset {

@@ -313,20 +313,6 @@ impl TableEncoder {
         Ok(m)
     }
 
-    /// Begin an incremental fit over the named columns: feed row-order
-    /// chunks to [`EncoderFitState::observe`], then
-    /// [`EncoderFitState::finish`]. Bit-identical to
-    /// [`TableEncoder::fit`] over the concatenated rows for any
-    /// chunking (numeric means accumulate in global row order, so the
-    /// float sums match; category sets are order-insensitive and sorted
-    /// at the end).
-    pub fn fit_begin(columns: &[String]) -> EncoderFitState {
-        EncoderFitState {
-            columns: columns.to_vec(),
-            cols: columns.iter().map(|_| ColumnFitState::default()).collect(),
-        }
-    }
-
     /// Extract a numeric target column.
     pub fn target_vector(table: &Table, column: &str) -> Result<Vec<f64>> {
         let idx = table.schema().index_of(column)?;
@@ -338,88 +324,6 @@ impl TableEncoder {
                     .ok_or_else(|| MlError::InvalidInput(format!("non-numeric target value {v}")))
             })
             .collect()
-    }
-}
-
-/// Per-column accumulator of [`EncoderFitState`].
-#[derive(Debug, Default)]
-struct ColumnFitState {
-    dtype: Option<DataType>,
-    sum: f64,
-    non_null: usize,
-    seen: HashMap<Value, ()>,
-    cats: Vec<Value>,
-}
-
-/// In-progress chunk-at-a-time encoder fit (see
-/// [`TableEncoder::fit_begin`]) — lets out-of-core sources fit the
-/// encoder without assembling the whole table resident.
-#[derive(Debug)]
-pub struct EncoderFitState {
-    columns: Vec<String>,
-    cols: Vec<ColumnFitState>,
-}
-
-impl EncoderFitState {
-    /// Accumulate one chunk (must contain every fitted column; chunks
-    /// must arrive in global row order for bit-identical numeric means).
-    pub fn observe(&mut self, chunk: &Table) -> Result<()> {
-        for (name, st) in self.columns.iter().zip(&mut self.cols) {
-            let idx = chunk.schema().index_of(name)?;
-            let col = chunk.column(idx);
-            let dt = col.data_type();
-            if *st.dtype.get_or_insert(dt) != dt {
-                return Err(MlError::InvalidInput(format!(
-                    "column `{name}` changes type across chunks"
-                )));
-            }
-            st.non_null += col.len() - col.null_count();
-            if matches!(dt, DataType::Int | DataType::Float | DataType::Bool) {
-                // Numeric columns only ever need the running sum: if every
-                // value turns out NULL the fit degrades to an empty
-                // one-hot, exactly like the resident fit.
-                for i in 0..col.len() {
-                    if let Some(x) = col.f64_at(i) {
-                        st.sum += x;
-                    }
-                }
-            } else {
-                for v in col.iter() {
-                    if !v.is_null() && st.seen.insert(v.clone(), ()).is_none() {
-                        st.cats.push(v);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Finalize into a fitted encoder.
-    pub fn finish(self) -> Result<TableEncoder> {
-        let mut encodings = Vec::with_capacity(self.cols.len());
-        let mut width = 0usize;
-        for st in self.cols {
-            let numeric = matches!(
-                st.dtype,
-                Some(DataType::Int | DataType::Float | DataType::Bool)
-            );
-            if numeric && st.non_null > 0 {
-                encodings.push(ColumnEncoding::Numeric {
-                    mean: st.sum / st.non_null as f64,
-                });
-                width += 1;
-            } else {
-                let mut cats = st.cats;
-                cats.sort();
-                width += cats.len();
-                encodings.push(ColumnEncoding::OneHot { categories: cats });
-            }
-        }
-        Ok(TableEncoder {
-            columns: self.columns,
-            encodings,
-            width,
-        })
     }
 }
 

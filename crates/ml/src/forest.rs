@@ -6,8 +6,8 @@
 //! what-if latency, so training is the engine's hottest cold path.
 //!
 //! Every fit goes through one cell layout
-//! ([`crate::stream::StreamedLayout`]), built from the feature matrix as a
-//! one-chunk source: each feature is binned once into at most
+//! (`layout.rs`'s `CellLayout`), built from the feature matrix or from
+//! its support cells: each feature is binned once into at most
 //! [`MAX_BINS`] histogram bins, and rows sharing one bin vector collapse
 //! into weighted cells. Over HypeR's discrete adjustment sets a view has
 //! a few hundred cells, so each tree costs one O(rows) bootstrap
@@ -29,8 +29,8 @@ use rand::{Rng, SeedableRng};
 
 use crate::error::{MlError, Result};
 use crate::hist::MAX_BINS;
+use crate::layout::{Binning, CellLayout};
 use crate::matrix::Matrix;
-use crate::stream::{Attempt, StreamedLayout};
 use crate::tree::{RegressionTree, TreeParams};
 
 /// Derive the per-tree RNG seed: a SplitMix64 scramble of the forest seed
@@ -144,11 +144,10 @@ impl RandomForest {
     /// worker count (each tree's randomness is derived from
     /// `(params.seed, tree_index)`).
     ///
-    /// `x` is read as a one-chunk [`StreamedLayout`] source with a cap of
-    /// `max(rows / 4, 64)` joint cells, so the forest is bit-identical to
-    /// [`StreamedLayout::fit_forest`] over any chunking of the same rows.
-    /// Above the cap, trees fit row-wise over the per-row bins the
-    /// layout's second pass already derived — no column is sorted twice.
+    /// `x` is binned into a cell layout with a cap of `max(rows / 4, 64)`
+    /// joint cells. Above the cap, trees fit row-wise over the per-row
+    /// bins the layout's second pass already derived — no column is
+    /// sorted twice.
     pub fn fit_on(
         runtime: &HyperRuntime,
         x: &Matrix,
@@ -157,16 +156,14 @@ impl RandomForest {
     ) -> Result<RandomForest> {
         params.check(x.rows(), y)?;
         let _span = hyper_trace::span(hyper_trace::Phase::ForestTrain);
-        let mut source = x;
-        let attempt =
-            StreamedLayout::attempt(&mut source, MAX_BINS, cell_cap(x.rows()), usize::MAX)?;
-        Self::fit_attempt(runtime, attempt, y, params)
+        let binning = CellLayout::from_matrix(x, MAX_BINS, cell_cap(x.rows()));
+        Self::fit_binning(runtime, binning, y, params)
     }
 
     /// Fit on rows given as support cells: `reps` holds one encoded row
     /// per cell and `cell_of_row[i]` is the cell of row `i`, numbered in
-    /// first-occurrence row order (see [`StreamedLayout::from_cells`]).
-    /// The forest is bit-identical to [`RandomForest::fit_on`] over the
+    /// first-occurrence row order with every cell holding a row (anything
+    /// else is an `InvalidInput` error). The forest is bit-identical to [`RandomForest::fit_on`] over the
     /// expanded matrix (row `i` = `reps` row `cell_of_row[i]`), under the
     /// same cell cap, but only the representatives are ever binned: above
     /// the cap each row takes its representative's bins.
@@ -180,21 +177,21 @@ impl RandomForest {
         params.check(cell_of_row.len(), y)?;
         let _span = hyper_trace::span(hyper_trace::Phase::ForestTrain);
         let n = cell_of_row.len();
-        let attempt = StreamedLayout::attempt_cells(reps, cell_of_row, MAX_BINS, cell_cap(n))?;
-        Self::fit_attempt(runtime, attempt, y, params)
+        let binning = CellLayout::from_cells(reps, cell_of_row, MAX_BINS, cell_cap(n))?;
+        Self::fit_binning(runtime, binning, y, params)
     }
 
-    /// Fit over a resident layout attempt: per cell, or row-wise over
-    /// per-row bins above the cell cap.
-    fn fit_attempt(
+    /// Fit over a binning: per cell, or row-wise over per-row bins above
+    /// the cell cap.
+    fn fit_binning(
         runtime: &HyperRuntime,
-        attempt: Attempt,
+        binning: Binning,
         y: &[f64],
         params: &ForestParams,
     ) -> Result<RandomForest> {
-        match attempt {
-            Attempt::Cells(layout) => layout.fit_forest(runtime, y, params),
-            Attempt::Rows(Some(binned)) => {
+        match binning {
+            Binning::Cells(layout) => layout.fit_forest(runtime, y, params),
+            Binning::Rows(binned) => {
                 let n = binned.rows();
                 let tree_params = params.tree_params(binned.cols());
                 grow_trees(runtime, params, |rng| {
@@ -211,9 +208,6 @@ impl RandomForest {
                     };
                     RegressionTree::fit_binned(&binned, y, idx, &tree_params, rng)
                 })
-            }
-            Attempt::Rows(None) | Attempt::TooManyDistinct => {
-                unreachable!("a resident matrix is one chunk with no distinct cap")
             }
         }
     }

@@ -35,7 +35,7 @@ pub struct BinnedFeature {
 
 impl BinnedFeature {
     /// A splits-only view with **no per-row bins**, for the cell layout
-    /// (`crate::stream`): cell-mode tree fitting reads only
+    /// (`crate::layout`): cell-mode tree fitting reads only
     /// `num_bins()` / `splits()` plus the [`CellIndex`], never the
     /// per-row bin ids, so the dense bin vector need not exist.
     pub(crate) fn from_splits(splits: Vec<f64>) -> BinnedFeature {
@@ -106,7 +106,7 @@ impl BinnedMatrix {
 /// the cells in microseconds after one O(rows) weighted pass.
 ///
 /// Built only when the distinct-cell count stays under the requested cap
-/// ([`crate::stream::StreamedLayout`] declines otherwise — continuous
+/// (the forest's cell layout declines otherwise — continuous
 /// features keep the row-wise path).
 pub struct CellIndex {
     /// Cell id of each row.
@@ -118,7 +118,7 @@ pub struct CellIndex {
 
 impl CellIndex {
     /// Assemble from pre-computed parts (the layout's pass two numbers
-    /// cells in first-occurrence row order; see `crate::stream`).
+    /// cells in first-occurrence row order; see `crate::layout`).
     pub(crate) fn from_parts(
         cell_of_row: Vec<u32>,
         cell_bins: Vec<Vec<u8>>,
@@ -197,15 +197,15 @@ fn midpoint(lo: f64, hi: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::{Binning, CellLayout};
     use crate::matrix::Matrix;
-    use crate::stream::{Attempt, StreamedLayout};
 
     /// Bin `x` as the row-wise trainer sees it: a zero-cell cap declines
     /// every layout and hands back its per-row bins.
     fn bin_matrix(x: &Matrix, max_bins: usize) -> BinnedMatrix {
-        match StreamedLayout::attempt(&mut &*x, max_bins, 0, usize::MAX).unwrap() {
-            Attempt::Rows(Some(binned)) => binned,
-            _ => panic!("a zero-cell cap declines with the matrix's bins"),
+        match CellLayout::from_matrix(x, max_bins, 0) {
+            Binning::Rows(binned) => binned,
+            Binning::Cells(_) => panic!("a zero-cell cap declines with the matrix's bins"),
         }
     }
 

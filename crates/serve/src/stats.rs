@@ -259,13 +259,16 @@ pub fn session_json(s: &hyper_core::SessionStats) -> Json {
         ("view_misses", s.view_misses.into()),
         ("view_shared_hits", s.view_shared_hits.into()),
         ("view_disk_hits", s.view_disk_hits.into()),
+        ("view_evictions", s.view_evictions.into()),
         ("estimator_hits", s.estimator_hits.into()),
         ("estimator_misses", s.estimator_misses.into()),
         ("estimator_shared_hits", s.estimator_shared_hits.into()),
         ("estimator_disk_hits", s.estimator_disk_hits.into()),
+        ("estimator_evictions", s.estimator_evictions.into()),
         ("block_hits", s.block_hits.into()),
         ("block_misses", s.block_misses.into()),
         ("block_shared_hits", s.block_shared_hits.into()),
+        ("block_disk_hits", s.block_disk_hits.into()),
         ("views_cached", s.views_cached.into()),
         ("estimators_cached", s.estimators_cached.into()),
         ("queries_prepared", s.queries_prepared.into()),
@@ -276,9 +279,6 @@ pub fn session_json(s: &hyper_core::SessionStats) -> Json {
         ("blocks_invalidated", s.blocks_invalidated.into()),
         ("refreshes", s.refreshes.into()),
         ("data_version", s.data_version.into()),
-        ("paging_loads", s.paging_loads.into()),
-        ("paging_hits", s.paging_hits.into()),
-        ("paging_evictions", s.paging_evictions.into()),
         ("traced_queries", s.traced_queries.into()),
         ("trace_total_ns", s.trace_total_ns.into()),
         ("phases", Json::obj_sorted(phases)),
@@ -305,14 +305,16 @@ mod tests {
     }
 
     #[test]
-    fn session_json_carries_paging_counters() {
+    fn session_json_carries_eviction_and_block_disk_counters() {
         let s = hyper_core::SessionStats {
-            paging_loads: 7,
+            view_evictions: 3,
+            estimator_evictions: 5,
+            block_disk_hits: 7,
             ..Default::default()
         };
         let json = session_json(&s).render();
-        assert!(json.contains("\"paging_loads\":7"));
-        assert!(json.contains("\"paging_hits\":0"));
-        assert!(json.contains("\"paging_evictions\":0"));
+        assert!(json.contains("\"view_evictions\":3"), "{json}");
+        assert!(json.contains("\"estimator_evictions\":5"), "{json}");
+        assert!(json.contains("\"block_disk_hits\":7"), "{json}");
     }
 }

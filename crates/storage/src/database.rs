@@ -283,11 +283,12 @@ mod tests {
         let before = crate::fingerprint::HASH_TABLE_CALLS.with(|c| c.get());
 
         // Append a row to `review`; `product` is untouched.
-        #[allow(deprecated)]
-        db.table_mut("review")
+        let review = db.table("review").unwrap();
+        let row = crate::table::TableBuilder::new("review", review.schema().clone())
+            .row(vec![1.into(), 9.into(), 5.into()])
             .unwrap()
-            .push_row(vec![1.into(), 9.into(), 5.into()])
-            .unwrap();
+            .build();
+        db.table_mut("review").unwrap().append_rows(&row).unwrap();
         db.fingerprint();
 
         let after = crate::fingerprint::HASH_TABLE_CALLS.with(|c| c.get());

@@ -20,10 +20,10 @@
 //! projection are typed buffer copies that share string dictionaries, and
 //! joins/aggregations key on `(tag, bits)` parts read straight off the
 //! buffers. Ingest is columnar too: [`TableBuilder`] validates rows (or
-//! whole typed columns) into `Column` buffers; the old row-oriented
-//! `Table` API (`push_row`, `row`, `iter_rows`, `get`) survives only as a
-//! `#[deprecated]` compatibility shim, semantically pinned to the typed
-//! paths by `tests/prop_parity.rs`.
+//! whole typed columns) into `Column` buffers, and a cell reads back as a
+//! [`Value`] through `table.column(c).value(i)`. `tests/prop_parity.rs`
+//! pins the vectorized operators to row-at-a-time references built on
+//! that accessor.
 //!
 //! Tables and databases carry content [`Fingerprint`]s
 //! ([`Table::fingerprint`] / [`Database::fingerprint`]): stable 64-bit
@@ -49,9 +49,7 @@
 //! sequentially in row order; [`BoundExpr::eval_column`] evaluates
 //! ranges via [`Column::slice`] leaves and re-concatenates (widening
 //! Int→Float when any morsel's arithmetic overflowed, matching the
-//! sequential whole-column promotion). Tables larger than memory scan
-//! chunk-at-a-time through the `hyper-store` paging tier, with chunk
-//! granularity = morsel granularity.
+//! sequential whole-column promotion).
 //!
 //! ## Quick example
 //!

@@ -5,15 +5,14 @@
 //! and `Str` columns are dictionary-encoded (`Vec<u32>` codes into an
 //! `Arc`-shared [`crate::StrDict`]); every column carries a null bitmap.
 //! Hot operators (`gather`, filtering, join key extraction, feature
-//! encoding) work on the typed buffers directly; the row-oriented API
-//! ([`Table::push_row`], [`Table::row`], [`Table::iter_rows`],
-//! [`Table::get`]) materializes [`Value`]s on demand and is kept as a
-//! compatibility layer for loaders and tests.
+//! encoding) work on the typed buffers directly; tables are built through
+//! [`TableBuilder`], and a single cell materializes as a [`Value`] through
+//! [`Column::value`] (`table.column(c).value(i)`).
 //!
 //! NULL semantics: a NULL cell is a set bit in the column's bitmap; the
 //! payload slot holds a type-default placeholder that no reader observes.
-//! [`Table::get`] returns [`Value::Null`] for such cells, and typed readers
-//! check `is_null` (or the bitmap slice) before the payload.
+//! [`Column::value`] returns [`Value::Null`] for such cells, and typed
+//! readers check `is_null` (or the bitmap slice) before the payload.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -24,8 +23,8 @@ use crate::fingerprint::{hash_table, Fingerprint};
 use crate::schema::{Field, Schema};
 use crate::value::{DataType, Row, Value};
 
-/// Columnar table construction: the supported ingest path now that the
-/// row-oriented [`Table`] mutators are deprecated. The builder owns one
+/// Columnar table construction, row by row or column by column. The
+/// builder owns one
 /// typed [`Column`] per schema field; rows validate against the schema as
 /// they are appended ([`TableBuilder::push`] / the chainable
 /// [`TableBuilder::row`]), and whole typed columns can be installed
@@ -291,21 +290,6 @@ impl Table {
         }
     }
 
-    /// Append a row after validating it against the schema.
-    #[deprecated(
-        since = "0.1.0",
-        note = "row-oriented ingest materializes a `Value` per cell; build tables \
-                through the typed `TableBuilder` (or `Column` builders) instead"
-    )]
-    pub fn push_row(&mut self, row: Row) -> Result<()> {
-        self.schema.check_row(&row)?;
-        self.memo = OnceLock::new();
-        for (col, v) in self.columns.iter_mut().zip(&row) {
-            col.push(v)?;
-        }
-        Ok(())
-    }
-
     /// Typed column by index.
     pub fn column(&self, idx: usize) -> &Column {
         &self.columns[idx]
@@ -321,35 +305,6 @@ impl Table {
     pub fn set(&mut self, row: usize, col: usize, v: Value) -> Result<()> {
         self.memo = OnceLock::new();
         self.columns[col].set(row, &v)
-    }
-
-    /// Materialize one cell.
-    #[deprecated(
-        since = "0.1.0",
-        note = "per-cell `Value` materialization; read `table.column(col).value(row)` \
-                (or the column's typed accessors) instead"
-    )]
-    pub fn get(&self, row: usize, col: usize) -> Value {
-        self.columns[col].value(row)
-    }
-
-    /// Materialize row `i`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "whole-row `Value` materialization; iterate the typed columns instead"
-    )]
-    pub fn row(&self, i: usize) -> Row {
-        self.columns.iter().map(|c| c.value(i)).collect()
-    }
-
-    /// Iterate over materialized rows.
-    #[deprecated(
-        since = "0.1.0",
-        note = "whole-row `Value` materialization; iterate the typed columns instead"
-    )]
-    pub fn iter_rows(&self) -> impl Iterator<Item = Row> + '_ {
-        #[allow(deprecated)]
-        (0..self.num_rows()).map(move |i| self.row(i))
     }
 
     /// Append every row of `rows` (typed column concatenation — the
@@ -405,8 +360,8 @@ impl Table {
     /// Build a new table holding the contiguous row range
     /// `[start, start + len)`: the verbatim typed slice of every column
     /// (same bits, same null pattern, shared string dictionaries), with
-    /// the name, schema, and primary key preserved. This is the morsel /
-    /// paging-chunk primitive — see [`crate::morsel`].
+    /// the name, schema, and primary key preserved. This is the morsel
+    /// primitive — see [`crate::morsel`].
     pub fn slice(&self, start: usize, len: usize) -> Table {
         Table {
             name: self.name.clone(),
@@ -643,26 +598,6 @@ mod tests {
                 Column::from_values(DataType::Float, &[1.0.into()]).unwrap()
             )
             .is_err());
-    }
-
-    /// The deprecated row-oriented shim stays semantically equivalent to
-    /// the builder path for loaders/tests that still depend on it.
-    #[test]
-    #[allow(deprecated)]
-    fn row_shim_matches_builder() {
-        let built = sample();
-        let mut shim = Table::with_key("product", built.schema().clone(), &["id"]).unwrap();
-        shim.push_row(vec![1.into(), "vaio".into(), 999.0.into()])
-            .unwrap();
-        shim.push_row(vec![2.into(), "asus".into(), 529.0.into()])
-            .unwrap();
-        shim.push_row(vec![3.into(), "hp".into(), 599.0.into()])
-            .unwrap();
-        assert_eq!(shim.fingerprint(), built.fingerprint());
-        assert_eq!(shim.get(1, 1), Value::str("asus"));
-        assert_eq!(shim.row(2), vec![3.into(), "hp".into(), 599.0.into()]);
-        assert_eq!(shim.iter_rows().count(), 3);
-        assert!(shim.push_row(vec![4.into(), 5.into(), 1.0.into()]).is_err());
     }
 
     #[test]

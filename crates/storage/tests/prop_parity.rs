@@ -2,8 +2,9 @@
 //!
 //! Every vectorized path (filter selection, projection, aggregation, hash
 //! join, feature-style value round-trips) must agree **exactly** with a
-//! `Value`-at-a-time reference evaluated through the row-compatibility API
-//! (`BoundExpr::eval_predicate_at` / `eval_at`, `Table::row`) on random
+//! `Value`-at-a-time reference evaluated row by row
+//! (`BoundExpr::eval_predicate_at` / `eval_at`, and this file's
+//! [`rows_of`]/[`row_ref`]/[`cell`] over `Column::value`) on random
 //! tables of every column type, NULLs included. Dictionary codes must
 //! survive `gather`/`project`/`sort_by_column` with value-level fidelity
 //! and a shared (never rebuilt) dictionary.
@@ -115,24 +116,20 @@ fn arb_predicate(specs: Vec<ColSpec>) -> impl Strategy<Value = Expr> {
     })
 }
 
-/// Materialized rows through the deprecated compatibility shim — this is
-/// the parity suite that pins the shim's semantics to the typed paths, so
-/// it deliberately keeps exercising the row API.
-#[allow(deprecated)]
+/// Every row of `t`, materialized one `Value` per cell: the
+/// row-at-a-time reference the vectorized results are compared against.
 fn rows_of(t: &Table) -> Vec<Vec<Value>> {
-    t.iter_rows().collect()
+    (0..t.num_rows()).map(|i| row_ref(t, i)).collect()
 }
 
-/// One cell through the deprecated shim (see [`rows_of`]).
-#[allow(deprecated)]
+/// One cell as a `Value` (see [`rows_of`]).
 fn cell(t: &Table, i: usize, c: usize) -> Value {
-    t.get(i, c)
+    t.column(c).value(i)
 }
 
-/// One row through the deprecated shim (see [`rows_of`]).
-#[allow(deprecated)]
+/// Row `i` as `Value`s (see [`rows_of`]).
 fn row_ref(t: &Table, i: usize) -> Vec<Value> {
-    t.row(i)
+    (0..t.num_columns()).map(|c| cell(t, i, c)).collect()
 }
 
 proptest! {

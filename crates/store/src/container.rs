@@ -47,8 +47,6 @@ pub const SECTION_META: SectionTag = *b"META";
 pub const SECTION_ARTIFACT_META: SectionTag = *b"AMET";
 /// Artifact payload of a disk-tier artifact file.
 pub const SECTION_ARTIFACT_PAYLOAD: SectionTag = *b"APAY";
-/// One spilled table chunk of an out-of-core table ([`crate::paging`]).
-pub const SECTION_PAGE: SectionTag = *b"PAGE";
 
 /// Writer assembling a container in memory.
 #[derive(Debug, Default)]

@@ -36,9 +36,6 @@ pub enum StoreError {
         /// What was being validated (table name, "database", …).
         what: String,
     },
-    /// A relational operation over paged data failed (bad predicate,
-    /// schema drift between chunks, …) — see [`crate::paging`].
-    Query(String),
 }
 
 impl fmt::Display for StoreError {
@@ -58,7 +55,6 @@ impl fmt::Display for StoreError {
                 f,
                 "fingerprint mismatch for {what}: expected {expected:#018x}, found {found:#018x}"
             ),
-            StoreError::Query(msg) => write!(f, "query over paged data failed: {msg}"),
         }
     }
 }

@@ -56,19 +56,6 @@
 //!   checksummed, torn-tail-tolerant delta records beside the snapshot,
 //!   so ingest appends durably without rewriting the `HYPR1` file and
 //!   loaders replay to the latest version.
-//! * [`paging`] — out-of-core tables: [`PagedTable::spill`] slices a
-//!   table into fixed-row chunks written as individual `HYPR1` files,
-//!   then scans chunk-at-a-time under a resident-byte LRU budget (chunk
-//!   granularity = morsel granularity), so a table larger than memory —
-//!   or larger than a deliberately tiny budget — still scans correctly.
-//!   Predicate scans decode **column-projected** chunks with a reused
-//!   byte buffer ([`PagedTable::scan_projected`]), skipping every
-//!   unreferenced column's payload.
-//! * [`train`] — streaming forest training over paged tables:
-//!   [`PagedTrainSource`] feeds projected, encoded chunks to
-//!   [`hyper_ml::StreamedLayout`] — the layout resident training reads
-//!   as a single chunk — so the forest is bit-identical to resident
-//!   training without ever materializing the dense feature matrix.
 
 #![warn(missing_docs)]
 
@@ -79,11 +66,9 @@ pub mod container;
 pub mod deltalog;
 pub mod error;
 pub mod mlcodec;
-pub mod paging;
 pub mod registry;
 pub mod snapshot;
 pub mod tablecodec;
-pub mod train;
 
 pub use artifact::{read_artifact, write_artifact, ArtifactKind, ArtifactMeta};
 pub use causalcodec::{decode_blocks, decode_graph, encode_blocks, encode_graph};
@@ -94,11 +79,8 @@ pub use error::{Result, StoreError};
 pub use mlcodec::{
     decode_encoder, decode_forest, decode_tree, encode_encoder, encode_forest, encode_tree,
 };
-pub use paging::{global_paging_stats, PagedTable, PagingStats};
 pub use registry::SnapshotRegistry;
 pub use snapshot::{Snapshot, SnapshotInfo};
 pub use tablecodec::{
-    decode_database, decode_schema, decode_table, decode_table_projected, encode_database,
-    encode_schema, encode_table,
+    decode_database, decode_schema, decode_table, encode_database, encode_schema, encode_table,
 };
-pub use train::{fit_encoder_paged, target_vector_paged, PagedTrainSource};

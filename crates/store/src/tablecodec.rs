@@ -320,96 +320,6 @@ pub fn encode_table(w: &mut ByteWriter, table: &Table) {
     w.write_u64(table.fingerprint());
 }
 
-/// Advance past one encoded column without materializing it: the typed
-/// layouts are all length-prefixed, so a skip is a handful of cursor
-/// moves regardless of payload size.
-fn skip_column(r: &mut ByteReader<'_>) -> Result<()> {
-    let dt = dtype_from_tag(r.read_u8("column type")?)?;
-    let len = r.read_len(1, "column length")?;
-    if r.read_bool("null-bitmap flag")? {
-        r.read_raw(len.div_ceil(64) * 8, "null-bitmap words")?;
-    }
-    match dt {
-        DataType::Int | DataType::Float => {
-            r.read_raw(len * 8, "skipped column payload")?;
-        }
-        DataType::Bool => {
-            r.read_raw(len, "skipped column payload")?;
-        }
-        DataType::Str => {
-            r.read_u32("dictionary index")?;
-            r.read_raw(len * 4, "skipped column payload")?;
-        }
-    }
-    Ok(())
-}
-
-/// Decode only the columns of an encoded table named in `keep`, skipping
-/// every other column's payload bytes — the column-projected chunk
-/// decode behind predicate scans and streaming training over
-/// [`crate::paging::PagedTable`] chunks.
-///
-/// The projected table keeps the source's name and row order but drops
-/// the primary key (key columns may not be in the projection) and does
-/// **not** validate the recorded fingerprint: it covers the full table,
-/// which a projection cannot recompute, and the `HYPR1` container's
-/// whole-file checksum has already validated every payload byte before
-/// this decoder runs. Columns in `keep` that the table lacks are ignored
-/// (downstream schema lookups surface the miss with a proper error).
-pub fn decode_table_projected(r: &mut ByteReader<'_>, keep: &[&str]) -> Result<Table> {
-    let dicts = DictRegistry::read(r)?;
-    let name = r.read_string("table name")?;
-    let schema = decode_schema(r)?;
-    let nkeys = r.read_len(8, "primary-key count")?;
-    for _ in 0..nkeys {
-        let k = r.read_u64("primary-key index")? as usize;
-        if k >= schema.len() {
-            return Err(corrupt(format!(
-                "primary-key column {k} out of range for a {}-column schema",
-                schema.len()
-            )));
-        }
-    }
-    let mut kept_fields = Vec::with_capacity(keep.len());
-    let mut columns = Vec::with_capacity(keep.len());
-    for i in 0..schema.len() {
-        let f = schema.field(i);
-        if keep.contains(&f.name.as_str()) {
-            let col = decode_column(r, &dicts)?;
-            if col.data_type() != f.data_type {
-                return Err(corrupt(format!(
-                    "column `{}` is declared {} but encoded as {}",
-                    f.name,
-                    f.data_type,
-                    col.data_type()
-                )));
-            }
-            kept_fields.push(if f.nullable {
-                Field::nullable(f.name.clone(), f.data_type)
-            } else {
-                Field::new(f.name.clone(), f.data_type)
-            });
-            columns.push(col);
-        } else {
-            skip_column(r)?;
-        }
-    }
-    if let Some(n) = columns.first().map(Column::len) {
-        if columns.iter().any(|c| c.len() != n) {
-            return Err(corrupt(format!("table `{name}` has ragged columns")));
-        }
-    }
-    let _full_fingerprint = r.read_u64("table fingerprint")?;
-    let sub =
-        Schema::new(kept_fields).map_err(|e| corrupt(format!("invalid projected schema: {e}")))?;
-    let mut b = TableBuilder::new(name, sub.clone());
-    for (i, col) in columns.into_iter().enumerate() {
-        b.set_column(&sub.field(i).name.clone(), col)
-            .map_err(|e| corrupt(format!("invalid column payload: {e}")))?;
-    }
-    Ok(b.build())
-}
-
 /// Decode a table, validating its recorded fingerprint against the
 /// fingerprint recomputed from the decoded data.
 pub fn decode_table(r: &mut ByteReader<'_>) -> Result<Table> {

@@ -72,7 +72,7 @@ pub enum Phase {
     BlockDecomp = 3,
     /// Fitting the feature encoder over training columns.
     EncoderFit = 4,
-    /// Random-forest training (resident or streamed).
+    /// Random-forest training.
     ForestTrain = 5,
     /// Batch model prediction (§3.3 dedup + predict).
     Predict = 6,
@@ -86,12 +86,10 @@ pub enum Phase {
     SnapshotLoad = 10,
     /// Applying a delta: survival analysis + artifact adoption.
     Refresh = 11,
-    /// Paged-table chunk I/O (decode from disk, LRU upkeep).
-    PagedIO = 12,
 }
 
 /// Number of [`Phase`] variants (array sizes, iteration).
-pub const NUM_PHASES: usize = 13;
+pub const NUM_PHASES: usize = 12;
 
 impl Phase {
     /// Every phase, in id order.
@@ -108,7 +106,6 @@ impl Phase {
         Phase::Execute,
         Phase::SnapshotLoad,
         Phase::Refresh,
-        Phase::PagedIO,
     ];
 
     /// Stable snake_case name (metric labels, JSON keys).
@@ -126,7 +123,6 @@ impl Phase {
             Phase::Execute => "execute",
             Phase::SnapshotLoad => "snapshot_load",
             Phase::Refresh => "refresh",
-            Phase::PagedIO => "paged_io",
         }
     }
 
@@ -389,21 +385,6 @@ pub fn span(phase: Phase) -> SpanGuard {
     SpanGuard { armed, phase }
 }
 
-/// Add `n` to `phase`'s span count without timing anything (cheap event
-/// counters: chunks paged, morsels dispatched). One relaxed load when
-/// tracing is disabled.
-#[inline]
-pub fn count(phase: Phase, n: u64) {
-    if !enabled() {
-        return;
-    }
-    CURRENT.with(|c| {
-        if let Some(ctx) = c.borrow().as_ref() {
-            ctx.data.counts[phase.idx()].fetch_add(n, Ordering::Relaxed);
-        }
-    });
-}
-
 /// Guard returned by [`span`]; records on drop.
 pub struct SpanGuard {
     armed: bool,
@@ -659,7 +640,6 @@ mod tests {
         let g = span(Phase::Execute);
         assert!(!g.armed);
         drop(g);
-        count(Phase::PagedIO, 5);
         assert!(current_context().is_none());
     }
 
@@ -724,17 +704,6 @@ mod tests {
             });
         });
         assert_eq!(tree.snapshot().count(Phase::ForestTrain), 1);
-    }
-
-    #[test]
-    fn count_accumulates_without_spans() {
-        let tree = TraceTree::new();
-        with_trace(&tree, || {
-            count(Phase::PagedIO, 3);
-            count(Phase::PagedIO, 4);
-        });
-        assert_eq!(tree.snapshot().count(Phase::PagedIO), 7);
-        assert_eq!(tree.snapshot().self_ns(Phase::PagedIO), 0);
     }
 
     #[test]

@@ -172,7 +172,6 @@ fn exit_code_for(e: &StoreError) -> ExitCode {
         StoreError::Io(_) => 1,
         StoreError::Corrupt(_) | StoreError::FingerprintMismatch { .. } => 3,
         StoreError::VersionMismatch { .. } => 4,
-        StoreError::Query(_) => 2,
     })
 }
 

@@ -188,7 +188,7 @@
 //! second trained nothing). See `crates/serve/README.md` for the full
 //! protocol and the failure-mode table.
 //!
-//! ## Execution model: morsels, determinism, and out-of-core tables
+//! ## Execution model: morsels, determinism, and forest training
 //!
 //! Every data-parallel path in the workspace follows one morsel-driven
 //! execution model (see `crates/storage/src/lib.rs` for the full
@@ -207,29 +207,20 @@
 //! `crates/storage/tests/prop_morsel.rs` and
 //! `crates/ml/tests/morsel_parity.rs`.
 //!
-//! Tables larger than memory (or than a configured budget) ride the
-//! same granularity out of core: [`store::PagedTable`] spills a table
-//! into per-morsel `HYPR1` column chunks on disk and scans them
-//! chunk-at-a-time under a resident-byte LRU budget, so the 1M-row
-//! benchmark scale point (`*_german_1m` in `bench_smoke`, with serve
-//! p50/p99 tail latency) runs under budgets far smaller than the data.
-//!
-//! Forest **training** reads the same chunks. Every forest fits through
-//! one cell layout, [`ml::StreamedLayout`]: pass one reads the chunks to
-//! fix per-feature bin boundaries, pass two numbers the joint cells (rows
+//! Forest **training** is deterministic the same way. Every forest fits
+//! through one cell layout: pass one sorts each encoded feature column
+//! to fix its bin boundaries, pass two numbers the joint cells (rows
 //! sharing a bin vector), and the per-tree fits run over per-cell
-//! statistics on the worker pool. Estimator training reads the resident
-//! encoded view as a single chunk ([`ml::RandomForest::fit_on`]); a
-//! [`store::PagedTrainSource`] streams a paged table morsel by morsel,
-//! keeping one chunk plus splits, cell statistics, and a 4-byte-per-row
-//! cell-id vector resident instead of the 8·width-bytes-per-row dense
-//! matrix. The layout depends only on the rows, never on the chunking, so
-//! both fit **bit-identical** forests for any worker count, chunk size,
-//! and paging budget (property-tested in
-//! `crates/store/tests/prop_stream_train.rs`). When continuous features
-//! leave too many cells, `fit_on` falls back to row-wise trees binned
-//! against the splits pass one already derived. `SessionStats::snapshot()`
-//! and `/stats` report the process-wide paging counters.
+//! statistics on the worker pool, each tree seeded by its index.
+//! Estimators fit from the relevant view's §3.3 support index
+//! ([`ml::RandomForest::fit_on_cells`]) unless a peer summary or a
+//! sample cap needs the row matrix: only one representative row per
+//! support cell is encoded and binned, and the forest is
+//! **bit-identical** to [`ml::RandomForest::fit_on`] over the expanded
+//! matrix for any worker count (property-tested in
+//! `crates/ml/tests/prop_cells_train.rs`). When continuous features
+//! leave too many cells, trees fit row-wise over per-row bins derived
+//! from the same splits.
 
 pub use hyper_causal as causal;
 pub use hyper_core as core;
