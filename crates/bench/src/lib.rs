@@ -1,63 +1,36 @@
 //! # hyper-bench
 //!
-//! The experiment harness: one binary per table/figure of the paper's
-//! evaluation (§5), printing the same rows/series the paper reports, and
-//! the `bench_smoke` timing harness. Binaries accept `--full` to run at
-//! the paper's full scale (e.g. 1M-row German-Syn) and `--quick` for smoke
-//! runs.
+//! The experiment harness. The `fidelity` binary reruns the paper's
+//! evaluation (§5), prints the rows and series each table or figure
+//! reports, and checks the claims they support: one `PASS`/`FAIL` line
+//! per claim, and a non-zero exit if any fails. The `bench_smoke` binary
+//! is the timing summary. `fidelity [--full] [experiment…]` runs the named
+//! experiments, or all of them; `--full` runs at the paper's scale (e.g.
+//! 1M-row German-Syn).
 //!
-//! | target | reproduces |
-//! |--------|------------|
-//! | `table1`   | Table 1 — what-if runtime per dataset and variant |
-//! | `fig6`     | Fig. 6 — HypeR-sampled quality and runtime vs sample size |
-//! | `fig8`     | Fig. 8 — per-attribute min/max what-if output (German, Adult) |
-//! | `fig9`     | Fig. 9 — how-to quality/runtime vs bucket count |
-//! | `fig10`    | Fig. 10 — what-if output vs ground truth per variant |
-//! | `fig11`    | Fig. 11 — runtime vs query complexity (For / HowToUpdate) |
-//! | `fig12`    | Fig. 12 — runtime vs dataset size |
-//! | `usecases` | §5.3 qualitative narratives |
+//! | experiment | reproduces | claims |
+//! |------------|------------|--------|
+//! | `table1`   | Table 1 — what-if runtime per dataset and variant | none (timings) |
+//! | `fig6`     | Fig. 6 — HypeR-sampled quality and runtime vs sample size | std/mean ≤ 1% at the largest sample |
+//! | `fig7`     | Fig. 7 — the two what-if templates | parse, round-trip, evaluate |
+//! | `fig8`     | Fig. 8 — per-attribute min/max what-if output (German, Adult) | attribute importance order |
+//! | `fig9`     | Fig. 9 — how-to quality/runtime vs bucket count | IP = Opt-discrete, ≥ 0.9 at ≥ 4 buckets |
+//! | `fig10`    | Fig. 10 and §5.4 — what-if output vs ground truth per variant; how-to quality | HypeR tracks the truth; IP = Opt-HowTo |
+//! | `fig11`    | Fig. 11 — runtime vs query complexity (For / HowToUpdate) | feature and evaluation counts |
+//! | `fig12`    | Fig. 12 — runtime vs dataset size | none (timings) |
+//! | `usecases` | §5.3 qualitative narratives | German, Adult and Amazon findings |
 
 #![warn(missing_docs)]
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hyper_causal::{CausalGraph, Scm};
+use hyper_causal::{CausalGraph, Intervention, InterventionOp, Scm};
 use hyper_core::{EngineConfig, HyperSession, SessionBuilder};
+use hyper_query::{parse_query, HowToQuery, HypotheticalQuery, WhatIfQuery};
 use hyper_storage::{DataType, Database, Field, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Command-line scale flags shared by the experiment binaries.
-#[derive(Debug, Clone, Copy)]
-pub struct Flags {
-    /// Run at the paper's full scale (slow).
-    pub full: bool,
-    /// Smoke-test scale.
-    pub quick: bool,
-}
-
-impl Flags {
-    /// Parse from `std::env::args`.
-    pub fn parse() -> Flags {
-        let args: Vec<String> = std::env::args().collect();
-        Flags {
-            full: args.iter().any(|a| a == "--full"),
-            quick: args.iter().any(|a| a == "--quick"),
-        }
-    }
-
-    /// Pick a size by scale: `(quick, default, full)`.
-    pub fn size(&self, quick: usize, default: usize, full: usize) -> usize {
-        if self.full {
-            full
-        } else if self.quick {
-            quick
-        } else {
-            default
-        }
-    }
-}
 
 /// Time a closure.
 pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
@@ -107,56 +80,45 @@ pub fn secs(d: Duration) -> String {
     format!("{:.3}s", d.as_secs_f64())
 }
 
-/// Ground truth for a `do(attr := value)` intervention on a flat SCM:
-/// the post-update share of rows satisfying `pred` over `out_col`.
-pub fn ground_truth_share(
+/// Ground truth of a `do(attr := value)` intervention on a flat SCM: the
+/// mean of `score` over the post-intervention `out_col` (an indicator
+/// `score` gives a share).
+pub fn ground_truth(
     scm: &Scm,
     n: usize,
     seed: u64,
     attr: &str,
     value: Value,
-    pred: impl Fn(&Value) -> bool,
     out_col: &str,
+    score: impl Fn(&Value) -> f64,
 ) -> f64 {
     let (_, post) = scm
         .sample_paired(
             "gt",
             n,
             seed,
-            &[hyper_causal::Intervention::new(
-                attr,
-                hyper_causal::InterventionOp::Set(value),
-            )],
+            &[Intervention::new(attr, InterventionOp::Set(value))],
             None,
         )
         .expect("valid intervention");
     let col = post.column_by_name(out_col).expect("column exists");
-    col.iter().filter(|v| pred(v)).count() as f64 / col.len() as f64
+    col.iter().map(|v| score(&v)).sum::<f64>() / col.len() as f64
 }
 
-/// Ground truth mean of `out_col` under a `do(attr := value)` intervention.
-pub fn ground_truth_mean(
-    scm: &Scm,
-    n: usize,
-    seed: u64,
-    attr: &str,
-    value: Value,
-    out_col: &str,
-) -> f64 {
-    let (_, post) = scm
-        .sample_paired(
-            "gt",
-            n,
-            seed,
-            &[hyper_causal::Intervention::new(
-                attr,
-                hyper_causal::InterventionOp::Set(value),
-            )],
-            None,
-        )
-        .expect("valid intervention");
-    let col = post.column_by_name(out_col).expect("column exists");
-    col.iter().map(|v| v.as_f64().unwrap_or(0.0)).sum::<f64>() / col.len() as f64
+/// Parse a query text that must be a what-if.
+pub fn whatif_query(text: &str) -> WhatIfQuery {
+    match parse_query(text).expect("query parses") {
+        HypotheticalQuery::WhatIf(q) => q,
+        HypotheticalQuery::HowTo(_) => panic!("expected a what-if query: {text}"),
+    }
+}
+
+/// Parse a query text that must be a how-to.
+pub fn howto_query(text: &str) -> HowToQuery {
+    match parse_query(text).expect("query parses") {
+        HypotheticalQuery::HowTo(q) => q,
+        HypotheticalQuery::WhatIf(_) => panic!("expected a how-to query: {text}"),
+    }
 }
 
 /// Append `k` independent noise attributes (`pad_0 … pad_{k-1}`) to a table
@@ -255,21 +217,8 @@ pub fn variants() -> Vec<(&'static str, EngineConfig)> {
     ]
 }
 
-/// Build a session for a dataset + config (graph dropped for NB/Indep, as
-/// in the paper's setup).
-pub fn session_for(db: &Database, graph: &CausalGraph, config: &EngineConfig) -> HyperSession {
-    let g = match config.backdoor {
-        hyper_core::BackdoorMode::FromGraph => Some(graph.clone()),
-        _ => None,
-    };
-    HyperSession::builder(db.clone())
-        .maybe_graph(g)
-        .config(config.clone())
-        .build()
-}
-
 /// A builder for a fresh, isolated session (graph dropped for NB/Indep,
-/// as in [`session_for`]). It neither reads nor feeds the process-wide
+/// as in the paper's setup). It neither reads nor feeds the process-wide
 /// shared store, so the first query of each session built from it pays
 /// its own view build and training: build one per timed call to time a
 /// cold query.
@@ -293,31 +242,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn flags_defaults() {
-        let f = Flags {
-            full: false,
-            quick: false,
-        };
-        assert_eq!(f.size(1, 2, 3), 2);
-        assert_eq!(
-            Flags {
-                full: true,
-                quick: false
-            }
-            .size(1, 2, 3),
-            3
-        );
-        assert_eq!(
-            Flags {
-                full: false,
-                quick: true
-            }
-            .size(1, 2, 3),
-            1
-        );
-    }
-
-    #[test]
     fn pad_adds_columns_and_nodes() {
         let data = hyper_datasets::german_syn(100, 1);
         let mut db = data.db.clone();
@@ -329,20 +253,25 @@ mod tests {
     }
 
     #[test]
-    fn ground_truth_helpers_run() {
+    fn ground_truth_gives_shares_and_means() {
         let data = hyper_datasets::german_syn_extended(100, 2);
         let scm = data.scm.unwrap();
-        let share = ground_truth_share(
-            &scm,
-            2000,
-            3,
-            "status",
-            Value::Int(3),
-            |v| v.as_str() == Some("Good"),
-            "credit",
-        );
+        let status = || Value::Int(3);
+        let good = |v: &Value| f64::from(u8::from(v.as_str() == Some("Good")));
+        let share = ground_truth(&scm, 2000, 3, "status", status(), "credit", good);
         assert!((0.0..=1.0).contains(&share));
-        let mean = ground_truth_mean(&scm, 2000, 3, "status", Value::Int(3), "interest_rate");
+        let rate = |v: &Value| v.as_f64().unwrap_or(0.0);
+        let mean = ground_truth(&scm, 2000, 3, "status", status(), "interest_rate", rate);
         assert!(mean > 0.0);
+    }
+
+    #[test]
+    fn query_helpers_check_the_kind() {
+        let q = whatif_query("Use t Update(a) = 1 Output Count(*)");
+        assert_eq!(q.updates.len(), 1);
+        let h = howto_query("Use t HowToUpdate a ToMaximize Avg(Post(b))");
+        assert_eq!(h.update_attrs, ["a"]);
+        let what_if = "Use t Update(a) = 1 Output Count(*)";
+        assert!(std::panic::catch_unwind(|| howto_query(what_if)).is_err());
     }
 }
