@@ -3,7 +3,8 @@
 //! each update and choosing the one that returns the optimal result."
 //!
 //! Deliberately exhaustive — Figures 9b and 11b measure its exponential
-//! runtime against the IP formulation.
+//! runtime against the IP formulation. Combinations over the budget, or
+//! updating a causally connected attribute pair (§3.1), are skipped.
 
 use std::time::Instant;
 
@@ -57,7 +58,9 @@ pub(crate) fn evaluate_howto_bruteforce(
             .collect();
         let n_updated = updates.len();
         let within_budget = opts.max_attrs_updated.is_none_or(|b| n_updated <= b);
-        if within_budget && !updates.is_empty() {
+        // Causally connected attributes cannot be updated together (§3.1).
+        let feasible = within_budget && !ctx.updates_connected(|i| digits[i] > 0);
+        if feasible && !updates.is_empty() {
             let wq = candidate_whatif(&ctx.whatif_template, updates.clone())?;
             let r = evaluate_whatif(db, graph, config, &wq, cache, runtime)?;
             ctx.whatif_evals += 1;

@@ -103,6 +103,7 @@ pub(crate) fn evaluate_howto_lexicographic(
                     .map_err(EngineError::from)?;
             }
         }
+        contexts[0].exclude_connected(&mut model, &var_map)?;
         if let Some(budget) = opts.max_attrs_updated {
             model
                 .add_constraint(

@@ -1,8 +1,10 @@
 //! The IP-based how-to optimizer (§4.3).
 //!
 //! One binary δ per candidate update value; `Σ_j δ_ij ≤ 1` per attribute;
-//! optional budget on the number of updated attributes; objective
-//! coefficients are the (linearized) what-if effects of each candidate.
+//! `Σ δ ≤ 1` over the candidates of each causally connected attribute pair
+//! (§3.1: connected attributes cannot be updated together); optional
+//! budget on the number of updated attributes; objective coefficients are
+//! the (linearized) what-if effects of each candidate.
 
 use std::time::Instant;
 
@@ -20,12 +22,14 @@ use std::sync::OnceLock;
 
 use crate::config::{EngineConfig, HowToOptions};
 use crate::error::{EngineError, Result};
-use crate::hexpr::bind_hexpr;
+use crate::hexpr::{bind_hexpr, resolve_column};
 use crate::howto::candidates::{generate_candidates, Candidate};
 use crate::howto::HowToResult;
 use crate::session::cache::ArtifactCache;
 use crate::view::RelevantView;
-use crate::whatif::{evaluate_planned, evaluate_whatif, plan_whatif, WhatIfQueryPlan};
+use crate::whatif::{
+    connected_pairs, evaluate_planned, evaluate_whatif, plan_whatif, WhatIfQueryPlan,
+};
 
 /// Shared pre-processing for the optimizer, the brute-force baseline, and
 /// the lexicographic extension.
@@ -40,6 +44,9 @@ pub(crate) struct HowToContext {
     pub whatif_evals: usize,
     /// Per-attribute per-candidate what-if values.
     pub values: Vec<Vec<f64>>,
+    /// Attribute pairs `(i, j)`, `i < j`, joined by a causal path: no
+    /// solution may update both.
+    pub connected: Vec<(usize, usize)>,
 }
 
 /// Build the Definition-7 candidate what-if query for a set of updates.
@@ -73,6 +80,15 @@ impl HowToContext {
             .transpose()?;
 
         let candidates = generate_candidates(&view, when_mask.as_deref(), q, opts.buckets)?;
+        let connected = match graph {
+            Some(g) => {
+                let cols = (q.update_attrs.iter())
+                    .map(|a| resolve_column(schema, a))
+                    .collect::<Result<Vec<_>>>()?;
+                connected_pairs(&view, g, &cols)
+            }
+            None => Vec::new(),
+        };
 
         // The Definition-7 what-if template: same Use/When/For, Output from
         // the objective. A predicate objective (`Count(Post(credit) =
@@ -198,7 +214,38 @@ impl HowToContext {
             whatif_template,
             whatif_evals,
             values,
+            connected,
         })
+    }
+
+    /// Add `Σ δ ≤ 1` over the candidates of each connected attribute pair
+    /// to `model`, whose variables for attribute `i` are `var_map[i]`.
+    pub(crate) fn exclude_connected(
+        &self,
+        model: &mut Model,
+        var_map: &[Vec<usize>],
+    ) -> Result<()> {
+        for &(i, j) in &self.connected {
+            let coefs: Vec<(usize, f64)> = var_map[i]
+                .iter()
+                .chain(&var_map[j])
+                .map(|&v| (v, 1.0))
+                .collect();
+            if !coefs.is_empty() {
+                model
+                    .add_constraint(format!("connected_{i}_{j}"), coefs, Sense::Le, 1.0)
+                    .map_err(EngineError::from)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Does the combination updating the attributes where `updated[i]`
+    /// holds update a connected pair?
+    pub(crate) fn updates_connected(&self, updated: impl Fn(usize) -> bool) -> bool {
+        self.connected
+            .iter()
+            .any(|&(i, j)| updated(i) && updated(j))
     }
 }
 
@@ -325,6 +372,7 @@ pub(crate) fn evaluate_howto(
             )
             .map_err(EngineError::from)?;
     }
+    ctx.exclude_connected(&mut model, &var_map)?;
     if let Some(budget) = opts.max_attrs_updated {
         let coefs: Vec<(usize, f64)> = var_map.iter().flatten().map(|&v| (v, 1.0)).collect();
         model

@@ -1014,4 +1014,37 @@ mod tests {
         assert!(stale.load::<RelevantView>("k").is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// The payload bytes of a persisted estimator are pinned: a forest
+    /// (numerator and `Avg` denominator) over a one-hot and a numeric
+    /// feature, fitted by a session. The tree codec writes the exported
+    /// `TreeNode` arena, so a change to the in-memory node layout must
+    /// leave these bytes as they are.
+    #[test]
+    fn estimator_payload_bytes_are_pinned() {
+        let data = hyper_datasets::german_syn(2_000, 3);
+        let session = crate::HyperSession::builder(data.db.clone())
+            .graph(data.graph.clone())
+            .share_artifacts(false)
+            .build();
+        session
+            .whatif_text(
+                "Use german_syn When age = 1 Update(status) = 3 \
+                 Output Avg(Post(credit_amount)) For Post(credit) = 'Good'",
+            )
+            .unwrap();
+        let estimators = session.cache().estimator_entries();
+        assert_eq!(estimators.len(), 1);
+        let est = &estimators[0].1;
+        assert!(matches!(est.model, FittedModel::Forest(_)));
+        assert!(est.denom_model.is_some(), "an Avg with a For condition");
+        let bytes = est.encode_payload();
+        assert_eq!(
+            (bytes.len(), fnv1a(&bytes)),
+            (151_065, 0x03609d85236bc2af),
+            "{} bytes, fnv1a {:#018x}",
+            bytes.len(),
+            fnv1a(&bytes)
+        );
+    }
 }

@@ -660,6 +660,13 @@ impl HyperSession {
         exec.traced_queries.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// This session's artifact cache (its views and estimators), for
+    /// tests that inspect cached artifacts.
+    #[cfg(test)]
+    pub(crate) fn cache(&self) -> &ArtifactCache {
+        &self.inner.cache
+    }
+
     /// Snapshot of cache and execution counters. Equivalent to
     /// [`HyperSession::snapshot`]; kept as the familiar short name.
     pub fn stats(&self) -> SessionStats {

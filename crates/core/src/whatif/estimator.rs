@@ -28,15 +28,17 @@
 //! Evaluation follows §3.3's "iterating only over combinations with
 //! non-zero support": the view's `SupportIndex` numbers the distinct raw
 //! feature combinations (cells) once, and [`CausalEstimator::evaluate_parts`]
-//! builds post-update features and predicts once per cell (refined by the
-//! `When` bit and any peer summary), not once per row. Both parts of the
-//! value are exact sums rounded once (`ExactSum`), so they do not depend
-//! on row order: each cell adds `count × prediction` in one step, and a
-//! what-if with no `When`, no `For` and no peer summary takes its cells
-//! and counts from the index without visiting a row. The unaffected rows'
-//! ψ/Y stay row at a time (`fold_unaffected`): they are usually few, and a
-//! whole-view column pass would cost more than it saves where every row
-//! is updated.
+//! groups the affected rows by cell, keys the cells by their projection
+//! class over the non-updated features (refined by whatever the update
+//! leaves varying), and assembles, encodes and predicts once per key: once
+//! per distinct post-update row, not once per row or per cell. Both parts
+//! of the value are exact sums rounded once (`ExactSum`), so they do not
+//! depend on row order or grouping: each key adds `count × prediction` in
+//! one step, and a what-if with no `When`, no `For` and no peer summary
+//! takes its cells and counts from the index without visiting a row. The
+//! unaffected rows' ψ/Y stay row at a time (`fold_unaffected`): they are
+//! usually few, and a whole-view column pass would cost more than it saves
+//! where every row is updated.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -54,6 +56,7 @@ use crate::error::{EngineError, Result};
 use crate::hexpr::BoundHExpr;
 use crate::view::RelevantView;
 use crate::whatif::exact_sum::ExactSum;
+use crate::whatif::support::SupportIndex;
 use crate::whatif::{apply_update, holds};
 
 /// Cross-tuple summary feature (the distribution-preserving ψ of §2.2):
@@ -573,19 +576,28 @@ impl CausalEstimator {
     /// depend on the order of the rows.
     ///
     /// Evaluation runs over the §3.3 support, not the rows:
-    /// 1. Every affected row gets a key — its cell in the view's
-    ///    `SupportIndex` over the feature columns, its `When` bit, and its
-    ///    post-update peer mean — that fixes its post-update features. The
-    ///    first row with each key represents it, and the key counts its
-    ///    rows. With no `When`, no `For` and no peer summary, every row is
-    ///    affected and the keys are the cells: their representatives and
-    ///    counts come from the index, and no row is visited. Otherwise one
-    ///    pass over the scoped rows counts the keys and adds every
-    ///    unaffected row's deterministic contribution.
-    /// 2. The post-update feature columns are assembled and encoded for
-    ///    the representatives only, deduplicated by encoded bits, and
-    ///    predicted in **one batch** per model.
-    /// 3. Each key adds `count × prediction` exactly, in O(keys).
+    /// 1. The affected rows are grouped by their cell in the view's
+    ///    `SupportIndex` over the feature columns (with a peer summary,
+    ///    also by `When` bit and post-update peer mean); rows of a group
+    ///    have identical post-update features. With no `When`, no `For`
+    ///    and no peer summary, every row is affected and the groups are the
+    ///    cells: their first rows and counts come from the index, and no
+    ///    row is visited. Otherwise one pass over the scoped rows counts
+    ///    the groups and adds every unaffected row's deterministic
+    ///    contribution.
+    /// 2. Groups are keyed by their cell's projection class over the
+    ///    non-updated features (`SupportIndex::projection`, cached on the
+    ///    index), plus what else still varies: the post-update value of a
+    ///    `Scale`/`Shift` column, the whole cell for an un-`When`'d row
+    ///    (post = pre, only with a peer summary), and the post peer mean.
+    ///    Groups with one key have one post-update feature row; no encoded
+    ///    row is hashed.
+    /// 3. The post-update feature columns are assembled and encoded for one
+    ///    representative per key, and predicted in **one batch** per model.
+    /// 4. Each key adds `(Σ counts of its groups) × prediction` exactly, in
+    ///    O(keys). A prediction is a function of the encoded row and the
+    ///    exact sum does not depend on grouping, so the parts equal the
+    ///    row-at-a-time sum bit for bit.
     pub fn evaluate_parts(
         &self,
         view: &RelevantView,
@@ -599,47 +611,131 @@ impl CausalEstimator {
         let support = view.support_index(&self.feature_cols)?;
         let mut parts = Parts::default();
 
-        let (reps, counts): (Vec<usize>, Vec<u32>) =
-            if when.is_none() && scope.is_none() && peer_post.is_none() {
-                let reps = support.first_rows().iter().map(|&i| i as usize).collect();
-                (reps, support.counts().to_vec())
-            } else {
-                // Without peer features a key is `2 · cell + When bit`, a
-                // direct index; the post peer mean refines it through a map.
-                let mut reps: Vec<usize> = Vec::new();
-                let mut counts: Vec<u32> = Vec::new();
-                let mut rep_of_cell: Vec<u32> = vec![u32::MAX; 2 * support.cells()];
-                let mut rep_of_peer: HashMap<(usize, u64), u32> = HashMap::new();
-                self.fold_unaffected(table, when, scope, peer_post.as_deref(), &mut parts, |i| {
-                    let cell_key = 2 * support.cell(i) + usize::from(holds(when, i));
-                    let mut new_rep = || {
-                        reps.push(i);
-                        counts.push(0);
-                        reps.len() as u32 - 1
-                    };
-                    let rep = match &peer_post {
-                        None => {
-                            let slot = &mut rep_of_cell[cell_key];
-                            if *slot == u32::MAX {
-                                *slot = new_rep();
-                            }
-                            *slot
+        // Groups as `(first row, rows)`.
+        let groups: Vec<(usize, u64)> = if when.is_none() && scope.is_none() && peer_post.is_none()
+        {
+            let firsts = support.first_rows().iter().map(|&i| i as usize);
+            firsts
+                .zip(support.counts().iter().map(|&c| u64::from(c)))
+                .collect()
+        } else {
+            // Without peer features every affected row is in `When`, so a
+            // group is a cell, a direct index; with them the `When` bit and
+            // the post peer mean refine it through a map.
+            let mut groups: Vec<(usize, u64)> = Vec::new();
+            let mut group_of_cell: Vec<u32> = vec![u32::MAX; support.cells()];
+            let mut group_of_peer: HashMap<(usize, bool, u64), u32> = HashMap::new();
+            self.fold_unaffected(table, when, scope, peer_post.as_deref(), &mut parts, |i| {
+                let mut new_group = || {
+                    groups.push((i, 0));
+                    groups.len() as u32 - 1
+                };
+                let g = match &peer_post {
+                    None => {
+                        let slot = &mut group_of_cell[support.cell(i)];
+                        if *slot == u32::MAX {
+                            *slot = new_group();
                         }
-                        Some(post) => *rep_of_peer
-                            .entry((cell_key, post[i].to_bits()))
-                            .or_insert_with(new_rep),
-                    };
-                    counts[rep as usize] += 1;
-                })?;
-                (reps, counts)
-            };
-        if !reps.is_empty() {
+                        *slot
+                    }
+                    Some(post) => *group_of_peer
+                        .entry((support.cell(i), holds(when, i), post[i].to_bits()))
+                        .or_insert_with(new_group),
+                };
+                groups[g as usize].1 += 1;
+            })?;
+            groups
+        };
+        if !groups.is_empty() {
+            let (reps, totals) = self.key_groups(
+                table,
+                &support,
+                updates,
+                when,
+                peer_post.as_deref(),
+                &groups,
+            )?;
             let predicted = self.predict_rows(table, updates, when, peer_post.as_deref(), &reps)?;
-            for (&slot, &count) in predicted.slot_of_row.iter().zip(&counts) {
-                predicted.add(slot, u64::from(count), &mut parts);
+            for (k, &total) in totals.iter().enumerate() {
+                predicted.add(k, total, &mut parts);
             }
         }
         Ok(parts.round())
+    }
+
+    /// Key `groups` (each `(first row, rows)`, of identical post-update
+    /// features) by what fixes their post-update features, and return one
+    /// representative row per key with the key's total row count. Keys
+    /// never merge rows whose raw post-update features differ, so rows of
+    /// one key encode, and so predict, identically.
+    fn key_groups(
+        &self,
+        table: &Table,
+        support: &SupportIndex,
+        updates: &[(usize, UpdateFunc)],
+        when: Option<&[bool]>,
+        peer_post: Option<&[f64]>,
+        groups: &[(usize, u64)],
+    ) -> Result<(Vec<usize>, Vec<u64>)> {
+        let kept: Vec<usize> = (self.feature_cols.iter().copied())
+            .filter(|&c| func_of(updates, c).is_none())
+            .collect();
+        let projection = support.projection(table, &kept);
+        // Updated columns whose post value depends on the row's own value.
+        let moving: Vec<(&Column, &UpdateFunc)> = updates
+            .iter()
+            .filter(|(_, f)| !matches!(f, UpdateFunc::Set(_)))
+            .map(|(c, f)| (table.column(*c), f))
+            .collect();
+        let mut reps: Vec<usize> = Vec::new();
+        let mut totals: Vec<u64> = Vec::new();
+        let mut key_of = |row: usize, count: u64, slot: &mut u32| {
+            if *slot == u32::MAX {
+                *slot = reps.len() as u32;
+                reps.push(row);
+                totals.push(0);
+            }
+            totals[*slot as usize] += count;
+        };
+        if moving.is_empty() && peer_post.is_none() {
+            // Every affected row is in `When` and every update a `Set`: the
+            // class alone fixes the post-update features.
+            let mut slot_of_class = vec![u32::MAX; projection.classes()];
+            for &(row, count) in groups {
+                key_of(
+                    row,
+                    count,
+                    &mut slot_of_class[projection.class(support.cell(row))],
+                );
+            }
+            return Ok((reps, totals));
+        }
+        // Fixed-width keys `[class, When bit, cell, moving posts…, peer]`:
+        // a `When` row zeroes `cell`, an un-`When`'d one (post = pre, so
+        // its cell fixes every feature) zeroes `class` and the posts.
+        let width = 4 + moving.len();
+        let mut flat: Vec<u64> = Vec::with_capacity(groups.len() * width);
+        for &(row, _) in groups {
+            let cell = support.cell(row);
+            if holds(when, row) {
+                flat.extend([projection.class(cell) as u64, 1, 0]);
+                for (src, func) in &moving {
+                    flat.push(match apply_update(func, &src.value(row))? {
+                        Value::Float(post) => post.to_bits(),
+                        other => unreachable!("Scale/Shift produced {other:?}"),
+                    });
+                }
+            } else {
+                flat.extend([0, 0, cell as u64]);
+                flat.extend(std::iter::repeat_n(0, moving.len()));
+            }
+            flat.push(peer_post.map_or(0, |post| post[row].to_bits()));
+        }
+        let mut slot_of_key: HashMap<&[u64], u32> = HashMap::with_capacity(groups.len());
+        for (key, &(row, count)) in flat.chunks_exact(width).zip(groups) {
+            key_of(row, count, slot_of_key.entry(key).or_insert(u32::MAX));
+        }
+        Ok((reps, totals))
     }
 
     /// Row-at-a-time reference for [`CausalEstimator::evaluate_parts`]:
@@ -662,9 +758,8 @@ impl CausalEstimator {
     }
 
     /// Every scoped row's `(numerator, denominator)` contribution, with the
-    /// post-update features of each affected row assembled, encoded and
-    /// deduplicated row by row; unaffected rows whose ψ fails contribute
-    /// nothing.
+    /// post-update features of every affected row assembled, encoded and
+    /// predicted; unaffected rows whose ψ fails contribute nothing.
     #[cfg(test)]
     pub(crate) fn row_contributions(
         &self,
@@ -688,9 +783,7 @@ impl CausalEstimator {
         if !affected.is_empty() {
             let p = self.predict_rows(table, updates, when, peer_post.as_deref(), &affected)?;
             out.extend(
-                p.slot_of_row
-                    .iter()
-                    .map(|&slot| (p.nums[slot], p.dens.as_ref().map_or(1.0, |d| d[slot]))),
+                (0..affected.len()).map(|k| (p.nums[k], p.dens.as_ref().map_or(1.0, |d| d[k]))),
             );
         }
         Ok(out)
@@ -808,8 +901,8 @@ impl CausalEstimator {
     }
 
     /// Predict the post-update world of `rows`: assemble their post-update
-    /// feature columns, encode them, deduplicate the encoded feature
-    /// combinations, and batch-predict the distinct ones once per model.
+    /// feature columns, encode them, and batch-predict every row once per
+    /// model (the caller passes one row per distinct post-update row).
     fn predict_rows(
         &self,
         table: &Table,
@@ -895,49 +988,20 @@ impl CausalEstimator {
                 .map_err(EngineError::from)?;
         }
 
-        // Deduplicate encoded feature combinations, then batch-predict the
-        // unique rows once per model. Keys are borrowed slices into one
-        // flat bit-pattern buffer (filled before the map exists, so the
-        // borrows are stable) — no per-row allocation, one hash per row
-        // via the entry API.
-        let width = x.cols();
-        let mut flat: Vec<u64> = Vec::with_capacity(x.rows() * width);
-        for k in 0..x.rows() {
-            flat.extend(x.row(k).iter().map(|f| f.to_bits()));
-        }
-        let mut unique: HashMap<&[u64], usize> = HashMap::new();
-        let mut slot_of_row: Vec<usize> = Vec::with_capacity(rows.len());
-        let mut unique_x = Matrix::zeros(0, 0);
-        for k in 0..x.rows() {
-            let next = unique_x.rows();
-            let slot = match unique.entry(&flat[k * width..(k + 1) * width]) {
-                std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(next);
-                    unique_x.push_row(x.row(k)).map_err(EngineError::from)?;
-                    next
-                }
-            };
-            slot_of_row.push(slot);
-        }
-        let mut nums = self.model.predict(&unique_x);
+        let mut nums = self.model.predict(&x);
         if self.agg == AggFunc::Count {
             for v in &mut nums {
                 *v = v.clamp(0.0, 1.0);
             }
         }
         let dens: Option<Vec<f64>> = self.denom_model.as_ref().map(|m| {
-            let mut d = m.predict(&unique_x);
+            let mut d = m.predict(&x);
             for v in &mut d {
                 *v = v.clamp(0.0, 1.0);
             }
             d
         });
-        Ok(Predictions {
-            nums,
-            dens,
-            slot_of_row,
-        })
+        Ok(Predictions { nums, dens })
     }
 }
 
@@ -955,23 +1019,20 @@ impl Parts {
     }
 }
 
-/// Batch predictions for a list of rows, one slot per distinct encoded
-/// feature combination.
+/// Batch predictions for a list of rows, in row order.
 struct Predictions {
     /// Numerator model predictions (clamped to `[0, 1]` for Count).
     nums: Vec<f64>,
     /// Avg denominator model predictions (clamped), when that model
     /// exists; otherwise every row counts 1.
     dens: Option<Vec<f64>>,
-    /// Each input row's slot.
-    slot_of_row: Vec<usize>,
 }
 
 impl Predictions {
-    /// Add `count` rows predicted at `slot` to `parts`.
-    fn add(&self, slot: usize, count: u64, parts: &mut Parts) {
-        parts.numerator.add_scaled(count, self.nums[slot]);
-        let denominator = self.dens.as_ref().map_or(1.0, |d| d[slot]);
+    /// Add `count` rows predicted like row `k` to `parts`.
+    fn add(&self, k: usize, count: u64, parts: &mut Parts) {
+        parts.numerator.add_scaled(count, self.nums[k]);
+        let denominator = self.dens.as_ref().map_or(1.0, |d| d[k]);
         parts.denominator.add_scaled(count, denominator);
     }
 }

@@ -285,6 +285,235 @@ fn peer_summary_rows_are_keyed_by_their_post_peer_mean() {
     }
 }
 
+/// A random table `t` for the projection-class dedup: the update
+/// candidates `b` (Int), `c` (Float, 6 values) and `g` (Float without
+/// NULLs, holding `0.0`, `-0.0`, two NaN payloads and `0.5`); the
+/// adjustment candidates `nz` (nullable Int), `f` (nullable Float with
+/// `0.0`, `-0.0` and two NaN payloads) and `s` (nullable Str, one-hot
+/// encoded); outcomes `y` and `ok`.
+fn dedup_db(rng: &mut StdRng) -> Database {
+    let schema = Schema::new(vec![
+        Field::new("b", DataType::Int),
+        Field::new("c", DataType::Float),
+        Field::new("g", DataType::Float),
+        Field::nullable("nz", DataType::Int),
+        Field::nullable("f", DataType::Float),
+        Field::nullable("s", DataType::Str),
+        Field::new("y", DataType::Float),
+        Field::new("ok", DataType::Int),
+    ])
+    .unwrap();
+    let nan2 = f64::from_bits(f64::NAN.to_bits() | 1);
+    let floats = [0.0, -0.0, f64::NAN, nan2, 0.5];
+    let mut t = TableBuilder::new("t", schema);
+    for _ in 0..rng.gen_range(60..260) {
+        let b: i64 = rng.gen_range(0..4);
+        let nz = match rng.gen_range(0..4) {
+            0 => Value::Null,
+            v => Value::Int(v),
+        };
+        let f = match rng.gen_range(0..6usize) {
+            5 => Value::Null,
+            k => Value::Float(floats[k]),
+        };
+        let s = match rng.gen_range(0..4usize) {
+            3 => Value::Null,
+            k => ["a", "b", "c"][k].into(),
+        };
+        let y = (b as f64 + rng.gen_range(0..3) as f64 * 0.25 + 0.1) / 3.0;
+        t.push(vec![
+            Value::Int(b),
+            Value::Float(rng.gen_range(0..6) as f64 * 0.75),
+            Value::Float(floats[rng.gen_range(0..5usize)]),
+            nz,
+            f,
+            s,
+            Value::Float(y),
+            Value::Int(i64::from(rng.gen_range(0..5i64) < b + 1)),
+        ])
+        .unwrap();
+    }
+    let mut db = Database::new();
+    db.add_table(t.build()).unwrap();
+    db
+}
+
+/// Evaluation keyed by projection class against the row-at-a-time
+/// reference, by `f64::to_bits`: `Set`, `Scale` and `Shift` updates of one
+/// and of several attributes (a `Scale` by 0 and a `Shift` of `-0.0` map
+/// distinct values to one), with and without `When` and a `For`
+/// pre-condition, over features holding NULL, `-0.0`/`0.0`, two NaN
+/// payloads and one-hot strings, for both estimator families; and the
+/// market's peer summary, whose keys add the `When` bit and the post peer
+/// mean.
+#[test]
+fn projection_keys_match_the_row_path() {
+    let mut rng = StdRng::seed_from_u64(0xc1a55);
+    for case in 0..160 {
+        let db = dedup_db(&mut rng);
+        let when = pick(
+            &mut rng,
+            &["", "When b < 2", "When Pre(s) = 'a'", "When Pre(nz) = 1"],
+        );
+        let update = pick(
+            &mut rng,
+            &[
+                "Update(b) = 2",
+                "Update(b) = 0.5 * Pre(b)",
+                "Update(b) = 0 * Pre(b)",
+                "Update(c) = 1 + Pre(c)",
+                "Update(g) = 2 * Pre(g)",
+                "Update(g) = 1 + Pre(g)",
+                "Update(s) = 'b'",
+                "Update(s) = 'zz'",
+                "Update(f) = 0.5",
+                "Update(nz) = 1",
+                "Update(b) = 3 And Update(s) = 'a'",
+                "Update(b) = 2 * Pre(b) And Update(c) = 1 + Pre(c)",
+                "Update(g) = 0.5 * Pre(g) And Update(nz) = 2 And Update(b) = 1 + Pre(b)",
+            ],
+        );
+        let output = pick(
+            &mut rng,
+            &[
+                "Count(Post(ok) = 1)",
+                "Sum(Post(y))",
+                "Avg(Post(y)) For Post(ok) = 1",
+                "Count(Post(ok) = 1) For Pre(s) = 'b'",
+                "Sum(Post(y)) For Pre(f) = 0 And Post(ok) = 1",
+            ],
+        );
+        let text = format!("Use t {when} {update} Output {output}");
+        let mut backdoor: Vec<&str> = ["nz", "f", "s", "g", "c"]
+            .into_iter()
+            .filter(|_| rng.gen_range(0..3) > 0)
+            .collect();
+        backdoor.retain(|c| !update.contains(&format!("Update({c})")));
+        let kind = [EstimatorKind::Forest, EstimatorKind::Cells][case % 2];
+        check(&db, &text, &backdoor, None, kind);
+    }
+    let market = market_db(300, 12);
+    for text in [
+        "Use product When Pre(brand) = 'hp' Update(price) = 350 Output Count(Post(rating) > 3.4)",
+        "Use product Update(price) = 1.1 * Pre(price) Output Avg(Post(rating)) \
+         For Pre(brand) = 'asus'",
+        "Use product When Pre(category) = 'b' Update(price) = -20 + Pre(price) \
+         Output Sum(Post(rating))",
+    ] {
+        for backdoor in [&["category", "brand"][..], &["brand"], &[]] {
+            for kind in [EstimatorKind::Forest, EstimatorKind::Cells] {
+                check(&market, text, backdoor, Some(("price", "category")), kind);
+            }
+        }
+    }
+}
+
+/// Rows moved only through their peers keep their own pre-update values,
+/// so one projection class and one post peer mean do not fix their
+/// features. Category `a` holds prices 100, 300, 200 and category `b`
+/// 200, 300, 300; setting the last row of each to 500 gives the rows
+/// priced 100 (in `a`) and 200 (in `b`) the same post peer mean, 400,
+/// and the same brand, while the forest, trained on filler categories
+/// whose rating rises with price, tells their prices apart.
+#[test]
+fn peer_moved_rows_with_one_class_and_peer_mean_keep_their_own_features() {
+    let mut rng = StdRng::seed_from_u64(31);
+    let schema = Schema::new(vec![
+        Field::new("pid", DataType::Int),
+        Field::new("category", DataType::Str),
+        Field::new("brand", DataType::Str),
+        Field::new("promo", DataType::Int),
+        Field::new("price", DataType::Float),
+        Field::new("rating", DataType::Float),
+    ])
+    .unwrap();
+    let mut t = TableBuilder::with_key("product", schema, &["pid"]).unwrap();
+    let mut push = |cat: String, price: f64, promo: i64, rating: f64| {
+        let pid = t.num_rows() as i64;
+        t.push(vec![
+            pid.into(),
+            cat.into(),
+            "x".into(),
+            promo.into(),
+            price.into(),
+            rating.into(),
+        ])
+        .unwrap();
+    };
+    for (cat, prices) in [("a", [100.0, 300.0, 200.0]), ("b", [200.0, 300.0, 300.0])] {
+        for (k, price) in prices.into_iter().enumerate() {
+            push(cat.into(), price, i64::from(k == 2), 1.0 + price / 100.0);
+        }
+    }
+    for c in 0..60 {
+        for _ in 0..5 {
+            let price = 100.0 * rng.gen_range(1..6) as f64;
+            let rating = 1.0 + price / 100.0 + rng.gen_range(0..2) as f64 * 0.25;
+            push(format!("f{c}"), price, 0, rating);
+        }
+    }
+    let mut db = Database::new();
+    db.add_table(t.build()).unwrap();
+    let text = "Use product When promo = 1 Update(price) = 500 Output Sum(Post(rating))";
+    check(
+        &db,
+        text,
+        &["brand"],
+        Some(("price", "category")),
+        EstimatorKind::Forest,
+    );
+}
+
+/// A prepared what-if builds its projection once on the view's support
+/// index: repeating it builds no index and no projection, and dropping
+/// the session frees both with the view.
+#[test]
+fn a_repeated_whatif_reuses_its_projection_until_the_session_drops() {
+    let data = hyper_datasets::german_syn(2_000, 3);
+    let session = HyperSession::builder(data.db.clone())
+        .graph(data.graph.clone())
+        .share_artifacts(false)
+        .build();
+    let prepared = session
+        .prepare("Use german_syn Update(status) = 3 Output Count(Post(credit) = 'Good')")
+        .unwrap();
+    let first = prepared.execute_whatif().unwrap().value;
+    let views = session.cache().view_entries();
+    let estimators = session.cache().estimator_entries();
+    assert_eq!((views.len(), estimators.len()), (1, 1));
+    let (view, est) = (Arc::clone(&views[0].1), Arc::clone(&estimators[0].1));
+    drop((views, estimators));
+    let builds = view.support.builds();
+    let support = view.support_index(&est.feature_cols).unwrap();
+    assert_eq!(support.projections_built(), 1);
+    let kept: Vec<usize> = (est.feature_cols.iter().copied())
+        .filter(|&c| view.table.schema().field(c).name != "status")
+        .collect();
+    let projection = support.projection(&view.table, &kept);
+    assert!(
+        projection.classes() < support.cells(),
+        "cells share classes"
+    );
+    for _ in 0..3 {
+        assert_eq!(
+            prepared.execute_whatif().unwrap().value.to_bits(),
+            first.to_bits()
+        );
+    }
+    assert_eq!(view.support.builds(), builds, "no index rebuilt");
+    assert_eq!(support.projections_built(), 1, "no projection rebuilt");
+
+    let weak = (Arc::downgrade(&support), Arc::downgrade(&projection));
+    drop((support, projection));
+    assert!(weak.0.upgrade().is_some(), "the view holds its index");
+    drop((prepared, session, view, est));
+    assert!(
+        weak.0.upgrade().is_none(),
+        "the index is freed with the view"
+    );
+    assert!(weak.1.upgrade().is_none(), "and its projection with it");
+}
+
 /// A copy of `db`'s table `t` with its rows in a random order.
 fn permuted(db: &Database, rng: &mut StdRng) -> Database {
     let t = db.table("t").unwrap();

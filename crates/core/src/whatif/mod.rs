@@ -506,28 +506,54 @@ fn check_multi_update_validity(
         return Ok(());
     }
     let Some(g) = graph else { return Ok(()) };
-    let nodes: Vec<Option<usize>> = update_cols
+    let cols = column_indices(update_cols);
+    match connected_pairs(view, g, &cols).first() {
+        None => Ok(()),
+        Some(&(i, j)) => {
+            let node = |k: usize| {
+                let o = &view.origins[cols[k]];
+                g.node_info(
+                    g.node_id(&o.relation, &o.attribute)
+                        .expect("a connected node"),
+                )
+            };
+            Err(EngineError::Unsupported(format!(
+                "updated attributes `{}` and `{}` are causally connected; \
+                 multi-attribute updates require independent attributes",
+                node(i),
+                node(j)
+            )))
+        }
+    }
+}
+
+/// The pairs `(i, j)`, `i < j`, of view columns `cols` whose graph nodes
+/// are causally connected: a directed path runs from one to the other.
+/// Such a pair cannot be updated together (§3.1); a column with no graph
+/// node connects to nothing.
+pub(crate) fn connected_pairs(
+    view: &RelevantView,
+    graph: &CausalGraph,
+    cols: &[usize],
+) -> Vec<(usize, usize)> {
+    let nodes: Vec<Option<usize>> = cols
         .iter()
-        .map(|(c, _)| {
-            let o = &view.origins[*c];
-            g.node_id(&o.relation, &o.attribute).ok()
+        .map(|&c| {
+            let o = &view.origins[c];
+            graph.node_id(&o.relation, &o.attribute).ok()
         })
         .collect();
+    let mut pairs = Vec::new();
     for i in 0..nodes.len() {
         for j in i + 1..nodes.len() {
             if let (Some(a), Some(b)) = (nodes[i], nodes[j]) {
-                if g.has_path(a, b) || g.has_path(b, a) {
-                    return Err(EngineError::Unsupported(format!(
-                        "updated attributes `{}` and `{}` are causally connected; \
-                         multi-attribute updates require independent attributes",
-                        g.node_info(a),
-                        g.node_info(b)
-                    )));
+                if graph.has_path(a, b) || graph.has_path(b, a) {
+                    pairs.push((i, j));
                 }
             }
         }
     }
-    Ok(())
+    pairs
 }
 
 /// Choose the adjustment columns per the configured [`BackdoorMode`],

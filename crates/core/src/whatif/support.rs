@@ -5,9 +5,7 @@
 //! columns: every view row gets the dense id of its value combination (its
 //! *cell*). Rows sharing a cell hold identical raw feature values, so an
 //! update function maps them to identical post-update features and the
-//! estimator's model predicts them identically — evaluation assembles,
-//! encodes and predicts one representative row per cell instead of every
-//! row.
+//! estimator's model predicts them identically.
 //!
 //! Ids are exact: two rows share a cell iff every listed column holds the
 //! same value, compared at least as finely as any model can tell apart
@@ -22,6 +20,18 @@
 //! the cells with those counts: the estimator reads the representatives
 //! and counts from here and folds cells without touching a row.
 //!
+//! An update rewrites only its own columns, so cells that agree on the
+//! other features can share their post-update features: a `Set` maps all
+//! of them to one point. A [`Projection`] groups the cells by their values
+//! on a subset of the indexed columns (the non-updated features) into
+//! *projection classes*. It is computed from the cells' first rows in
+//! O(cells), once per kept column list, and cached on the index, so it is
+//! dropped with the view. The estimator keys each affected cell by its
+//! class (refined by whatever else still varies: a `Scale`/`Shift`
+//! result, an un-`When`'d row's own values, a post peer mean) and
+//! assembles, encodes and predicts one representative per key: O(distinct
+//! post-update rows), not O(cells).
+//!
 //! The index serves fitting as well as evaluation. A forest fitted
 //! without a peer summary or a binding sample cap encodes only each
 //! cell's first row and trains over the representatives plus the per-row
@@ -32,7 +42,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use hyper_storage::{Column, Table};
 
@@ -50,50 +60,87 @@ pub(crate) struct SupportIndex {
     /// First row of each cell (increasing, as ids follow first
     /// occurrence).
     first_row: Vec<u32>,
+    /// Projections of the cells onto column subsets, by kept column list
+    /// (few per index: one per distinct set of updated columns).
+    projections: Mutex<Vec<(Vec<usize>, Arc<Projection>)>>,
+}
+
+/// The cells of one [`SupportIndex`] grouped by their values on a subset
+/// of its columns: two cells share a class iff they agree on every kept
+/// column (compared as exactly as cells are). Classes are numbered densely
+/// in cell order.
+#[derive(Debug)]
+pub(crate) struct Projection {
+    /// Class of each cell, by cell id.
+    class_of: Vec<u32>,
+    /// Number of distinct classes.
+    classes: usize,
+}
+
+impl Projection {
+    /// Class of cell `cell`.
+    #[inline]
+    pub(crate) fn class(&self, cell: usize) -> usize {
+        self.class_of[cell] as usize
+    }
+
+    /// Number of distinct classes.
+    pub(crate) fn classes(&self) -> usize {
+        self.classes
+    }
+}
+
+/// Dense ids of the value combinations of `cols` (each `n` long) over
+/// rows `0..n`, numbered in first-occurrence order, and their number.
+/// O(n · cols): each column's values are mapped to small per-column codes,
+/// and the running ids are combined with them and renumbered densely after
+/// every column, so `id · radix` stays below `n · radix` and never
+/// overflows a `u64`.
+fn dense_ids(n: usize, cols: &[&Column]) -> (Vec<u32>, usize) {
+    // Ids, codes and the renumbering tables' empty marker are `u32`.
+    assert!(n < u32::MAX as usize, "a support index covers < 2^32 rows");
+    let mut ids = vec![0u32; n];
+    let mut distinct = usize::from(n > 0);
+    let mut codes = vec![0u32; n];
+    // Combined keys below this bound renumber through a direct table
+    // (4 bytes a slot); larger key spaces go through a hash map.
+    let direct_limit = n.max(1 << 12) as u64;
+    for col in cols {
+        let radix = column_codes(col, &mut codes) as u64;
+        let space = distinct as u64 * radix;
+        let mut next = 0u32;
+        if space <= direct_limit {
+            let mut id_of = vec![u32::MAX; space as usize];
+            for (id, &code) in ids.iter_mut().zip(&codes) {
+                let slot = &mut id_of[*id as usize * radix as usize + code as usize];
+                if *slot == u32::MAX {
+                    *slot = next;
+                    next += 1;
+                }
+                *id = *slot;
+            }
+        } else {
+            let mut id_of: HashMap<u64, u32> = HashMap::new();
+            for (id, &code) in ids.iter_mut().zip(&codes) {
+                *id = *id_of
+                    .entry(*id as u64 * radix + code as u64)
+                    .or_insert_with(|| {
+                        next += 1;
+                        next - 1
+                    });
+            }
+        }
+        distinct = next as usize;
+    }
+    (ids, distinct)
 }
 
 impl SupportIndex {
-    /// Index `cols` of `table` in O(rows · cols): each column's values are
-    /// mapped to small per-column codes, and the running ids are combined
-    /// with them and renumbered densely after every column, so
-    /// `id · radix` stays below `rows · radix` and never overflows a `u64`.
+    /// Index `cols` of `table` in O(rows · cols) (see [`dense_ids`]).
     pub(crate) fn build(table: &Table, cols: &[usize]) -> SupportIndex {
         let n = table.num_rows();
-        // Ids, codes and the renumbering tables' empty marker are `u32`.
-        assert!(n < u32::MAX as usize, "a support index covers < 2^32 rows");
-        let mut cell_of = vec![0u32; n];
-        let mut cells = usize::from(n > 0);
-        let mut codes = vec![0u32; n];
-        // Combined keys below this bound renumber through a direct table
-        // (4 bytes a slot); larger key spaces go through a hash map.
-        let direct_limit = n.max(1 << 12) as u64;
-        for &c in cols {
-            let radix = column_codes(table.column(c), &mut codes) as u64;
-            let space = cells as u64 * radix;
-            let mut next = 0u32;
-            if space <= direct_limit {
-                let mut id_of = vec![u32::MAX; space as usize];
-                for (id, &code) in cell_of.iter_mut().zip(&codes) {
-                    let slot = &mut id_of[*id as usize * radix as usize + code as usize];
-                    if *slot == u32::MAX {
-                        *slot = next;
-                        next += 1;
-                    }
-                    *id = *slot;
-                }
-            } else {
-                let mut id_of: HashMap<u64, u32> = HashMap::new();
-                for (id, &code) in cell_of.iter_mut().zip(&codes) {
-                    *id = *id_of
-                        .entry(*id as u64 * radix + code as u64)
-                        .or_insert_with(|| {
-                            next += 1;
-                            next - 1
-                        });
-                }
-            }
-            cells = next as usize;
-        }
+        let columns: Vec<&Column> = cols.iter().map(|&c| table.column(c)).collect();
+        let (cell_of, cells) = dense_ids(n, &columns);
         let mut count_of = vec![0u32; cells];
         let mut first_row = Vec::with_capacity(cells);
         for (i, &id) in cell_of.iter().enumerate() {
@@ -107,7 +154,36 @@ impl SupportIndex {
             cell_of,
             count_of,
             first_row,
+            projections: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The projection of this index's cells onto the view columns `kept`
+    /// (a subset of the indexed columns), built once per column list in
+    /// O(cells · kept) from the cells' first rows. `table` must be the
+    /// table the index was built over.
+    pub(crate) fn projection(&self, table: &Table, kept: &[usize]) -> Arc<Projection> {
+        // Held while building: concurrent evaluations of one update list
+        // build its projection once.
+        let mut built = self.projections.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((_, p)) = built.iter().find(|(cols, _)| cols == kept) {
+            return Arc::clone(p);
+        }
+        let reps: Vec<usize> = self.first_row.iter().map(|&i| i as usize).collect();
+        let gathered: Vec<Column> = kept
+            .iter()
+            .map(|&c| table.column(c).gather(&reps))
+            .collect();
+        let (class_of, classes) = dense_ids(reps.len(), &gathered.iter().collect::<Vec<_>>());
+        let p = Arc::new(Projection { class_of, classes });
+        built.push((kept.to_vec(), Arc::clone(&p)));
+        p
+    }
+
+    /// Projections built so far (each kept-column list builds once).
+    #[cfg(test)]
+    pub(crate) fn projections_built(&self) -> usize {
+        self.projections.lock().unwrap().len()
     }
 
     /// Cell id of view row `i`.

@@ -384,3 +384,94 @@ fn candidate_lists_and_costs_are_pinned() {
         ]
     );
 }
+
+/// Student-Syn's per-student view, with the participation averages.
+const STUDENT_VIEW: &str = "
+    Use (Select S.sid, S.age, S.country, S.attendance,
+            Avg(P.discussion) As discussion,
+            Avg(P.announcements) As announcements,
+            Avg(P.hand_raised) As hand_raised,
+            Avg(P.assignment) As assignment,
+            Avg(P.grade) As grade
+     From student As S, participation As P
+     Where S.sid = P.sid
+     Group By S.sid, S.age, S.country, S.attendance)";
+
+/// `attendance` causes `assignment`, `discussion` and `announcements`, so
+/// no update may change it together with any of them (§3.1). With a
+/// budget of two attributes both solvers must answer, each updating at
+/// most one attribute of a connected pair, and agree on the objective;
+/// the IP and the lexicographic solver carry a `Σ δ ≤ 1` constraint per
+/// connected pair, and Opt-HowTo skips the connected combinations.
+#[test]
+fn connected_attributes_are_not_updated_together() {
+    let data = hyper_datasets::student_syn(2_000, 5, 4);
+    let session = HyperSession::builder(data.db)
+        .graph(data.graph)
+        .howto_options(HowToOptions {
+            buckets: 4,
+            max_attrs_updated: Some(2),
+        })
+        .share_artifacts(false)
+        .build();
+    let q = howto(&format!(
+        "{STUDENT_VIEW} HowToUpdate attendance, assignment, discussion, announcements \
+         ToMaximize Avg(Post(grade))"
+    ));
+    let ip = session.howto(&q).unwrap();
+    let brute = session.howto_bruteforce(&q).unwrap();
+    assert!(
+        (ip.objective - brute.objective).abs() < 1e-6,
+        "IP {} vs Opt-HowTo {}",
+        ip.objective,
+        brute.objective
+    );
+    let lex = session
+        .howto_lexicographic(std::slice::from_ref(&q))
+        .unwrap();
+    for (solver, r) in [
+        ("IP", &ip),
+        ("Opt-HowTo", &brute),
+        ("lexicographic", &lex.result),
+    ] {
+        let attrs: Vec<&str> = r.chosen.iter().map(|u| u.attr.as_str()).collect();
+        assert!(
+            !(attrs.contains(&"attendance") && attrs.len() > 1),
+            "{solver} updates connected attributes: {attrs:?}"
+        );
+        assert!(r.objective > r.baseline, "{solver}: {r:?}");
+    }
+    // Each attribute has `candidates / 4` candidates; Opt-HowTo evaluates
+    // every candidate, then every in-budget combination of up to two
+    // attributes except attendance with one of the other three.
+    let per_attr = brute.candidates / 4;
+    let combos = 4 * per_attr + 3 * per_attr * per_attr;
+    assert_eq!(brute.whatif_evals, brute.candidates + combos);
+}
+
+/// German-Syn's four updatable attributes are siblings, joined by no
+/// causal path, so no combination is excluded: Opt-HowTo evaluates all
+/// `(candidates + 1)^4 - 1` of them, and both solvers may update all four
+/// attributes together (the pinned how-to of `tests/golden_bits.rs`).
+#[test]
+fn sibling_attributes_add_no_constraint() {
+    let data = hyper_datasets::german_syn_extended(3_000, 1);
+    let session = HyperSession::builder(data.db)
+        .graph(data.graph)
+        .howto_options(HowToOptions {
+            buckets: 4,
+            max_attrs_updated: None,
+        })
+        .share_artifacts(false)
+        .build();
+    let q = howto(
+        "Use german_syn HowToUpdate status, savings, housing, credit_amount \
+         ToMaximize Count(Post(credit) = 'Good')",
+    );
+    let ip = session.howto(&q).unwrap();
+    assert_eq!(ip.chosen.len(), 4, "IP: {ip:?}");
+    let brute = session.howto_bruteforce(&q).unwrap();
+    assert_eq!(brute.chosen.len(), 4, "Opt-HowTo: {brute:?}");
+    assert_eq!(brute.candidates, 16);
+    assert_eq!(brute.whatif_evals, brute.candidates + 5usize.pow(4) - 1);
+}

@@ -16,6 +16,11 @@
 //! ([`crate::hist::BinnedMatrix`]) derived from the same splits, with
 //! per-node histogram split search.
 //!
+//! A fitted tree is a flat arena of 24-byte nodes (see [`RegressionTree`]):
+//! a prediction is the mean, summed in tree order, of one root-to-leaf walk
+//! per tree, and [`RandomForest::approx_bytes`] charges each node at that
+//! size.
+//!
 //! Trees train concurrently over a [`hyper_runtime::HyperRuntime`] worker
 //! pool. Each tree derives its own RNG from `(seed, tree_index)`, so a
 //! fitted forest is **bit-identical for a fixed seed regardless of worker
@@ -31,7 +36,7 @@ use crate::error::{MlError, Result};
 use crate::hist::MAX_BINS;
 use crate::layout::{Binning, CellLayout};
 use crate::matrix::Matrix;
-use crate::tree::{RegressionTree, TreeParams};
+use crate::tree::{RegressionTree, TreeParams, NODE_BYTES};
 
 /// Derive the per-tree RNG seed: a SplitMix64 scramble of the forest seed
 /// and the tree index, so tree streams are independent and assignment of
@@ -290,10 +295,10 @@ impl RandomForest {
         Ok(RandomForest { trees })
     }
 
-    /// Approximate memory footprint in bytes (arena nodes), for the
-    /// byte-budgeted shared-artifact eviction policy.
+    /// Approximate memory footprint in bytes (the trees' arena nodes, at
+    /// the node type's size), for the byte-budgeted shared-artifact
+    /// eviction policy.
     pub fn approx_bytes(&self) -> usize {
-        const NODE_BYTES: usize = 40; // enum tag + 4 words, rounded up
         self.trees.iter().map(|t| t.num_nodes() * NODE_BYTES).sum()
     }
 }
@@ -431,6 +436,18 @@ mod tests {
             ],
             "row-wise fit"
         );
+    }
+
+    /// The byte-budgeted eviction charges every arena node at the node
+    /// type's size, 24 bytes.
+    #[test]
+    fn approx_bytes_counts_nodes_at_the_node_size() {
+        assert_eq!(NODE_BYTES, 24);
+        let (x, y) = discrete(500, 6);
+        let forest = RandomForest::fit(&x, &y, &ForestParams::default()).unwrap();
+        let nodes: usize = forest.trees().iter().map(RegressionTree::num_nodes).sum();
+        assert!(nodes > forest.num_trees(), "the trees split");
+        assert_eq!(forest.approx_bytes(), nodes * 24);
     }
 
     #[test]

@@ -2,6 +2,15 @@
 //!
 //! This is the base learner of the random forest the paper uses to estimate
 //! conditional probabilities (their sklearn `RandomForestRegressor`).
+//!
+//! A fitted tree is one flat arena of 24-byte nodes, root first. A node
+//! holds one `f64` (a split's threshold or a leaf's value), a `u32` feature
+//! index with a sentinel for leaves, and its two children's `u32` arena
+//! indices. Prediction walks from the root, stepping to the left child
+//! when `x <= threshold` and to the right one otherwise, by indexing the
+//! child pair with `!(x <= threshold)`: a NaN feature value compares false
+//! and goes right. Serialization goes through the tagged [`TreeNode`]
+//! form, not the arena's bytes, so the arena layout is free to change.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -34,17 +43,45 @@ impl Default for TreeParams {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Node {
-    Leaf {
-        value: f64,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: usize,
-        right: usize,
-    },
+/// One arena node, 24 bytes: a split's threshold or a leaf's value, the
+/// split feature ([`LEAF`] for a leaf), and the two children's arena
+/// indices (unused for a leaf). The walk picks `children[!(x <= t)]`, so a
+/// NaN feature value, for which `x <= t` is false, goes right.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    value: f64,
+    feature: u32,
+    children: [u32; 2],
+}
+
+/// The `feature` of a leaf node.
+const LEAF: u32 = u32::MAX;
+
+/// Bytes one arena node occupies (the unit of a forest's footprint).
+pub(crate) const NODE_BYTES: usize = std::mem::size_of::<Node>();
+
+impl Node {
+    fn leaf(value: f64) -> Node {
+        Node {
+            value,
+            feature: LEAF,
+            children: [0, 0],
+        }
+    }
+
+    fn split(feature: usize, threshold: f64, left: usize, right: usize) -> Node {
+        let index = |i: usize, what: &str| u32::try_from(i).expect(what);
+        let feature = index(feature, "a split feature below 2^32");
+        assert_ne!(feature, LEAF, "the leaf sentinel is not a feature");
+        Node {
+            value: threshold,
+            feature,
+            children: [
+                index(left, "an arena below 2^32 nodes"),
+                index(right, "an arena below 2^32 nodes"),
+            ],
+        }
+    }
 }
 
 /// A flattened tree node, exposed for serialization
@@ -72,7 +109,7 @@ pub enum TreeNode {
     },
 }
 
-/// A fitted regression tree (arena-allocated nodes).
+/// A fitted regression tree: a flat arena of 24-byte nodes, root first.
 #[derive(Debug, Clone)]
 pub struct RegressionTree {
     nodes: Vec<Node>,
@@ -206,7 +243,7 @@ impl RegressionTree {
         let mean = sum / n as f64;
 
         let make_leaf = |nodes: &mut Vec<Node>| {
-            nodes.push(Node::Leaf { value: mean });
+            nodes.push(Node::leaf(mean));
             nodes.len() - 1
         };
 
@@ -321,7 +358,7 @@ impl RegressionTree {
                 };
                 let threshold = data.feature(feature).splits()[split_bin as usize];
                 let slot = self.nodes.len();
-                self.nodes.push(Node::Leaf { value: mean }); // placeholder
+                self.nodes.push(Node::leaf(mean)); // placeholder
                 let left = self.build_binned(
                     data,
                     y,
@@ -342,12 +379,7 @@ impl RegressionTree {
                     rng,
                     ctx,
                 );
-                self.nodes[slot] = Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                };
+                self.nodes[slot] = Node::split(feature, threshold, left, right);
                 slot
             }
             _ => make_leaf(&mut self.nodes),
@@ -421,7 +453,7 @@ impl RegressionTree {
     ) -> usize {
         let mean = sum / n as f64;
         let make_leaf = |nodes: &mut Vec<Node>| {
-            nodes.push(Node::Leaf { value: mean });
+            nodes.push(Node::leaf(mean));
             nodes.len() - 1
         };
 
@@ -511,7 +543,7 @@ impl RegressionTree {
                 let (left_ids, right_ids) = ids.split_at_mut(l);
                 let threshold = data.feature(feature).splits()[split_bin as usize];
                 let slot = self.nodes.len();
-                self.nodes.push(Node::Leaf { value: mean }); // placeholder
+                self.nodes.push(Node::leaf(mean)); // placeholder
                 let left = self.build_cells(
                     data,
                     cells,
@@ -534,12 +566,7 @@ impl RegressionTree {
                     rng,
                     ctx,
                 );
-                self.nodes[slot] = Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                };
+                self.nodes[slot] = Node::split(feature, threshold, left, right);
                 slot
             }
             _ => make_leaf(&mut self.nodes),
@@ -559,7 +586,7 @@ impl RegressionTree {
         let mean = idx.iter().map(|&i| y[i as usize]).sum::<f64>() / n as f64;
 
         let make_leaf = |nodes: &mut Vec<Node>| {
-            nodes.push(Node::Leaf { value: mean });
+            nodes.push(Node::leaf(mean));
             nodes.len() - 1
         };
 
@@ -628,15 +655,10 @@ impl RegressionTree {
                     .partition(|&&i| x.get(i as usize, feature) <= threshold);
                 // Reserve a slot for this split node before recursing.
                 let slot = self.nodes.len();
-                self.nodes.push(Node::Leaf { value: mean }); // placeholder
+                self.nodes.push(Node::leaf(mean)); // placeholder
                 let left = self.build(x, y, left_idx, depth + 1, params, rng);
                 let right = self.build(x, y, right_idx, depth + 1, params, rng);
-                self.nodes[slot] = Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                };
+                self.nodes[slot] = Node::split(feature, threshold, left, right);
                 slot
             }
             _ => make_leaf(&mut self.nodes),
@@ -647,24 +669,13 @@ impl RegressionTree {
     pub fn predict_row(&self, row: &[f64]) -> f64 {
         // The root is the first node created for the full index set. Because
         // we reserve split slots before recursing, the root is node 0.
-        let mut cur = 0usize;
-        loop {
-            match &self.nodes[cur] {
-                Node::Leaf { value } => return *value,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    cur = if row[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
-            }
+        let mut node = &self.nodes[0];
+        while node.feature != LEAF {
+            // False for a NaN, which so goes right.
+            let left = row[node.feature as usize] <= node.value;
+            node = &self.nodes[node.children[usize::from(!left)] as usize];
         }
+        node.value
     }
 
     /// Predict a batch.
@@ -683,18 +694,13 @@ impl RegressionTree {
     pub fn export_nodes(&self) -> Vec<TreeNode> {
         self.nodes
             .iter()
-            .map(|n| match n {
-                Node::Leaf { value } => TreeNode::Leaf { value: *value },
-                Node::Split {
+            .map(|n| match n.feature {
+                LEAF => TreeNode::Leaf { value: n.value },
+                feature => TreeNode::Split {
                     feature,
-                    threshold,
-                    left,
-                    right,
-                } => TreeNode::Split {
-                    feature: *feature as u32,
-                    threshold: *threshold,
-                    left: *left as u32,
-                    right: *right as u32,
+                    threshold: n.value,
+                    left: n.children[0],
+                    right: n.children[1],
                 },
             })
             .collect()
@@ -715,7 +721,7 @@ impl RegressionTree {
         let mut arena = Vec::with_capacity(len);
         for (i, n) in nodes.into_iter().enumerate() {
             arena.push(match n {
-                TreeNode::Leaf { value } => Node::Leaf { value },
+                TreeNode::Leaf { value } => Node::leaf(value),
                 TreeNode::Split {
                     feature,
                     threshold,
@@ -723,7 +729,7 @@ impl RegressionTree {
                     right,
                 } => {
                     let (f, l, r) = (feature as usize, left as usize, right as usize);
-                    if f >= n_features {
+                    if f >= n_features || feature == LEAF {
                         return Err(MlError::InvalidInput(format!(
                             "node {i} splits on feature {f} but the tree has {n_features}"
                         )));
@@ -734,12 +740,7 @@ impl RegressionTree {
                              {len}-node arena"
                         )));
                     }
-                    Node::Split {
-                        feature: f,
-                        threshold,
-                        left: l,
-                        right: r,
-                    }
+                    Node::split(f, threshold, l, r)
                 }
             });
         }
@@ -834,6 +835,109 @@ mod tests {
         assert!(tree.predict_row(&[0.9, 0.9]) > 0.9);
         assert!(tree.predict_row(&[0.9, 0.1]) < 0.1);
         assert!(tree.predict_row(&[0.1, 0.9]) < 0.1);
+    }
+
+    /// Fitted trees (exhaustive, binned and cell builders) survive an
+    /// `export_nodes`/`from_nodes` round trip node for node and bit for
+    /// bit, and predict identically after it.
+    #[test]
+    fn exported_arenas_round_trip() {
+        use crate::forest::{ForestParams, RandomForest};
+        let mut r = rng();
+        let rows: Vec<Vec<f64>> = (0..300)
+            .map(|i| vec![(i % 7) as f64, (i % 5) as f64 * 0.3, (i * 37 % 101) as f64])
+            .collect();
+        let y: Vec<f64> = rows.iter().map(|v| v[0] * v[1] - v[2] / 50.0).collect();
+        let x = Matrix::from_rows(&rows).unwrap();
+        let mut trees = vec![RegressionTree::fit(&x, &y, &TreeParams::default(), &mut r).unwrap()];
+        // Cell mode (discrete) and row-wise binned (101 distinct values in
+        // the third feature push the cells over the cap).
+        for cols in [2, 3] {
+            let sub: Vec<Vec<f64>> = rows.iter().map(|v| v[..cols].to_vec()).collect();
+            let sub = Matrix::from_rows(&sub).unwrap();
+            let forest = RandomForest::fit(&sub, &y, &ForestParams::default()).unwrap();
+            trees.extend(forest.trees().iter().cloned());
+        }
+        for tree in &trees {
+            assert!(tree.num_nodes() > 1);
+            let nodes = tree.export_nodes();
+            let back = RegressionTree::from_nodes(nodes.clone(), tree.n_features()).unwrap();
+            let again = back.export_nodes();
+            assert_eq!(nodes.len(), again.len());
+            for (a, b) in nodes.iter().zip(&again) {
+                let key = |n: &TreeNode| match *n {
+                    TreeNode::Leaf { value } => (0, value.to_bits(), 0, 0, 0),
+                    TreeNode::Split {
+                        feature,
+                        threshold,
+                        left,
+                        right,
+                    } => (1, threshold.to_bits(), feature, left, right),
+                };
+                assert_eq!(key(a), key(b));
+            }
+            for row in &rows {
+                let row = &row[..tree.n_features()];
+                assert_eq!(
+                    tree.predict_row(row).to_bits(),
+                    back.predict_row(row).to_bits()
+                );
+            }
+        }
+    }
+
+    /// A NaN feature value fails every `<=` test, so it goes right at
+    /// every split, as it did before the compact arena.
+    #[test]
+    fn nan_routes_right() {
+        let nodes = vec![
+            TreeNode::Split {
+                feature: 1,
+                threshold: 0.5,
+                left: 1,
+                right: 2,
+            },
+            TreeNode::Leaf { value: -1.0 },
+            TreeNode::Split {
+                feature: 0,
+                threshold: f64::INFINITY,
+                left: 3,
+                right: 4,
+            },
+            TreeNode::Leaf { value: 2.0 },
+            TreeNode::Leaf { value: 3.0 },
+        ];
+        let tree = RegressionTree::from_nodes(nodes, 2).unwrap();
+        assert_eq!(tree.predict_row(&[0.0, 0.0]), -1.0);
+        assert_eq!(tree.predict_row(&[0.0, 1.0]), 2.0);
+        assert_eq!(
+            tree.predict_row(&[0.0, f64::NAN]),
+            2.0,
+            "NaN > 0.5 goes right"
+        );
+        assert_eq!(
+            tree.predict_row(&[f64::NAN, 1.0]),
+            3.0,
+            "not even NaN <= inf"
+        );
+        assert_eq!(tree.predict_row(&[f64::NAN, f64::NAN]), 3.0);
+        let nan2 = f64::from_bits(f64::NAN.to_bits() | 1);
+        assert_eq!(tree.predict_row(&[nan2, -0.0]), -1.0);
+    }
+
+    #[test]
+    fn the_leaf_sentinel_is_not_a_feature() {
+        let nodes = vec![
+            TreeNode::Split {
+                feature: u32::MAX,
+                threshold: 0.0,
+                left: 1,
+                right: 2,
+            },
+            TreeNode::Leaf { value: 0.0 },
+            TreeNode::Leaf { value: 1.0 },
+        ];
+        assert!(RegressionTree::from_nodes(nodes, usize::MAX).is_err());
     }
 
     #[test]
