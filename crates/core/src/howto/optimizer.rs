@@ -136,10 +136,9 @@ impl HowToContext {
         // Plan one what-if per attribute. Validation, ψ/Y binding, the
         // backdoor search and the estimator key depend on the attribute,
         // never on the candidate's value, so every candidate evaluates a
-        // copy of its attribute's plan holding its own update function
-        // (the query itself supplies only the shared When and Output). A
+        // copy of its attribute's plan holding its own update function. A
         // plan that fails is reported in place of each of its candidates.
-        let mut attr_plans: Vec<Option<(WhatIfQuery, Result<WhatIfQueryPlan>)>> =
+        let mut attr_plans: Vec<Option<Result<WhatIfQueryPlan>>> =
             Vec::with_capacity(candidates.len());
         for cands in &candidates {
             attr_plans.push(match cands.first() {
@@ -153,17 +152,17 @@ impl HowToContext {
                         }],
                     )?;
                     let plan = plan_whatif(db, graph, config, &wq, &view, view_key.as_str());
-                    Some((wq, plan))
+                    Some(plan)
                 }
             });
         }
         let evaluate = |i: usize, j: usize| -> Result<f64> {
-            let (wq, plan) = attr_plans[i]
+            let plan = attr_plans[i]
                 .as_ref()
                 .expect("an attribute with candidates is planned");
             let plan = plan.as_ref().map_err(Clone::clone)?;
             let plan = plan.with_func(candidates[i][j].func.clone());
-            evaluate_planned(config, wq, &view, plan, cache, runtime).map(|r| r.value)
+            evaluate_planned(config, &view, &plan, cache, runtime).map(|r| r.value)
         };
 
         // All candidates of one attribute share one fitted estimator (it is
@@ -190,7 +189,7 @@ impl HowToContext {
         let mut fitted: HashSet<&str> = HashSet::new();
         let mut first_slot = 0;
         for (i, planned) in attr_plans.iter().enumerate() {
-            if let Some((_, Ok(plan))) = planned {
+            if let Some(Ok(plan)) = planned {
                 let key = plan.estimator_key.as_deref();
                 if key.is_some_and(|key| fitted.insert(key)) {
                     let _ = slots[first_slot].set(evaluate(i, 0));

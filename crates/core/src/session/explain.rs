@@ -23,7 +23,8 @@ use hyper_trace::{Phase, TraceSnapshot, TraceTree};
 use crate::config::EstimatorKind;
 use crate::error::Result;
 use crate::session::{ArtifactCache, HyperSession, IntoQuery};
-use crate::whatif::plan_whatif;
+use crate::view::RelevantView;
+use crate::whatif::{plan_whatif, WhatIfQueryPlan};
 
 /// Where an artifact stands in the session cache at explain time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -332,30 +333,101 @@ impl HyperSession {
     pub fn explain(&self, input: impl IntoQuery) -> Result<ExplainReport> {
         let query = self.resolve_input(input)?;
         let cache = &self.inner.cache;
-        let config = self.config().clone();
 
         // Relevant view (the only artifact explain may build).
-        let use_clause = query.use_clause().clone();
-        let view_cached = cache.has_view(ArtifactCache::view_key(&use_clause).as_str());
-        let (view, view_key) = cache.view(self.database(), &use_clause)?;
-        let (source_tables, predicate) = describe_use(&use_clause);
+        let use_clause = query.use_clause();
+        let view_cached = cache.has_view(ArtifactCache::view_key(use_clause).as_str());
+        let (view, view_key) = cache.view(self.database(), use_clause)?;
+        let view_provenance = if view_cached {
+            Provenance::Hit
+        } else {
+            Provenance::Miss
+        };
+
+        match &query {
+            HypotheticalQuery::WhatIf(q) => {
+                let plan = plan_whatif(
+                    self.database(),
+                    self.graph(),
+                    self.config(),
+                    q,
+                    &view,
+                    view_key.as_str(),
+                )?;
+                self.explain_planned(&query, &view, view_key, view_provenance, &plan)
+            }
+            HypotheticalQuery::HowTo(q) => {
+                let mut report = self.base_report(&query, &view, view_key, view_provenance)?;
+                let opts = self.howto_options();
+                report.howto = Some(HowToPlan {
+                    update_attrs: q.update_attrs.clone(),
+                    buckets: opts.buckets,
+                    max_attrs_updated: opts.max_attrs_updated,
+                    limits: q.limits.len(),
+                });
+                Ok(report)
+            }
+        }
+    }
+
+    /// The report of the what-if `query` over `view`, read off its `plan`
+    /// (the adjustment set and estimator key it executes with). Shared by
+    /// [`HyperSession::explain`] and `PreparedQuery::explain`, which
+    /// reports the plan its handle holds.
+    pub(crate) fn explain_planned(
+        &self,
+        query: &HypotheticalQuery,
+        view: &RelevantView,
+        view_key: QueryKey,
+        view_provenance: Provenance,
+        plan: &WhatIfQueryPlan,
+    ) -> Result<ExplainReport> {
+        let mut report = self.base_report(query, view, view_key, view_provenance)?;
+        let config = self.config();
+        report.adjustment = plan.backdoor.clone();
+        report.deterministic = plan.estimator_key.is_none();
+        report.estimator = plan.estimator_key.as_ref().map(|key| EstimatorPlan {
+            kind: config.estimator,
+            n_trees: config.n_trees,
+            max_depth: config.max_depth,
+            sample_cap: config.sample_cap,
+            seed: config.seed,
+            provenance: if self.inner.cache.has_estimator(key) {
+                Provenance::Hit
+            } else {
+                Provenance::WouldBuild
+            },
+            key: key.clone(),
+        });
+        Ok(report)
+    }
+
+    /// The part of a report every query kind shares: the relevant view
+    /// and the block decomposition. The what-if and how-to parts are
+    /// left empty.
+    fn base_report(
+        &self,
+        query: &HypotheticalQuery,
+        view: &RelevantView,
+        view_key: QueryKey,
+        view_provenance: Provenance,
+    ) -> Result<ExplainReport> {
+        let cache = &self.inner.cache;
+        let use_clause = query.use_clause();
+        let (source_tables, predicate) = describe_use(use_clause);
         let view_plan = ViewPlan {
-            key: view_key.clone(),
+            key: view_key,
             source_tables,
             predicate,
             rows: view.table.num_rows(),
             columns: view.table.schema().len(),
-            provenance: if view_cached {
-                Provenance::Hit
-            } else {
-                Provenance::Miss
-            },
+            provenance: view_provenance,
         };
 
         // Prop.-1 block decomposition: available exactly when a graph is
         // bound and the view is a single base relation (blocks are sets of
         // base-table rows; ingest invalidation keys on them).
-        let blocks = match (self.graph(), &use_clause) {
+        let blocks = match (self.graph(), use_clause) {
             (Some(g), UseClause::Table(_)) => {
                 let cached = cache.has_blocks();
                 let decomposition = cache.blocks(self.database(), g)?;
@@ -371,66 +443,22 @@ impl HyperSession {
             _ => None,
         };
 
-        match &query {
-            HypotheticalQuery::WhatIf(q) => {
-                let plan = plan_whatif(
-                    self.database(),
-                    self.graph(),
-                    &config,
-                    q,
-                    &view,
-                    view_key.as_str(),
-                )?;
-                let deterministic = plan.estimator_key.is_none();
-                let estimator = plan.estimator_key.map(|key| EstimatorPlan {
-                    kind: config.estimator,
-                    n_trees: config.n_trees,
-                    max_depth: config.max_depth,
-                    sample_cap: config.sample_cap,
-                    seed: config.seed,
-                    provenance: if cache.has_estimator(&key) {
-                        Provenance::Hit
-                    } else {
-                        Provenance::WouldBuild
-                    },
-                    key,
-                });
-                Ok(ExplainReport {
-                    kind: QueryKind::WhatIf,
-                    query: query.to_string(),
-                    key: QueryKey::of_query(&query),
-                    view: view_plan,
-                    blocks,
-                    adjustment: plan.backdoor,
-                    deterministic,
-                    estimator,
-                    howto: None,
-                    data_version: self.inner.data_version,
-                    timings: None,
-                })
-            }
-            HypotheticalQuery::HowTo(q) => {
-                let opts = self.howto_options();
-                Ok(ExplainReport {
-                    kind: QueryKind::HowTo,
-                    query: query.to_string(),
-                    key: QueryKey::of_query(&query),
-                    view: view_plan,
-                    blocks,
-                    adjustment: Vec::new(),
-                    deterministic: false,
-                    estimator: None,
-                    howto: Some(HowToPlan {
-                        update_attrs: q.update_attrs.clone(),
-                        buckets: opts.buckets,
-                        max_attrs_updated: opts.max_attrs_updated,
-                        limits: q.limits.len(),
-                    }),
-                    data_version: self.inner.data_version,
-                    timings: None,
-                })
-            }
-        }
+        Ok(ExplainReport {
+            kind: match query {
+                HypotheticalQuery::WhatIf(_) => QueryKind::WhatIf,
+                HypotheticalQuery::HowTo(_) => QueryKind::HowTo,
+            },
+            query: query.to_string(),
+            key: QueryKey::of_query(query),
+            view: view_plan,
+            blocks,
+            adjustment: Vec::new(),
+            deterministic: false,
+            estimator: None,
+            howto: None,
+            data_version: self.inner.data_version,
+            timings: None,
+        })
     }
 }
 

@@ -81,7 +81,10 @@ use crate::howto::multi::{evaluate_howto_lexicographic, LexicographicResult};
 use crate::howto::optimizer::evaluate_howto;
 use crate::howto::HowToResult;
 use crate::view::RelevantView;
-use crate::whatif::{evaluate_whatif, evaluate_whatif_on_view, WhatIfResult};
+use crate::whatif::{
+    evaluate_planned, evaluate_whatif, evaluate_whatif_on_view, plan_whatif, WhatIfQueryPlan,
+    WhatIfResult,
+};
 
 pub use cache::{ArtifactCache, CacheBudget, KeyedCache};
 pub use explain::{
@@ -637,7 +640,7 @@ impl HyperSession {
             let _root = hyper_trace::span(root);
             f()
         });
-        self.fold_trace(&tree.snapshot());
+        self.fold_trace(&tree.totals());
         out
     }
 
@@ -762,15 +765,19 @@ impl HyperSession {
     /// Validate, resolve the `Use` clause, and plan a query once, returning
     /// a handle that can be executed many times. Accepts text (parsed
     /// here — never again), a typed [`WhatIf`]/[`HowTo`] builder, or an
-    /// AST. The relevant view is built (or fetched) here, so the first
-    /// [`PreparedQuery::execute`] only pays estimator training, and later
-    /// ones only mask evaluation.
+    /// AST. The relevant view is built (or fetched) here, and a concrete
+    /// what-if (one without `Param(…)`) is planned against it here too:
+    /// validation, column binding, the backdoor search and the estimator
+    /// key run once. So the first [`PreparedQuery::execute`] only pays
+    /// estimator training, and later ones only evaluation. A planning
+    /// error is kept on the handle and returned by `execute`.
     ///
     /// A prepared query may contain `Param(name)` placeholders; execute it
     /// with [`PreparedQuery::execute_with`], supplying a [`Bindings`] map
     /// per call. The view (and its cache entry) is shared across every
-    /// binding; the estimator re-keys only when resolved output or `For`
-    /// literals differ — update values are applied at evaluation and never
+    /// binding, and each binding is planned when it executes; the
+    /// estimator re-keys only when resolved output or `For` literals
+    /// differ — update values are applied at evaluation and never
     /// retrain.
     pub fn prepare(&self, input: impl IntoQuery) -> Result<PreparedQuery> {
         self.traced(Phase::Execute, || self.prepare_inner(input))
@@ -793,6 +800,17 @@ impl HyperSession {
             .queries_prepared
             .fetch_add(1, Ordering::Relaxed);
         let params = query.param_names();
+        let plan = match &query {
+            HypotheticalQuery::WhatIf(q) if params.is_empty() => Some(Arc::new(plan_whatif(
+                &self.inner.db,
+                self.graph(),
+                &self.inner.config,
+                q,
+                &view,
+                view_key.as_str(),
+            ))),
+            _ => None,
+        };
         Ok(PreparedQuery {
             session: self.clone(),
             text: query.to_string(),
@@ -800,6 +818,7 @@ impl HyperSession {
             params,
             view,
             view_key,
+            plan,
         })
     }
 
@@ -946,9 +965,12 @@ impl HyperSession {
 }
 
 /// A query validated and planned once against a session; execute it as
-/// many times as needed. Cheap to clone; clones share the session and the
-/// resolved view. `Send + Sync`, so prepared queries can be executed from
-/// worker threads directly.
+/// many times as needed. Cheap to clone; clones share the session, the
+/// resolved view and the what-if plan. `Send + Sync`, so prepared queries
+/// can be executed from worker threads directly. The plan lives and dies
+/// with the handle: a handle prepared before a
+/// [`HyperSession::refresh`] keeps answering over the data it was
+/// prepared against.
 ///
 /// A prepared query may be a *template* containing `Param(name)`
 /// placeholders; [`PreparedQuery::execute_with`] resolves them against a
@@ -963,6 +985,9 @@ pub struct PreparedQuery {
     params: Vec<String>,
     view: Arc<RelevantView>,
     view_key: QueryKey,
+    /// The plan of a concrete what-if over `view`, built at prepare;
+    /// `None` for templates (planned per binding) and how-tos.
+    plan: Option<Arc<Result<WhatIfQueryPlan>>>,
 }
 
 impl std::fmt::Debug for PreparedQuery {
@@ -1006,14 +1031,13 @@ impl PreparedQuery {
     /// Execute the prepared query (which must be concrete — see
     /// [`PreparedQuery::execute_with`] for templates).
     ///
-    /// What-if queries skip parsing and view resolution (the view was
-    /// resolved at prepare time) and fetch the fitted estimator from the
-    /// session cache — training it on the first call only, which is where
-    /// nearly all the latency lives. Per-execution work that remains:
-    /// re-validating against the view schema, binding the `When`/`For`
-    /// masks, and backdoor-set selection (all linear scans, no training).
-    /// How-to queries reuse the session caches for their candidate
-    /// what-if evaluations.
+    /// What-if queries skip parsing, view resolution and planning (the
+    /// view was resolved and the plan built at prepare time) and fetch
+    /// the fitted estimator from the session cache — training it on the
+    /// first call only, which is where nearly all the latency lives.
+    /// Per-execution work that remains: evaluating the `When`/`For` masks
+    /// (when the query has them) and the estimator. How-to queries reuse
+    /// the session caches for their candidate what-if evaluations.
     pub fn execute(&self) -> Result<QueryOutcome> {
         if !self.params.is_empty() {
             return Err(EngineError::Query(format!(
@@ -1029,7 +1053,13 @@ impl PreparedQuery {
     /// sweep of N bindings over one prepared query costs one view build
     /// total, plus one estimator training per *distinct* resolved output
     /// and `For` clause (a sweep over update values alone trains once).
+    ///
+    /// A concrete query ignores `bindings` (as binding would) and runs
+    /// from its prepared plan, like [`PreparedQuery::execute`].
     pub fn execute_with(&self, bindings: &Bindings) -> Result<QueryOutcome> {
+        if self.params.is_empty() {
+            return self.execute();
+        }
         let bound = self.query.bind(bindings).map_err(EngineError::from)?;
         self.execute_query(&bound)
     }
@@ -1045,13 +1075,28 @@ impl PreparedQuery {
     }
 
     /// Explain this prepared query's plan (see [`HyperSession::explain`]);
-    /// templates must be resolved with [`PreparedQuery::explain_with`].
+    /// templates must be resolved with [`PreparedQuery::explain_with`]. A
+    /// concrete what-if reports the plan it executes, without planning
+    /// again, and its view (held by the handle) as a hit.
     pub fn explain(&self) -> Result<explain::ExplainReport> {
-        self.session.explain(&self.query)
+        match self.whatif_plan() {
+            Some(plan) => self.session.explain_planned(
+                &self.query,
+                &self.view,
+                self.view_key.clone(),
+                explain::Provenance::Hit,
+                plan?,
+            ),
+            None => self.session.explain(&self.query),
+        }
     }
 
-    /// Explain the plan of this template resolved against `bindings`.
+    /// Explain the plan of this template resolved against `bindings` (a
+    /// concrete query ignores them, as in [`PreparedQuery::execute_with`]).
     pub fn explain_with(&self, bindings: &Bindings) -> Result<explain::ExplainReport> {
+        if self.params.is_empty() {
+            return self.explain();
+        }
         let bound = self.query.bind(bindings).map_err(EngineError::from)?;
         self.session.explain(bound)
     }
@@ -1063,19 +1108,39 @@ impl PreparedQuery {
             .traced(Phase::Execute, || self.execute_query_inner(query))
     }
 
+    /// The prepared plan of a concrete what-if (`None` for templates and
+    /// how-tos), with the planning error it may hold.
+    fn whatif_plan(&self) -> Option<Result<&WhatIfQueryPlan>> {
+        self.plan
+            .as_deref()
+            .map(|plan| plan.as_ref().map_err(Clone::clone))
+    }
+
+    /// Execute `query`: the prepared one, or a template bound per call.
+    /// Only the prepared query of a concrete what-if has a plan, so a
+    /// bound template is planned here, per binding.
     fn execute_query_inner(&self, query: &HypotheticalQuery) -> Result<QueryOutcome> {
         let inner = &self.session.inner;
         match query {
-            HypotheticalQuery::WhatIf(q) => Ok(QueryOutcome::WhatIf(evaluate_whatif_on_view(
-                &inner.db,
-                self.session.graph(),
-                &inner.config,
-                q,
-                &self.view,
-                self.view_key.as_str(),
-                &inner.cache,
-                &inner.runtime,
-            )?)),
+            HypotheticalQuery::WhatIf(q) => Ok(QueryOutcome::WhatIf(match self.whatif_plan() {
+                Some(plan) => evaluate_planned(
+                    &inner.config,
+                    &self.view,
+                    plan?,
+                    &inner.cache,
+                    &inner.runtime,
+                )?,
+                None => evaluate_whatif_on_view(
+                    &inner.db,
+                    self.session.graph(),
+                    &inner.config,
+                    q,
+                    &self.view,
+                    self.view_key.as_str(),
+                    &inner.cache,
+                    &inner.runtime,
+                )?,
+            })),
             HypotheticalQuery::HowTo(q) => Ok(QueryOutcome::HowTo(evaluate_howto(
                 &inner.db,
                 self.session.graph(),

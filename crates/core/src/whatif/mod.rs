@@ -124,9 +124,10 @@ pub(crate) fn output_decomposition(
 /// The static plan of a what-if query over an already-resolved view:
 /// everything `HyperSession::explain` reports without executing — update
 /// columns, whether the deterministic fast path applies, the chosen
-/// adjustment set, and the estimator cache key. Evaluation
-/// ([`evaluate_whatif_on_view`]) runs from this plan too, so `explain`
-/// and execution cannot disagree about which estimator a query uses.
+/// adjustment set, and the estimator cache key — plus the bound
+/// expressions evaluation needs. Evaluation ([`evaluate_planned`]) runs
+/// from this plan alone, so `explain` and execution cannot disagree about
+/// which estimator a query uses, and a prepared query plans once.
 #[derive(Debug, Clone)]
 pub(crate) struct WhatIfQueryPlan {
     /// Chosen backdoor adjustment columns (names, view schema order).
@@ -137,8 +138,12 @@ pub(crate) struct WhatIfQueryPlan {
     pub estimator_key: Option<String>,
     /// Resolved updates, in update order.
     updates: Vec<(usize, UpdateFunc)>,
+    /// The bound `When` predicate (the update set `S`), if any.
+    when: Option<BoundHExpr>,
     /// The bound `For` pre-conjuncts (the scope), if any.
     scope: Option<BoundHExpr>,
+    /// The output aggregate.
+    agg: AggFunc,
     /// ψ (post-world predicate) and Y (post value), shared (not
     /// deep-cloned) with the estimator fitted from this plan.
     psi: Option<Arc<BoundHExpr>>,
@@ -188,6 +193,11 @@ pub(crate) fn plan_whatif(
         Some(fc) => split_pre_post(fc, Temporal::Pre),
         None => (Vec::new(), Vec::new()),
     };
+    let when = q
+        .when
+        .as_ref()
+        .map(|w| bind_hexpr(w, &schema, Temporal::Pre))
+        .transpose()?;
     let scope = conjoin(&pre_conj)
         .map(|e| bind_hexpr(&e, &schema, Temporal::Pre))
         .transpose()?;
@@ -211,7 +221,9 @@ pub(crate) fn plan_whatif(
         backdoor: Vec::new(),
         estimator_key: None,
         updates,
+        when,
         scope,
+        agg: q.output.agg,
         psi,
         y,
         backdoor_cols: Vec::new(),
@@ -298,37 +310,34 @@ pub(crate) fn evaluate_whatif_on_view(
 ) -> Result<WhatIfResult> {
     let started = Instant::now();
     let plan = plan_whatif(db, graph, config, q, view, view_key)?;
-    let mut result = evaluate_planned(config, q, view, plan, cache, runtime)?;
+    let mut result = evaluate_planned(config, view, &plan, cache, runtime)?;
     result.elapsed = started.elapsed();
     Ok(result)
 }
 
-/// Evaluate `q` over `view` from its plan. The fitted estimator is
-/// fetched from / inserted into `cache` under the plan's estimator key.
+/// Evaluate a what-if over `view` from its plan (built by [`plan_whatif`]
+/// over the same view). The fitted estimator is fetched from / inserted
+/// into `cache` under the plan's estimator key.
 pub(crate) fn evaluate_planned(
     config: &EngineConfig,
-    q: &WhatIfQuery,
     view: &Arc<RelevantView>,
-    plan: WhatIfQueryPlan,
+    plan: &WhatIfQueryPlan,
     cache: &ArtifactCache,
     runtime: &HyperRuntime,
 ) -> Result<WhatIfResult> {
     let started = Instant::now();
     let n = view.table.num_rows();
 
-    // Masks; an absent clause holds on every row and builds none.
-    let plan_span = hyper_trace::span(hyper_trace::Phase::Plan);
-    let when_mask = q
-        .when
-        .as_ref()
-        .map(|w| bind_hexpr(w, view.table.schema(), Temporal::Pre)?.eval_mask(&view.table))
-        .transpose()?;
-    let scope_mask = plan
-        .scope
-        .as_ref()
-        .map(|p| p.eval_mask(&view.table))
-        .transpose()?;
-    drop(plan_span);
+    // Masks; an absent clause holds on every row and builds none (and
+    // opens no span, so an unmasked execution records no planning).
+    let (when_mask, scope_mask) = if plan.when.is_none() && plan.scope.is_none() {
+        (None, None)
+    } else {
+        let _span = hyper_trace::span(hyper_trace::Phase::Plan);
+        let mask =
+            |e: &Option<BoundHExpr>| e.as_ref().map(|e| e.eval_mask(&view.table)).transpose();
+        (mask(&plan.when)?, mask(&plan.scope)?)
+    };
 
     let rows_in = |mask: &Option<Vec<bool>>| {
         mask.as_ref()
@@ -347,7 +356,7 @@ pub(crate) fn evaluate_planned(
             scope_mask.as_deref(),
             &plan.psi,
             &plan.y,
-            q.output.agg,
+            plan.agg,
         )?;
         return Ok(WhatIfResult {
             value,
@@ -362,19 +371,21 @@ pub(crate) fn evaluate_planned(
 
     // The fitted model depends on the feature set, never on the update
     // functions (Eqs. 35–40): those are applied at evaluation.
-    let update_cols = column_indices(&plan.updates);
-    let spec = EstimatorSpec {
-        update_cols: &update_cols,
-        backdoor_cols: &plan.backdoor_cols,
-        peer: plan.peer.clone(),
-        sample_cap: config.sample_cap,
-        n_trees: config.n_trees,
-        max_depth: config.max_depth,
-        seed: config.seed,
-        kind: config.estimator,
-        runtime,
+    let fit = || {
+        let update_cols = column_indices(&plan.updates);
+        let spec = EstimatorSpec {
+            update_cols: &update_cols,
+            backdoor_cols: &plan.backdoor_cols,
+            peer: plan.peer.clone(),
+            sample_cap: config.sample_cap,
+            n_trees: config.n_trees,
+            max_depth: config.max_depth,
+            seed: config.seed,
+            kind: config.estimator,
+            runtime,
+        };
+        CausalEstimator::fit(view, &spec, &plan.psi, &plan.y, plan.agg)
     };
-    let fit = || CausalEstimator::fit(view, &spec, &plan.psi, &plan.y, q.output.agg);
     // Fitted estimators are cached under the plan's key (view, feature
     // set, output, `For`, estimator config): a repeated prepared query —
     // or any query over the same feature set with other updates — skips
@@ -395,7 +406,7 @@ pub(crate) fn evaluate_planned(
         n_view_rows: n,
         n_scope_rows: n_scope,
         n_updated_rows: n_updated,
-        backdoor: plan.backdoor,
+        backdoor: plan.backdoor.clone(),
         trained_rows: est.trained_rows(),
         elapsed: started.elapsed(),
     })

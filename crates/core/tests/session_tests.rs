@@ -921,3 +921,91 @@ fn explain_reports_a_hit_for_a_shared_feature_set() {
     session.whatif_text(&q("status")).unwrap();
     assert_eq!(session.stats().estimator_misses, 1);
 }
+
+/// A concrete prepared what-if is planned once, at `prepare`: repeated
+/// executions open no planning span and answer with the bits of an
+/// ad-hoc query of the same text. A template is planned per binding, so
+/// each binding answers like its own concrete query.
+#[test]
+fn prepared_whatif_plans_once_and_templates_plan_per_binding() {
+    use hyper_trace::Phase;
+    let (db, _, graph) = credit_db(1_200, 71);
+    let session = HyperSession::builder(db)
+        .graph(graph)
+        .share_artifacts(false)
+        .tracing(true)
+        .build();
+    const TEXT: &str = "Use d Update(status) = 1 Output Count(Post(credit) = 'Good')";
+
+    let prepared = session.prepare(TEXT).unwrap();
+    let plans = session.stats().phase_count(Phase::Plan);
+    assert!(plans > 0, "prepare plans the query");
+    let mut values = Vec::new();
+    for _ in 0..50 {
+        values.push(prepared.execute_whatif().unwrap().value);
+        // A concrete query ignores bindings, as binding would.
+        let with = prepared.execute_whatif_with(&Bindings::new().set("unused", 1));
+        values.push(with.unwrap().value);
+    }
+    assert_eq!(
+        session.stats().phase_count(Phase::Plan),
+        plans,
+        "executions of a prepared what-if plan nothing"
+    );
+    let adhoc = session.whatif_text(TEXT).unwrap().value;
+    for v in values {
+        assert_eq!(v.to_bits(), adhoc.to_bits());
+    }
+
+    // `For Pre(age) < Param(a)` selects a different scope per binding.
+    let template = session
+        .prepare(
+            "Use d Update(status) = 1 Output Count(Post(credit) = 'Good') \
+             For Pre(age) < Param(a)",
+        )
+        .unwrap();
+    let concrete = |a: i64| {
+        session
+            .whatif_text(&format!(
+                "Use d Update(status) = 1 Output Count(Post(credit) = 'Good') \
+                 For Pre(age) < {a}"
+            ))
+            .unwrap()
+            .value
+    };
+    let at = |a: i64| {
+        template
+            .execute_whatif_with(&Bindings::new().set("a", a))
+            .unwrap()
+            .value
+    };
+    let (one, two) = (at(1), at(2));
+    assert_eq!(one.to_bits(), concrete(1).to_bits());
+    assert_eq!(two.to_bits(), concrete(2).to_bits(), "re-planned at a=2");
+    assert_ne!(one.to_bits(), two.to_bits(), "the scopes differ");
+}
+
+/// `PreparedQuery::explain` reports the plan its handle executes: the
+/// same adjustment set and estimator key as a session explain of the
+/// text.
+#[test]
+fn prepared_explain_agrees_with_session_explain() {
+    let (db, _, graph) = credit_db(800, 73);
+    let session = isolated(db, graph, EngineConfig::hyper());
+    for text in [
+        "Use d Update(status) = 1 Output Count(Post(credit) = 'Good') For Pre(age) = 1",
+        "Use d Update(income) = 1 Output Count(Post(income) = 1)",
+    ] {
+        let prepared = session.prepare(text).unwrap();
+        let from_handle = prepared.explain().unwrap();
+        let from_text = session.explain(text).unwrap();
+        assert_eq!(from_handle.normalized(), from_text.normalized(), "{text}");
+        assert_eq!(
+            prepared
+                .explain_with(&Bindings::new())
+                .unwrap()
+                .normalized(),
+            from_handle.normalized()
+        );
+    }
+}

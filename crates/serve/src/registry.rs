@@ -18,11 +18,14 @@
 //!
 //! Repeat queries hit the **prepared path**: each tenant keeps a
 //! [`KeyedCache`] from raw query text to its [`PreparedQuery`], so a query
-//! text seen before skips parsing and view resolution entirely and goes
-//! straight to the estimator cache (`Bindings` are applied per
-//! execution). Concurrent first requests for one text prepare it once,
-//! and past the per-tenant cap the least-recently-used template is
-//! dropped.
+//! text seen before skips parsing and view resolution entirely. A
+//! concrete what-if also skips planning (the handle holds its plan) and
+//! goes straight to the estimator cache; a template's `Bindings` are
+//! applied, and the bound query planned, per execution. Concurrent first
+//! requests for one text prepare it once, and past the per-tenant cap
+//! the least-recently-used template is dropped. An ingest clears the
+//! cache, so the next read of a text re-prepares and re-plans it against
+//! the refreshed session.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -90,16 +93,16 @@ impl Tenant {
         log.append(&delta.to_bytes())
             .map_err(|e| EngineError::Storage(e.to_string()))?;
         *self.session.write().unwrap_or_else(|e| e.into_inner()) = out.session;
-        // Prepared templates captured the old session; drop them so the
-        // next prepare binds the refreshed one. A prepare racing this
-        // swap finishes into a slot the clear detached, so its template
-        // is never cached.
+        // Prepared templates captured the old session, view and plan;
+        // drop them so the next prepare binds and plans against the
+        // refreshed one. A prepare racing this swap finishes into a slot
+        // the clear detached, so its template is never cached.
         self.prepared.clear();
         Ok(out.report)
     }
 
     /// The prepared query for `text`, preparing (parse + validate +
-    /// view resolution) only on first sight of this exact text. Concurrent
+    /// view resolution + planning) only on first sight of this exact text. Concurrent
     /// first requests for one text wait for a single prepare; other texts
     /// are never blocked by it.
     pub fn prepared(&self, text: &str) -> CoreResult<Arc<PreparedQuery>> {

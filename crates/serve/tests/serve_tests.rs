@@ -534,6 +534,42 @@ fn stats_is_served_inline_and_health_reports_tenant_count() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// 20 German-Syn rows, all age = 2 (columns: age, sex, status, savings,
+/// housing, credit_amount, credit — declaration order).
+fn age_two_rows() -> Vec<Vec<Json>> {
+    (0..20)
+        .map(|i: i64| {
+            vec![
+                Json::Int(2),
+                Json::Int(i % 2),
+                Json::Int(3),
+                Json::Int(i % 4),
+                Json::Int(i % 3),
+                Json::Int(3 - i % 4),
+                Json::Str(if i % 3 == 0 { "Bad" } else { "Good" }.into()),
+            ]
+        })
+        .collect()
+}
+
+/// A cold library session over `tenant`'s snapshot with `rows` appended
+/// to `german_syn`: the data a server answers over after ingesting them.
+fn post_delta_session(dir: &std::path::Path, tenant: &str, rows: &[Vec<Json>]) -> HyperSession {
+    let snapshot = Snapshot::load(dir.join(format!("{tenant}.hypr"))).unwrap();
+    let source = snapshot.database.table("german_syn").unwrap();
+    let mut b = hyper_storage::TableBuilder::new("german_syn", source.schema().clone());
+    for row in rows {
+        let vals: Vec<hyper_storage::Value> = row.iter().map(|v| v.to_value().unwrap()).collect();
+        b = b.row(vals).unwrap();
+    }
+    let delta = hyper_ingest::DeltaBatch::new().append(b.build());
+    let db = delta.apply(&snapshot.database).unwrap();
+    HyperSession::builder(db)
+        .maybe_graph(snapshot.graph)
+        .config(EngineConfig::hyper())
+        .build()
+}
+
 #[test]
 fn ingest_invalidates_causally_and_survives_restart() {
     let dir = registry_dir("ingest", 600, &[11]);
@@ -576,21 +612,7 @@ fn ingest_invalidates_causally_and_survives_restart() {
         )
     };
 
-    // Append 20 rows, all age = 2 (columns: age, sex, status, savings,
-    // housing, credit_amount, credit — declaration order).
-    let rows: Vec<Vec<Json>> = (0..20)
-        .map(|i: i64| {
-            vec![
-                Json::Int(2),
-                Json::Int(i % 2),
-                Json::Int(3),
-                Json::Int(i % 4),
-                Json::Int(i % 3),
-                Json::Int(3 - i % 4),
-                Json::Str(if i % 3 == 0 { "Bad" } else { "Good" }.into()),
-            ]
-        })
-        .collect();
+    let rows = age_two_rows();
     let r = client.ingest("t0", "german_syn", &rows, &[]).unwrap();
     assert_eq!(r.status, 200, "{:?}", r.json());
     let report = r.json().unwrap();
@@ -648,23 +670,9 @@ fn ingest_invalidates_causally_and_survives_restart() {
 
     // The touched full-table query matches a cold library session built
     // on the post-delta database — bit-for-bit.
-    let post_delta = {
-        let snapshot = Snapshot::load(dir.join("t0.hypr")).unwrap();
-        let source = snapshot.database.table("german_syn").unwrap();
-        let mut b = hyper_storage::TableBuilder::new("german_syn", source.schema().clone());
-        for row in &rows {
-            let vals: Vec<hyper_storage::Value> =
-                row.iter().map(|v| v.to_value().unwrap()).collect();
-            b = b.row(vals).unwrap();
-        }
-        let delta = hyper_ingest::DeltaBatch::new().append(b.build());
-        let db = delta.apply(&snapshot.database).unwrap();
-        HyperSession::builder(db)
-            .maybe_graph(snapshot.graph)
-            .config(EngineConfig::hyper())
-            .build()
-    };
-    let expect = post_delta.whatif_text(WHATIF).unwrap();
+    let expect = post_delta_session(&dir, "t0", &rows)
+        .whatif_text(WHATIF)
+        .unwrap();
     let r = client.query("/query", "t0", WHATIF, &[]).unwrap();
     assert_eq!(r.status, 200);
     let got = r
@@ -709,6 +717,44 @@ fn ingest_invalidates_causally_and_survives_restart() {
         .unwrap()
         .clone();
     assert_eq!(s.get("data_version").and_then(Json::as_i64), Some(1));
+
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A prepared query text holds the plan of the data it was prepared
+/// over; an ingest that adds rows to its view must re-plan it, so the
+/// next read of the same text answers over the appended rows.
+#[test]
+fn ingest_replans_the_next_read_of_a_prepared_text() {
+    let dir = registry_dir("replan", 600, &[13]);
+    let server = start(&dir, ServeConfig::default());
+    let mut client = Client::connect(server.addr()).unwrap();
+    // The view admits age = 2, the age of every appended row.
+    const TEXT: &str = "Use (Select status, savings, credit From german_syn Where age = 2) \
+         Update(status) = 3 Output Count(Post(credit) = 'Good')";
+    let read = |client: &mut Client| {
+        let r = client.query("/query", "t0", TEXT, &[]).unwrap();
+        assert_eq!(r.status, 200, "{:?}", r.json());
+        let body = r.json().unwrap();
+        (
+            body.get("value").and_then(Json::as_f64).unwrap(),
+            body.get("view_rows").and_then(Json::as_i64).unwrap(),
+        )
+    };
+    let (before, rows_before) = read(&mut client);
+    let rows = age_two_rows();
+    let r = client.ingest("t0", "german_syn", &rows, &[]).unwrap();
+    assert_eq!(r.status, 200, "{:?}", r.json());
+
+    let (after, rows_after) = read(&mut client);
+    assert_eq!(rows_after, rows_before + rows.len() as i64, "new view rows");
+    let expect = post_delta_session(&dir, "t0", &rows)
+        .whatif_text(TEXT)
+        .unwrap();
+    assert_eq!(expect.n_view_rows as i64, rows_after);
+    assert_eq!(after.to_bits(), expect.value.to_bits(), "post-delta parity");
+    assert_ne!(after.to_bits(), before.to_bits(), "the answer moved");
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();

@@ -221,11 +221,26 @@ impl TraceTree {
 
     /// A read-side copy of everything recorded so far.
     pub fn snapshot(&self) -> TraceSnapshot {
+        TraceSnapshot {
+            spans: self
+                .data
+                .spans
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .clone(),
+            ..self.totals()
+        }
+    }
+
+    /// The per-phase totals recorded so far, with an empty span list:
+    /// everything a fold into cumulative counters reads, without copying
+    /// the ordered spans.
+    pub fn totals(&self) -> TraceSnapshot {
         let d = &self.data;
         TraceSnapshot {
             self_ns: std::array::from_fn(|i| d.self_ns[i].load(Ordering::Relaxed)),
             counts: std::array::from_fn(|i| d.counts[i].load(Ordering::Relaxed)),
-            spans: d.spans.lock().unwrap_or_else(|e| e.into_inner()).clone(),
+            spans: Vec::new(),
         }
     }
 }
@@ -672,6 +687,10 @@ mod tests {
         assert_eq!(s.total_ns(), root.dur_ns);
         assert!(s.self_ns(Phase::ForestTrain) >= 1_000_000);
         assert!(s.self_ns(Phase::Execute) <= root.dur_ns);
+        // The totals-only read agrees on every total and copies no span.
+        let t = tree.totals();
+        assert_eq!(t.phases(), s.phases());
+        assert!(t.spans.is_empty());
     }
 
     #[test]

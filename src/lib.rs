@@ -221,6 +221,16 @@
 //! `crates/ml/tests/prop_cells_train.rs`). When continuous features
 //! leave too many cells, trees fit row-wise over per-row bins derived
 //! from the same splits.
+//!
+//! A prepared what-if pays only its evaluation per execution.
+//! [`HyperSession::prepare`](core::HyperSession::prepare) resolves the
+//! relevant view and, for a concrete query (no `Param(…)`), plans it
+//! against that view once: validation, column binding, the backdoor
+//! search and the estimator key. Each
+//! [`execute`](core::PreparedQuery::execute) then evaluates the
+//! `When`/`For` masks and the cached estimator from the plan the handle
+//! holds; the plan drops with the handle. A template is planned per
+//! binding, like an ad-hoc query.
 
 pub use hyper_causal as causal;
 pub use hyper_core as core;
