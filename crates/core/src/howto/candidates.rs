@@ -4,7 +4,7 @@
 
 use hyper_ml::{BinStrategy, Discretizer};
 use hyper_query::{HowToQuery, LimitConstraint, UpdateFunc};
-use hyper_storage::{ColumnStats, DataType, StrDict, Value};
+use hyper_storage::{Column, ColumnStats, DataType, Value};
 
 use crate::error::{EngineError, Result};
 use crate::hexpr::resolve_column;
@@ -40,7 +40,6 @@ pub fn generate_candidates(
     // The rows of S, listed only when a mask selects them.
     let s_rows: Option<Vec<usize>> = when_mask.map(|m| (0..m.len()).filter(|&i| m[i]).collect());
     let s_len = s_rows.as_ref().map_or(view.table.num_rows(), Vec::len);
-    let s_row = |k: usize| s_rows.as_ref().map_or(k, |rows| rows[k]);
     let mut out = Vec::with_capacity(q.update_attrs.len());
     for attr in &q.update_attrs {
         let col = resolve_column(view.table.schema(), attr)?;
@@ -85,45 +84,7 @@ pub fn generate_candidates(
             }
         }
 
-        // Pre-update values over S, for L1 costing, read once off the
-        // typed column: numbers (NULL and strings are `None`) and, for a
-        // string column, dictionary codes (NULL is `None`).
         let pre_col = view.table.column(col);
-        let pre_num: Vec<Option<f64>> = (0..s_len).map(|k| pre_col.f64_at(s_row(k))).collect();
-        let pre_codes: Option<(Vec<Option<u32>>, &StrDict)> =
-            pre_col.as_str().map(|(codes, dict, nulls)| {
-                let codes = (0..s_len)
-                    .map(s_row)
-                    .map(|i| (!nulls.is_null(i)).then_some(codes[i]))
-                    .collect();
-                (codes, dict)
-            });
-
-        // Mean distance over S, summed in row order: |t − x| between
-        // numbers, else a 0/1 mismatch, where only equal strings match
-        // (as `Value::sql_eq`: NULL matches nothing, and a string never
-        // equals a number).
-        let mean_l1 = |v: &Value| -> f64 {
-            if s_len == 0 {
-                return 0.0;
-            }
-            let total: f64 = match (v.as_f64(), v.as_str(), &pre_codes) {
-                (Some(t), _, _) => pre_num
-                    .iter()
-                    .map(|x| x.map_or(1.0, |x| (t - x).abs()))
-                    .sum(),
-                (None, Some(s), Some((codes, dict))) => {
-                    let target = dict.code_of(s);
-                    codes
-                        .iter()
-                        .map(|&c| if c.is_some() && c == target { 0.0 } else { 1.0 })
-                        .sum()
-                }
-                _ => (0..s_len).map(|_| 1.0).sum(),
-            };
-            total / s_len as f64
-        };
-
         let numeric = matches!(
             view.table.schema().field(col).data_type,
             DataType::Int | DataType::Float
@@ -158,28 +119,120 @@ pub fn generate_candidates(
                 .domain()
         };
 
-        let mut cands = Vec::with_capacity(raw_values.len());
-        for v in raw_values {
-            // Range check (numeric candidates from In-sets too).
-            if let Some(x) = v.as_f64() {
-                if lo.is_some_and(|l| x < l) || hi.is_some_and(|h| x > h) {
-                    continue;
-                }
-            }
-            let cost = mean_l1(&v);
-            if l1.is_some_and(|b| cost > b) {
-                continue;
-            }
-            cands.push(Candidate {
+        // Range check (numeric candidates from In-sets too).
+        let in_range: Vec<Value> = (raw_values.into_iter())
+            .filter(|v| {
+                v.as_f64()
+                    .is_none_or(|x| !(lo.is_some_and(|l| x < l) || hi.is_some_and(|h| x > h)))
+            })
+            .collect();
+        let costs = mean_l1_costs(pre_col, s_rows.as_deref(), s_len, &in_range);
+        let cands = (in_range.into_iter().zip(costs))
+            .filter(|(_, cost)| !l1.is_some_and(|b| *cost > b))
+            .map(|(v, cost)| Candidate {
                 attr: attr.clone(),
                 col,
                 func: UpdateFunc::Set(v),
                 l1_cost: cost,
-            });
-        }
+            })
+            .collect();
         out.push(cands);
     }
     Ok(out)
+}
+
+/// The mean L1 distance over S of setting `col` to each of `values`: the
+/// rows `s_rows` of the column (every row when `None`), `s_len` of them.
+/// The distance of a row is |t − x| between numbers, else a 0/1 mismatch,
+/// where only equal strings match (as `Value::sql_eq`: NULL matches
+/// nothing, and a string never equals a number).
+///
+/// One pass over S reads each pre-update value off the typed buffer and
+/// adds its distance to every candidate's sum. Each sum still adds its
+/// terms in row order from zero, so it keeps the bits of a separate pass.
+fn mean_l1_costs(
+    col: &Column,
+    s_rows: Option<&[usize]>,
+    s_len: usize,
+    values: &[Value],
+) -> Vec<f64> {
+    /// What a candidate value compares a row's pre-update value with.
+    enum Target {
+        /// A number: |t − x| against a number, 1 against anything else.
+        Number(f64),
+        /// A string over a string column: its dictionary code, if the
+        /// dictionary holds it; 0 on an equal non-NULL code, else 1.
+        Code(Option<u32>),
+        /// Nothing matches: 1 on every row.
+        Mismatch,
+    }
+    let targets: Vec<Target> = (values.iter())
+        .map(|v| match (v.as_f64(), v.as_str(), col.as_str()) {
+            (Some(t), _, _) => Target::Number(t),
+            (None, Some(s), Some((_, dict, _))) => Target::Code(dict.code_of(s)),
+            _ => Target::Mismatch,
+        })
+        .collect();
+    let mut sums = vec![0.0f64; values.len()];
+    if s_len == 0 {
+        return sums;
+    }
+    let numbers: Option<Vec<f64>> = (targets.iter())
+        .map(|t| match t {
+            Target::Number(t) => Some(*t),
+            _ => None,
+        })
+        .collect();
+    match (numbers, col) {
+        // Numbers against a numeric column without NULLs: |t − x| only.
+        (Some(ts), Column::Int { values, nulls }) if !nulls.any_null() => {
+            for_each_row(s_rows, s_len, |i| {
+                add_distances(&mut sums, &ts, values[i] as f64)
+            });
+        }
+        (Some(ts), Column::Float { values, nulls }) if !nulls.any_null() => {
+            for_each_row(s_rows, s_len, |i| add_distances(&mut sums, &ts, values[i]));
+        }
+        _ => {
+            let nulls = col.nulls();
+            for_each_row(s_rows, s_len, |i| {
+                // The pre-update value of row `i`: a number, or a code.
+                let (x, code) = match col {
+                    _ if nulls.is_null(i) => (None, None),
+                    Column::Int { values, .. } => (Some(values[i] as f64), None),
+                    Column::Float { values, .. } => (Some(values[i]), None),
+                    Column::Bool { values, .. } => (Some(f64::from(u8::from(values[i]))), None),
+                    Column::Str { codes, .. } => (None, Some(codes[i])),
+                };
+                for (sum, target) in sums.iter_mut().zip(&targets) {
+                    *sum += match target {
+                        Target::Number(t) => x.map_or(1.0, |x| (t - x).abs()),
+                        Target::Code(c) if c.is_some() && *c == code => 0.0,
+                        Target::Code(_) | Target::Mismatch => 1.0,
+                    };
+                }
+            });
+        }
+    }
+    sums.iter().map(|total| total / s_len as f64).collect()
+}
+
+/// Call `f` on each row of S in order: `s_rows`, or `0..s_len` when
+/// `None`.
+#[inline]
+fn for_each_row(s_rows: Option<&[usize]>, s_len: usize, f: impl FnMut(usize)) {
+    match s_rows {
+        Some(rows) => rows.iter().copied().for_each(f),
+        None => (0..s_len).for_each(f),
+    }
+}
+
+/// Add `|t − x|` to the sum of each number `t`.
+#[inline]
+fn add_distances(sums: &mut [f64], ts: &[f64], x: f64) {
+    for (sum, t) in sums.iter_mut().zip(ts) {
+        *sum += (t - x).abs();
+    }
 }
 
 #[cfg(test)]
@@ -322,6 +375,36 @@ mod tests {
                 ("1".to_string(), 1.0),
             ]
         );
+    }
+
+    /// The one-pass costs have the bits of a separate row-order sum per
+    /// candidate, over values whose sum depends on the order of its terms.
+    #[test]
+    fn one_pass_costs_keep_the_row_order_sums() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let xs: Vec<f64> = (0..500)
+            .map(|_| rng.gen_range(1.0..2.0) * 2f64.powi(rng.gen_range(-40..40)))
+            .collect();
+        let mut ints = Column::new(DataType::Int);
+        let mut floats = Column::new(DataType::Float);
+        for &x in &xs {
+            ints.push(&Value::Int(x as i64)).unwrap();
+            floats.push(&Value::Float(x)).unwrap();
+        }
+        let targets = [Value::Float(0.1), Value::Float(3e11), Value::Int(-7)];
+        let rows: Vec<usize> = (0..xs.len()).filter(|i| i % 3 != 1).collect();
+        for col in [&ints, &floats] {
+            for s_rows in [None, Some(rows.as_slice())] {
+                let s: Vec<usize> = s_rows.map_or((0..xs.len()).collect(), <[usize]>::to_vec);
+                let costs = mean_l1_costs(col, s_rows, s.len(), &targets);
+                for (t, cost) in targets.iter().zip(costs) {
+                    let t = t.as_f64().unwrap();
+                    let sum: f64 = s.iter().map(|&i| (t - col.f64_at(i).unwrap()).abs()).sum();
+                    assert_eq!(cost.to_bits(), (sum / s.len() as f64).to_bits());
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,9 @@ pub mod candidates;
 pub mod multi;
 pub mod optimizer;
 
+#[cfg(test)]
+mod tests;
+
 use std::time::Duration;
 
 use hyper_query::UpdateSpec;

@@ -12,13 +12,12 @@ use hyper_causal::CausalGraph;
 use hyper_ip::{solve_ilp, Direction, Model, Sense};
 use hyper_query::{
     validate_howto, HExpr, HowToQuery, ObjectiveDirection, OutputArg, OutputSpec, Temporal,
-    UpdateSpec, WhatIf, WhatIfQuery,
+    UpdateFunc, UpdateSpec, WhatIf, WhatIfQuery,
 };
 use hyper_runtime::HyperRuntime;
-use hyper_storage::Database;
+use hyper_storage::{Database, Value};
 
-use std::collections::HashSet;
-use std::sync::OnceLock;
+use std::collections::HashMap;
 
 use crate::config::{EngineConfig, HowToOptions};
 use crate::error::{EngineError, Result};
@@ -28,7 +27,7 @@ use crate::howto::HowToResult;
 use crate::session::cache::ArtifactCache;
 use crate::view::RelevantView;
 use crate::whatif::{
-    connected_pairs, evaluate_planned, evaluate_whatif, plan_whatif, WhatIfQueryPlan,
+    connected_pairs, evaluate_candidates, evaluate_whatif, plan_whatif, WhatIfQueryPlan,
 };
 
 /// Shared pre-processing for the optimizer, the brute-force baseline, and
@@ -79,7 +78,13 @@ impl HowToContext {
             .map(|w| bind_hexpr(w, schema, Temporal::Pre)?.eval_mask(&view.table))
             .transpose()?;
 
-        let candidates = generate_candidates(&view, when_mask.as_deref(), q, opts.buckets)?;
+        // Candidate generation, and the baseline with the attribute plans,
+        // read the view independently: they run side by side.
+        let (candidates, planned) = runtime.join(
+            || generate_candidates(&view, when_mask.as_deref(), q, opts.buckets),
+            || plan_attributes(db, graph, config, q, &view, view_key.as_str()),
+        );
+        let candidates = candidates?;
         let connected = match graph {
             Some(g) => {
                 let cols = (q.update_attrs.iter())
@@ -89,123 +94,65 @@ impl HowToContext {
             }
             None => Vec::new(),
         };
-
-        // The Definition-7 what-if template: same Use/When/For, Output from
-        // the objective. A predicate objective (`Count(Post(credit) =
-        // 'Good')`) becomes a boolean output expression. Kept as a typed
-        // [`WhatIf`] builder so each candidate's query is assembled — and
-        // re-validated — through the same path API callers use. An
-        // objective constant still carrying a `Param(…)` placeholder
-        // cannot be evaluated — templates must be resolved through
-        // `Bindings` (e.g. `PreparedQuery::execute_with`) first.
-        let output_expr = match &q.objective.predicate {
-            Some((op, constant)) => {
-                let value = match constant {
-                    hyper_query::ObjectiveConst::Lit(v) => v.clone(),
-                    hyper_query::ObjectiveConst::Param(name) => {
-                        return Err(EngineError::Query(format!(
-                            "unresolved parameter `Param({name})` in the how-to objective; \
-                             supply Bindings before evaluation"
-                        )))
-                    }
-                };
-                hyper_query::HExpr::binary(
-                    *op,
-                    hyper_query::HExpr::post(q.objective.attr.clone()),
-                    hyper_query::HExpr::Lit(value),
-                )
-            }
-            None => hyper_query::HExpr::post(q.objective.attr.clone()),
-        };
-        let output_spec = OutputSpec {
-            agg: q.objective.agg,
-            arg: OutputArg::Expr(output_expr),
-        };
-        let whatif_template = WhatIf::over_clause(q.use_clause.clone())
-            .maybe_when(q.when.clone())
-            .output(output_spec.agg, output_spec.arg.clone())
-            .maybe_filter(q.for_clause.clone());
-
-        // Baseline: objective with no hypothetical update. Evaluated
-        // deterministically (identity update on the first attribute would
-        // need numeric types; instead evaluate with an empty candidate by
-        // updating nothing: When ∩ S handled by a no-op update) over the
-        // already-materialized view.
-        let baseline = evaluate_identity_objective(&view, &q.for_clause, &output_spec)?;
-
-        // Plan one what-if per attribute. Validation, ψ/Y binding, the
-        // backdoor search and the estimator key depend on the attribute,
-        // never on the candidate's value, so every candidate evaluates a
-        // copy of its attribute's plan holding its own update function. A
-        // plan that fails is reported in place of each of its candidates.
+        let (whatif_template, baseline, plans) = planned?;
+        // Only attributes with candidates are evaluated: their plans, whose
+        // what-if failing to build fails the how-to, and whose plan failing
+        // is reported in place of each candidate.
         let mut attr_plans: Vec<Option<Result<WhatIfQueryPlan>>> =
             Vec::with_capacity(candidates.len());
-        for cands in &candidates {
-            attr_plans.push(match cands.first() {
-                None => None,
-                Some(c) => {
-                    let wq = candidate_whatif(
-                        &whatif_template,
-                        vec![UpdateSpec {
-                            attr: c.attr.clone(),
-                            func: c.func.clone(),
-                        }],
-                    )?;
-                    let plan = plan_whatif(db, graph, config, &wq, &view, view_key.as_str());
-                    Some(plan)
-                }
-            });
+        for (cands, plan) in candidates.iter().zip(plans) {
+            attr_plans.push(if cands.is_empty() { None } else { Some(plan?) });
         }
-        let evaluate = |i: usize, j: usize| -> Result<f64> {
-            let plan = attr_plans[i]
-                .as_ref()
-                .expect("an attribute with candidates is planned");
-            let plan = plan.as_ref().map_err(Clone::clone)?;
-            let plan = plan.with_func(candidates[i][j].func.clone());
-            evaluate_planned(config, &view, &plan, cache, runtime).map(|r| r.value)
-        };
 
         // All candidates of one attribute share one fitted estimator (it is
         // keyed on the feature set, not the value), and attributes whose
         // adjustment sets complete the same feature set share it too — on
-        // German-Syn every attribute of a how-to does. The first candidate
-        // of each distinct estimator key is evaluated here on the caller,
-        // before the fan-out: its forest trains with
-        // the whole pool under its trees, and the fanned-out candidates
-        // then all hit the cache instead of blocking on one single-flight
-        // slot. The rest fan out over the session's persistent worker
-        // pool. Values are identical to a sequential pass in any order
-        // (training is seeded and order-independent). Nesting is safe — a
-        // batch of how-to queries and the forest trainers below them all
-        // draw from the same fixed pool.
-        let flat: Vec<(usize, usize)> = candidates
-            .iter()
-            .enumerate()
-            .flat_map(|(i, cands)| (0..cands.len()).map(move |j| (i, j)))
+        // German-Syn every attribute of a how-to does. So the attributes
+        // are grouped by estimator key and each group is evaluated in one
+        // batch (`evaluate_candidates`): its estimator is fitted once, on
+        // the caller with the whole pool under its trees, and every
+        // candidate of the group is predicted in one pass. Each value is
+        // `to_bits`-equal to evaluating its candidate alone, and the first
+        // error in (attribute, candidate) order is returned.
+        let funcs: Vec<Vec<UpdateFunc>> = (candidates.iter())
+            .map(|cands| cands.iter().map(|c| c.func.clone()).collect())
             .collect();
-        let whatif_evals = flat.len();
-        let mut values: Vec<Vec<f64>> = candidates.iter().map(|c| vec![0.0; c.len()]).collect();
-        let slots: Vec<OnceLock<Result<f64>>> = (0..flat.len()).map(|_| OnceLock::new()).collect();
-        let mut fitted: HashSet<&str> = HashSet::new();
-        let mut first_slot = 0;
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut group_of_key: HashMap<&str, usize> = HashMap::new();
+        let mut results: Vec<Vec<Result<f64>>> = candidates.iter().map(|_| Vec::new()).collect();
         for (i, planned) in attr_plans.iter().enumerate() {
-            if let Some(Ok(plan)) = planned {
-                let key = plan.estimator_key.as_deref();
-                if key.is_some_and(|key| fitted.insert(key)) {
-                    let _ = slots[first_slot].set(evaluate(i, 0));
-                }
+            match planned {
+                None => {}
+                Some(Err(e)) => results[i] = funcs[i].iter().map(|_| Err(e.clone())).collect(),
+                Some(Ok(plan)) => match plan.estimator_key.as_deref() {
+                    Some(key) => {
+                        let g = *group_of_key.entry(key).or_insert_with(|| {
+                            groups.push(Vec::new());
+                            groups.len() - 1
+                        });
+                        groups[g].push(i);
+                    }
+                    None => groups.push(vec![i]),
+                },
             }
-            first_slot += candidates[i].len();
         }
-        runtime.for_each_parallel(flat.len(), |k| {
-            if slots[k].get().is_none() {
-                let (i, j) = flat[k];
-                let _ = slots[k].set(evaluate(i, j));
+        for group in &groups {
+            let attrs: Vec<(&WhatIfQueryPlan, &[UpdateFunc])> = (group.iter())
+                .map(|&i| match &attr_plans[i] {
+                    Some(Ok(plan)) => (plan, funcs[i].as_slice()),
+                    _ => unreachable!("only planned attributes are grouped"),
+                })
+                .collect();
+            let batch = evaluate_candidates(config, &view, &attrs, cache, runtime);
+            for (&i, values) in group.iter().zip(batch) {
+                results[i] = values;
             }
-        });
-        for (&(i, j), slot) in flat.iter().zip(slots) {
-            values[i][j] = slot.into_inner().expect("every candidate slot is filled")?;
         }
+        let values = (results.into_iter())
+            .map(|values| values.into_iter().collect::<Result<Vec<f64>>>())
+            .collect::<Result<Vec<_>>>()?;
+        // Logical evaluations, one per candidate, however they were batched.
+        let whatif_evals = funcs.iter().map(Vec::len).sum();
 
         Ok(HowToContext {
             candidates,
@@ -246,6 +193,79 @@ impl HowToContext {
             .iter()
             .any(|&(i, j)| updated(i) && updated(j))
     }
+}
+
+/// One update attribute's plan: `Err` where its what-if fails to build,
+/// `Ok(Err)` where planning it fails.
+type AttributePlan = Result<Result<WhatIfQueryPlan>>;
+
+/// The Definition-7 what-if template of `q`, its baseline (the objective
+/// with no update), and one what-if plan per update attribute, in order.
+///
+/// Validation, ψ/Y binding, the backdoor search and the estimator key
+/// depend on the attribute, never on the update's value, so one plan
+/// serves every candidate of its attribute, and attributes are planned
+/// before their candidates are known: each plan holds a placeholder
+/// `Set(NULL)` that every candidate replaces
+/// ([`WhatIfQueryPlan::with_func`]).
+pub(crate) fn plan_attributes(
+    db: &Database,
+    graph: Option<&CausalGraph>,
+    config: &EngineConfig,
+    q: &HowToQuery,
+    view: &RelevantView,
+    view_key: &str,
+) -> Result<(WhatIf, f64, Vec<AttributePlan>)> {
+    // The template: same Use/When/For, Output from the objective. A
+    // predicate objective (`Count(Post(credit) = 'Good')`) becomes a
+    // boolean output expression. Kept as a typed [`WhatIf`] builder so
+    // each candidate's query is assembled — and re-validated — through
+    // the same path API callers use. An objective constant still carrying
+    // a `Param(…)` placeholder cannot be evaluated — templates must be
+    // resolved through `Bindings` (e.g. `PreparedQuery::execute_with`)
+    // first.
+    let output_expr = match &q.objective.predicate {
+        Some((op, constant)) => {
+            let value = match constant {
+                hyper_query::ObjectiveConst::Lit(v) => v.clone(),
+                hyper_query::ObjectiveConst::Param(name) => {
+                    return Err(EngineError::Query(format!(
+                        "unresolved parameter `Param({name})` in the how-to objective; \
+                         supply Bindings before evaluation"
+                    )))
+                }
+            };
+            HExpr::binary(
+                *op,
+                HExpr::post(q.objective.attr.clone()),
+                HExpr::Lit(value),
+            )
+        }
+        None => HExpr::post(q.objective.attr.clone()),
+    };
+    let output_spec = OutputSpec {
+        agg: q.objective.agg,
+        arg: OutputArg::Expr(output_expr),
+    };
+    let template = WhatIf::over_clause(q.use_clause.clone())
+        .maybe_when(q.when.clone())
+        .output(output_spec.agg, output_spec.arg.clone())
+        .maybe_filter(q.for_clause.clone());
+
+    // Evaluated deterministically over the already-materialized view.
+    let baseline = evaluate_identity_objective(view, &q.for_clause, &output_spec)?;
+
+    let plans = (q.update_attrs.iter())
+        .map(|attr| {
+            let update = UpdateSpec {
+                attr: attr.clone(),
+                func: UpdateFunc::Set(Value::Null),
+            };
+            let wq = candidate_whatif(&template, vec![update])?;
+            Ok(plan_whatif(db, graph, config, &wq, view, view_key))
+        })
+        .collect();
+    Ok((template, baseline, plans))
 }
 
 /// Evaluate the objective aggregate with no update applied.

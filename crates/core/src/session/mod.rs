@@ -72,7 +72,7 @@ use hyper_query::{
 };
 use hyper_runtime::HyperRuntime;
 use hyper_storage::Database;
-use hyper_trace::{Phase, TraceSnapshot, TraceTree, NUM_PHASES};
+use hyper_trace::{Phase, TraceSnapshot, NUM_PHASES};
 
 use crate::config::{EngineConfig, HowToOptions};
 use crate::error::{EngineError, Result};
@@ -625,8 +625,8 @@ impl HyperSession {
         self.inner.tracing.store(on, Ordering::Relaxed);
     }
 
-    /// Run `f` under a fresh trace rooted at `root` when tracing is on,
-    /// folding the resulting span tree into the cumulative counters.
+    /// Run `f` under a trace rooted at `root` when tracing is on, folding
+    /// its per-phase totals into the cumulative counters.
     /// No-op passthrough when tracing is off **or** the thread already
     /// carries a trace (a nested entry point — e.g. `execute` delegating
     /// to `whatif`, or a batch item on a worker — keeps attributing to
@@ -635,12 +635,12 @@ impl HyperSession {
         if !self.inner.tracing.load(Ordering::Relaxed) || hyper_trace::current_context().is_some() {
             return f();
         }
-        let tree = TraceTree::new();
-        let out = hyper_trace::with_trace(&tree, || {
+        // Only the totals are folded: no ordered span list is kept.
+        let (out, totals) = hyper_trace::with_totals(|| {
             let _root = hyper_trace::span(root);
             f()
         });
-        self.fold_trace(&tree.totals());
+        self.fold_trace(&totals);
         out
     }
 

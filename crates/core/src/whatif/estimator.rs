@@ -39,6 +39,14 @@
 //! unaffected rows' ψ/Y stay row at a time (`fold_unaffected`): they are
 //! usually few, and a whole-view column pass would cost more than it saves
 //! where every row is updated.
+//!
+//! A how-to evaluates many single-attribute `Set`s over the same masks:
+//! `CausalEstimator::evaluate_candidates` groups, folds and keys once,
+//! and predicts every candidate's keys in one batch that walks a forest
+//! once per distinct split-bin key ([`RandomForest::predict_keyed`]):
+//! candidates that set different values often fall between the same split
+//! thresholds. Each candidate's value keeps the bits of
+//! [`CausalEstimator::evaluate`] on that update alone.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -269,6 +277,16 @@ impl FittedModel {
         match self {
             FittedModel::Forest(m) => m.predict(x),
             FittedModel::Cells(m) => (0..x.rows()).map(|i| m.predict_row(x.row(i))).collect(),
+        }
+    }
+
+    /// [`FittedModel::predict`], walking a forest once per distinct
+    /// split-bin key ([`RandomForest::predict_keyed`]): for batches whose
+    /// rows repeat keys, as many candidates' rows do.
+    fn predict_keyed(&self, x: &Matrix) -> Vec<f64> {
+        match self {
+            FittedModel::Forest(m) => m.predict_keyed(x),
+            FittedModel::Cells(_) => self.predict(x),
         }
     }
 }
@@ -553,8 +571,12 @@ impl CausalEstimator {
         when: Option<&[bool]>,
         scope: Option<&[bool]>,
     ) -> Result<f64> {
-        let (numerator, denominator) = self.evaluate_parts(view, updates, when, scope)?;
-        Ok(match self.agg {
+        Ok(self.value_of(self.evaluate_parts(view, updates, when, scope)?))
+    }
+
+    /// The query value of its `(numerator, denominator)` parts.
+    fn value_of(&self, (numerator, denominator): (f64, f64)) -> f64 {
+        match self.agg {
             AggFunc::Avg => {
                 if denominator == 0.0 {
                     0.0
@@ -563,7 +585,145 @@ impl CausalEstimator {
                 }
             }
             _ => numerator,
-        })
+        }
+    }
+
+    /// The values of many single-column `Set` updates over the same masks:
+    /// for each `(column, functions)` of `attrs`, every function a `Set`,
+    /// the value of updating that column alone by each function,
+    /// `to_bits`-equal to [`CausalEstimator::evaluate`] of that update
+    /// (errors included).
+    ///
+    /// Without a peer summary, the affected groups and the unaffected fold
+    /// do not depend on the update, and under a `Set` neither do the keys:
+    /// every value sets the column to one point, so the projection classes
+    /// over the other features are the keys whatever the value. So the
+    /// support, groups and fold are computed once, and per column the
+    /// classes and their gathered representatives once; each `Set`
+    /// substitutes its value into those representatives. The rows of every
+    /// candidate are predicted in one batch that walks each forest once
+    /// per distinct split-bin key ([`RandomForest::predict_keyed`]), and
+    /// each candidate adds its keys' `count × prediction` to its own copy
+    /// of the fold. With a peer summary, whose means move with the value,
+    /// each update is evaluated on its own.
+    pub(crate) fn evaluate_candidates(
+        &self,
+        view: &RelevantView,
+        attrs: &[(usize, &[UpdateFunc])],
+        when: Option<&[bool]>,
+        scope: Option<&[bool]>,
+    ) -> Vec<Vec<Result<f64>>> {
+        debug_assert!(
+            (attrs.iter().flat_map(|(_, funcs)| *funcs)).all(|f| matches!(f, UpdateFunc::Set(_)))
+        );
+        if self.peer.is_some() {
+            let one =
+                |col: usize, f: &UpdateFunc| self.evaluate(view, &[(col, f.clone())], when, scope);
+            return (attrs.iter())
+                .map(|&(col, funcs)| funcs.iter().map(|f| one(col, f)).collect())
+                .collect();
+        }
+        let table = &view.table;
+        // What `evaluate_parts` computes before it reads the update.
+        let shared = view.support_index(&self.feature_cols).and_then(|support| {
+            let mut fold = Parts::default();
+            let groups = self.affected_groups(table, &support, when, scope, &mut fold)?;
+            Ok((support, groups, fold))
+        });
+
+        // Per candidate: its error, or the row range of its representatives
+        // in the stacked batch `rows` and their counts in `totals`.
+        let mut out: Vec<Vec<std::result::Result<std::ops::Range<usize>, EngineError>>> =
+            Vec::with_capacity(attrs.len());
+        let mut rows: Vec<f64> = Vec::new();
+        let mut totals: Vec<u64> = Vec::new();
+        for &(col, funcs) in attrs {
+            let first = funcs.first().map(|f| [(col, f.clone())]);
+            let checked = first.as_ref().map_or(Ok(()), |u| self.check_updates(u));
+            let (support, groups, _) = match checked.and(shared.as_ref().map_err(Clone::clone)) {
+                Ok(shared) => shared,
+                Err(e) => {
+                    out.push(funcs.iter().map(|_| Err(e.clone())).collect());
+                    continue;
+                }
+            };
+            let Some(first) = first.filter(|_| !groups.is_empty()) else {
+                // No affected row: every value is the fold alone.
+                out.push(funcs.iter().map(|_| Ok(0..0)).collect());
+                continue;
+            };
+            let (reps, counts) = match self.key_groups(table, support, &first, when, None, groups) {
+                Ok(keyed) => keyed,
+                Err(e) => {
+                    out.push(funcs.iter().map(|_| Err(e.clone())).collect());
+                    continue;
+                }
+            };
+            // A `Set` puts one value on every representative, so the
+            // candidates' encoded rows differ from one base encoding only in
+            // the column's own dimensions: encode the representatives once,
+            // and each candidate's value on one representative.
+            let kept = self.gather_kept(table, &first, &reps);
+            let base = self.encode_post(table, &first, when, None, &reps, &kept);
+            let one = &reps[..1];
+            let kept_one = self.gather_kept(table, &first, one);
+            let k = self
+                .feature_cols
+                .binary_search(&col)
+                .expect("checked feature");
+            let widths = self.encoder.column_widths();
+            let at: usize = widths[..k].iter().sum();
+            let dims = at..at + widths[k];
+            let mut ranges = Vec::with_capacity(funcs.len());
+            for f in funcs {
+                let updates = [(col, f.clone())];
+                let value = (base.as_ref().ok()).and_then(|_| {
+                    self.encode_post(table, &updates, when, None, one, &kept_one)
+                        .ok()
+                });
+                let start = totals.len();
+                match (&base, value) {
+                    (Ok(base), Some(value)) => {
+                        for i in 0..base.rows() {
+                            let row = base.row(i);
+                            rows.extend_from_slice(&row[..dims.start]);
+                            rows.extend_from_slice(&value.row(0)[dims.clone()]);
+                            rows.extend_from_slice(&row[dims.end..]);
+                        }
+                    }
+                    // Whatever failed, the candidate's own encoding says how.
+                    _ => match self.encode_post(table, &updates, when, None, &reps, &kept) {
+                        Ok(x) => rows.extend((0..x.rows()).flat_map(|i| x.row(i).iter().copied())),
+                        Err(e) => {
+                            ranges.push(Err(e));
+                            continue;
+                        }
+                    },
+                }
+                totals.extend(&counts);
+                ranges.push(Ok(start..totals.len()));
+            }
+            out.push(ranges);
+        }
+
+        let width = self.encoder.width();
+        let batch = Matrix::from_vec(totals.len(), width, rows).expect("whole encoded rows");
+        let predicted = self.predict_encoded(&batch, FittedModel::predict_keyed);
+        (out.into_iter())
+            .map(|ranges| {
+                (ranges.into_iter())
+                    .map(|range| {
+                        let range = range?;
+                        let (_, _, fold) = shared.as_ref().map_err(Clone::clone)?;
+                        let mut parts = fold.clone();
+                        for k in range {
+                            predicted.add(k, totals[k], &mut parts);
+                        }
+                        Ok(self.value_of(parts.round()))
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// Decomposable parts of the query value: `(numerator, denominator)`.
@@ -611,40 +771,22 @@ impl CausalEstimator {
         let support = view.support_index(&self.feature_cols)?;
         let mut parts = Parts::default();
 
-        // Groups as `(first row, rows)`.
-        let groups: Vec<(usize, u64)> = if when.is_none() && scope.is_none() && peer_post.is_none()
-        {
-            let firsts = support.first_rows().iter().map(|&i| i as usize);
-            firsts
-                .zip(support.counts().iter().map(|&c| u64::from(c)))
-                .collect()
-        } else {
-            // Without peer features every affected row is in `When`, so a
-            // group is a cell, a direct index; with them the `When` bit and
-            // the post peer mean refine it through a map.
-            let mut groups: Vec<(usize, u64)> = Vec::new();
-            let mut group_of_cell: Vec<u32> = vec![u32::MAX; support.cells()];
-            let mut group_of_peer: HashMap<(usize, bool, u64), u32> = HashMap::new();
-            self.fold_unaffected(table, when, scope, peer_post.as_deref(), &mut parts, |i| {
-                let mut new_group = || {
-                    groups.push((i, 0));
-                    groups.len() as u32 - 1
-                };
-                let g = match &peer_post {
-                    None => {
-                        let slot = &mut group_of_cell[support.cell(i)];
-                        if *slot == u32::MAX {
-                            *slot = new_group();
-                        }
-                        *slot
-                    }
-                    Some(post) => *group_of_peer
-                        .entry((support.cell(i), holds(when, i), post[i].to_bits()))
-                        .or_insert_with(new_group),
-                };
-                groups[g as usize].1 += 1;
-            })?;
-            groups
+        let groups = match &peer_post {
+            None => self.affected_groups(table, &support, when, scope, &mut parts)?,
+            Some(post) => {
+                // The `When` bit and the post peer mean refine a cell.
+                let mut groups: Vec<(usize, u64)> = Vec::new();
+                let mut group_of: HashMap<(usize, bool, u64), u32> = HashMap::new();
+                self.fold_unaffected(table, when, scope, Some(post), &mut parts, |i| {
+                    let key = (support.cell(i), holds(when, i), post[i].to_bits());
+                    let g = *group_of.entry(key).or_insert_with(|| {
+                        groups.push((i, 0));
+                        groups.len() as u32 - 1
+                    });
+                    groups[g as usize].1 += 1;
+                })?;
+                groups
+            }
         };
         if !groups.is_empty() {
             let (reps, totals) = self.key_groups(
@@ -661,6 +803,40 @@ impl CausalEstimator {
             }
         }
         Ok(parts.round())
+    }
+
+    /// The affected rows of a what-if with no peer summary, grouped by
+    /// support cell as `(first row, rows)`, with every unaffected row's
+    /// contribution added to `parts`. With no `When` and no `For` every
+    /// row is affected and the groups are the cells, read off the index
+    /// without visiting a row; otherwise one pass over the scoped rows
+    /// counts them (every affected row is in `When`, so a group is a
+    /// cell, a direct index).
+    fn affected_groups(
+        &self,
+        table: &Table,
+        support: &SupportIndex,
+        when: Option<&[bool]>,
+        scope: Option<&[bool]>,
+        parts: &mut Parts,
+    ) -> Result<Vec<(usize, u64)>> {
+        if when.is_none() && scope.is_none() {
+            let firsts = support.first_rows().iter().map(|&i| i as usize);
+            return Ok(firsts
+                .zip(support.counts().iter().map(|&c| u64::from(c)))
+                .collect());
+        }
+        let mut groups: Vec<(usize, u64)> = Vec::new();
+        let mut group_of_cell: Vec<u32> = vec![u32::MAX; support.cells()];
+        self.fold_unaffected(table, when, scope, None, parts, |i| {
+            let slot = &mut group_of_cell[support.cell(i)];
+            if *slot == u32::MAX {
+                *slot = groups.len() as u32;
+                groups.push((i, 0));
+            }
+            groups[*slot as usize].1 += 1;
+        })?;
+        Ok(groups)
     }
 
     /// Key `groups` (each `(first row, rows)`, of identical post-update
@@ -911,6 +1087,39 @@ impl CausalEstimator {
         peer_post: Option<&[f64]>,
         rows: &[usize],
     ) -> Result<Predictions> {
+        let kept = self.gather_kept(table, updates, rows);
+        let x = self.encode_post(table, updates, when, peer_post, rows, &kept)?;
+        Ok(self.predict_encoded(&x, FittedModel::predict))
+    }
+
+    /// The non-updated feature columns gathered at `rows`, aligned with
+    /// the feature columns (`None` at an updated one).
+    fn gather_kept(
+        &self,
+        table: &Table,
+        updates: &[(usize, UpdateFunc)],
+        rows: &[usize],
+    ) -> Vec<Option<Column>> {
+        (self.feature_cols.iter())
+            .map(|&c| {
+                func_of(updates, c)
+                    .is_none()
+                    .then(|| table.column(c).gather(rows))
+            })
+            .collect()
+    }
+
+    /// The encoded post-update features of `rows`, whose non-updated
+    /// features `kept` holds ([`CausalEstimator::gather_kept`]).
+    fn encode_post(
+        &self,
+        table: &Table,
+        updates: &[(usize, UpdateFunc)],
+        when: Option<&[bool]>,
+        peer_post: Option<&[f64]>,
+        rows: &[usize],
+        kept: &[Option<Column>],
+    ) -> Result<Matrix> {
         // Non-updated features are a typed gather; updated features are
         // rebuilt with the update applied where `When` holds (re-typed, as
         // e.g. scaling an integer column produces floats). When a `Set`
@@ -919,44 +1128,45 @@ impl CausalEstimator {
         // their pre values), no single column type fits — fall back to
         // per-row encoding, which handles heterogeneous values exactly
         // like the row-oriented evaluator did.
-        let mut feat_cols: Vec<Column> = Vec::with_capacity(self.feature_cols.len());
+        let mut post_cols: Vec<Option<Column>> = vec![None; self.feature_cols.len()];
         let mut post_value_cols: Vec<Option<Vec<Value>>> = vec![None; self.feature_cols.len()];
         let mut typed_ok = true;
         for (k, &c) in self.feature_cols.iter().enumerate() {
+            let Some(func) = func_of(updates, c) else {
+                continue;
+            };
             let src = table.column(c);
-            match func_of(updates, c) {
-                None => feat_cols.push(src.gather(rows)),
-                Some(func) => {
-                    // Typed kernel first: the common numeric / in-dictionary
-                    // updates build the post column straight off the typed
-                    // buffers. Falls back to per-row `Value`s when the
-                    // update mixes types or touches NULLs.
-                    if let Some(col) = post_update_column(src, func, rows, when) {
-                        feat_cols.push(col);
-                        continue;
-                    }
-                    let mut post_vals = Vec::with_capacity(rows.len());
-                    for &i in rows {
-                        let v = src.value(i);
-                        post_vals.push(if holds(when, i) {
-                            apply_update(func, &v)?
-                        } else {
-                            v
-                        });
-                    }
-                    match Column::from_values_inferred(&post_vals) {
-                        Ok(col) => feat_cols.push(col),
-                        Err(_) => {
-                            typed_ok = false;
-                            feat_cols.push(src.gather(rows)); // placeholder
-                        }
-                    }
-                    post_value_cols[k] = Some(post_vals);
-                }
+            // Typed kernel first: the common numeric / in-dictionary
+            // updates build the post column straight off the typed
+            // buffers. Falls back to per-row `Value`s when the update
+            // mixes types or touches NULLs.
+            if let Some(col) = post_update_column(src, func, rows, when) {
+                post_cols[k] = Some(col);
+                continue;
             }
+            let mut post_vals = Vec::with_capacity(rows.len());
+            for &i in rows {
+                let v = src.value(i);
+                post_vals.push(if holds(when, i) {
+                    apply_update(func, &v)?
+                } else {
+                    v
+                });
+            }
+            match Column::from_values_inferred(&post_vals) {
+                Ok(col) => post_cols[k] = Some(col),
+                Err(_) => typed_ok = false,
+            }
+            post_value_cols[k] = Some(post_vals);
         }
         let mut x = if typed_ok {
-            let col_refs: Vec<&Column> = feat_cols.iter().collect();
+            let col_refs: Vec<&Column> = (post_cols.iter().zip(kept))
+                .map(|(post, kept)| {
+                    post.as_ref()
+                        .or(kept.as_ref())
+                        .expect("every feature is kept or updated")
+                })
+                .collect();
             self.encoder.encode_columns(&col_refs)?
         } else {
             let mut m = Matrix::zeros(0, 0);
@@ -987,26 +1197,35 @@ impl CausalEstimator {
                 .with_appended_column(&peer_vals)
                 .map_err(EngineError::from)?;
         }
+        Ok(x)
+    }
 
-        let mut nums = self.model.predict(&x);
+    /// Predict every row of `x` with each model through `predict`
+    /// (clamped to `[0, 1]` where the value is a probability).
+    fn predict_encoded(
+        &self,
+        x: &Matrix,
+        predict: impl Fn(&FittedModel, &Matrix) -> Vec<f64>,
+    ) -> Predictions {
+        let mut nums = predict(&self.model, x);
         if self.agg == AggFunc::Count {
             for v in &mut nums {
                 *v = v.clamp(0.0, 1.0);
             }
         }
         let dens: Option<Vec<f64>> = self.denom_model.as_ref().map(|m| {
-            let mut d = m.predict(&x);
+            let mut d = predict(m, x);
             for v in &mut d {
                 *v = v.clamp(0.0, 1.0);
             }
             d
         });
-        Ok(Predictions { nums, dens })
+        Predictions { nums, dens }
     }
 }
 
 /// Exact running `(numerator, denominator)` of a what-if value.
-#[derive(Default)]
+#[derive(Default, Clone)]
 struct Parts {
     numerator: ExactSum,
     denominator: ExactSum,

@@ -327,18 +327,7 @@ pub(crate) fn evaluate_planned(
 ) -> Result<WhatIfResult> {
     let started = Instant::now();
     let n = view.table.num_rows();
-
-    // Masks; an absent clause holds on every row and builds none (and
-    // opens no span, so an unmasked execution records no planning).
-    let (when_mask, scope_mask) = if plan.when.is_none() && plan.scope.is_none() {
-        (None, None)
-    } else {
-        let _span = hyper_trace::span(hyper_trace::Phase::Plan);
-        let mask =
-            |e: &Option<BoundHExpr>| e.as_ref().map(|e| e.eval_mask(&view.table)).transpose();
-        (mask(&plan.when)?, mask(&plan.scope)?)
-    };
-
+    let (when_mask, scope_mask) = plan_masks(view, plan)?;
     let rows_in = |mask: &Option<Vec<bool>>| {
         mask.as_ref()
             .map_or(n, |m| m.iter().filter(|&&b| b).count())
@@ -368,32 +357,7 @@ pub(crate) fn evaluate_planned(
             elapsed: started.elapsed(),
         });
     };
-
-    // The fitted model depends on the feature set, never on the update
-    // functions (Eqs. 35–40): those are applied at evaluation.
-    let fit = || {
-        let update_cols = column_indices(&plan.updates);
-        let spec = EstimatorSpec {
-            update_cols: &update_cols,
-            backdoor_cols: &plan.backdoor_cols,
-            peer: plan.peer.clone(),
-            sample_cap: config.sample_cap,
-            n_trees: config.n_trees,
-            max_depth: config.max_depth,
-            seed: config.seed,
-            kind: config.estimator,
-            runtime,
-        };
-        CausalEstimator::fit(view, &spec, &plan.psi, &plan.y, plan.agg)
-    };
-    // Fitted estimators are cached under the plan's key (view, feature
-    // set, output, `For`, estimator config): a repeated prepared query —
-    // or any query over the same feature set with other updates — skips
-    // training entirely. The `fits_view` vet applies to disk-recovered
-    // estimators (untrusted bytes whose indices the context-free decoder
-    // cannot range-check); a failing artifact is a plain miss and `fit`
-    // runs.
-    let est: Arc<CausalEstimator> = cache.estimator(key, |e| e.fits_view(view), fit)?;
+    let est = plan_estimator(config, view, plan, key, cache, runtime)?;
     let value = est.evaluate(
         view,
         &plan.updates,
@@ -410,6 +374,108 @@ pub(crate) fn evaluate_planned(
         trained_rows: est.trained_rows(),
         elapsed: started.elapsed(),
     })
+}
+
+/// The `When` (update set) and `For`-pre (scope) masks of a plan; `None`
+/// holds on every row.
+type Masks = (Option<Vec<bool>>, Option<Vec<bool>>);
+
+/// The `When` (update set) and `For`-pre (scope) masks of `plan` over
+/// `view`; an absent clause holds on every row and builds none (and opens
+/// no span, so an unmasked execution records no planning).
+fn plan_masks(view: &RelevantView, plan: &WhatIfQueryPlan) -> Result<Masks> {
+    if plan.when.is_none() && plan.scope.is_none() {
+        return Ok((None, None));
+    }
+    let _span = hyper_trace::span(hyper_trace::Phase::Plan);
+    let mask = |e: &Option<BoundHExpr>| e.as_ref().map(|e| e.eval_mask(&view.table)).transpose();
+    Ok((mask(&plan.when)?, mask(&plan.scope)?))
+}
+
+/// The fitted estimator of `plan`, under its estimator key `key`.
+///
+/// The fitted model depends on the feature set, never on the update
+/// functions (Eqs. 35–40): those are applied at evaluation. Fitted
+/// estimators are cached under the plan's key (view, feature set, output,
+/// `For`, estimator config): a repeated prepared query — or any query over
+/// the same feature set with other updates — skips training entirely. The
+/// `fits_view` vet applies to disk-recovered estimators (untrusted bytes
+/// whose indices the context-free decoder cannot range-check); a failing
+/// artifact is a plain miss and the fit runs.
+fn plan_estimator(
+    config: &EngineConfig,
+    view: &Arc<RelevantView>,
+    plan: &WhatIfQueryPlan,
+    key: &str,
+    cache: &ArtifactCache,
+    runtime: &HyperRuntime,
+) -> Result<Arc<CausalEstimator>> {
+    let fit = || {
+        let update_cols = column_indices(&plan.updates);
+        let spec = EstimatorSpec {
+            update_cols: &update_cols,
+            backdoor_cols: &plan.backdoor_cols,
+            peer: plan.peer.clone(),
+            sample_cap: config.sample_cap,
+            n_trees: config.n_trees,
+            max_depth: config.max_depth,
+            seed: config.seed,
+            kind: config.estimator,
+            runtime,
+        };
+        CausalEstimator::fit(view, &spec, &plan.psi, &plan.y, plan.agg)
+    };
+    cache.estimator(key, |e| e.fits_view(view), fit)
+}
+
+/// The values of single-attribute candidate updates: for each `(plan,
+/// functions)` of `attrs`, the value of the plan with each function in
+/// place of its update's, `to_bits`-equal to [`evaluate_planned`] of that
+/// candidate alone (errors included).
+///
+/// The plans must come from one template (the same `Use`, `When`, `For`
+/// and output over `view`) and share one estimator key, as a how-to's
+/// attributes whose adjustment sets complete the same feature set do. The
+/// masks are then evaluated and the estimator resolved once, and
+/// [`CausalEstimator::evaluate_candidates`] evaluates every candidate in
+/// one batch. Plans without an estimator (the deterministic fast path)
+/// evaluate one candidate at a time.
+pub(crate) fn evaluate_candidates(
+    config: &EngineConfig,
+    view: &Arc<RelevantView>,
+    attrs: &[(&WhatIfQueryPlan, &[UpdateFunc])],
+    cache: &ArtifactCache,
+    runtime: &HyperRuntime,
+) -> Vec<Vec<Result<f64>>> {
+    let Some(&(plan, _)) = attrs.first() else {
+        return Vec::new();
+    };
+    let Some(key) = &plan.estimator_key else {
+        let one = |p: &WhatIfQueryPlan, f: &UpdateFunc| {
+            evaluate_planned(config, view, &p.with_func(f.clone()), cache, runtime).map(|r| r.value)
+        };
+        return (attrs.iter())
+            .map(|&(p, funcs)| funcs.iter().map(|f| one(p, f)).collect())
+            .collect();
+    };
+    debug_assert!(attrs
+        .iter()
+        .all(|(p, _)| p.estimator_key == plan.estimator_key));
+    let resolved = plan_masks(view, plan).and_then(|masks| {
+        let est = plan_estimator(config, view, plan, key, cache, runtime)?;
+        Ok((masks, est))
+    });
+    match resolved {
+        Ok(((when, scope), est)) => {
+            let cols: Vec<(usize, &[UpdateFunc])> = (attrs.iter())
+                .map(|&(p, funcs)| (p.updates[0].0, funcs))
+                .collect();
+            est.evaluate_candidates(view, &cols, when.as_deref(), scope.as_deref())
+        }
+        Err(e) => (attrs.iter())
+            .map(|(_, funcs)| funcs.iter().map(|_| Err(e.clone())).collect())
+            .collect(),
+    }
 }
 
 /// Evaluate when every post reference is an updated attribute: post values

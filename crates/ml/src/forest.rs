@@ -33,6 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::{MlError, Result};
+use crate::grid::SplitGrid;
 use crate::hist::MAX_BINS;
 use crate::layout::{Binning, CellLayout};
 use crate::matrix::Matrix;
@@ -47,6 +48,11 @@ fn tree_seed(seed: u64, tree: usize) -> u64 {
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
+
+/// Tree walks from which [`RandomForest::predict_keyed`] splits its trees
+/// over the pool: at tens of nanoseconds a walk, about 50 µs of work, many
+/// times the cost of handing a job to a worker.
+const PARALLEL_WALKS: usize = 1024;
 
 /// The joint-cell cap of a resident fit over `rows` rows: above it, trees
 /// fit row-wise.
@@ -217,9 +223,11 @@ impl RandomForest {
         }
     }
 
-    /// Mean prediction across trees for one sample.
+    /// Mean prediction across trees for one sample: the leaf values summed
+    /// in tree order from `-0.0` (where the float `Sum` starts), divided by
+    /// the tree count. [`RandomForest::predict_keyed`] sums in that order.
     pub fn predict_row(&self, row: &[f64]) -> f64 {
-        let s: f64 = self.trees.iter().map(|t| t.predict_row(row)).sum();
+        let s = (self.trees.iter()).fold(-0.0, |s, t| s + t.predict_row(row));
         s / self.trees.len() as f64
     }
 
@@ -260,6 +268,45 @@ impl RandomForest {
         });
         drop(slabs);
         out
+    }
+
+    /// [`RandomForest::predict`] walking the trees once per distinct
+    /// split-bin key instead of once per row. Rows whose values fall
+    /// between the same split thresholds on every feature (`grid.rs`) take
+    /// the same path through every tree, so each row gets the bits of the
+    /// walk of the first row sharing its key: the output equals
+    /// [`RandomForest::predict`] bit for bit, and pays off where a batch
+    /// holds many rows per key.
+    pub fn predict_keyed(&self, x: &Matrix) -> Vec<f64> {
+        let _span = hyper_trace::span(hyper_trace::Phase::Predict);
+        let (slot_of_row, firsts) = SplitGrid::of(&self.trees).distinct_keys(x);
+        // Tree by tree, so each tree's nodes stay in cache while every key
+        // walks it, the trees split over the global pool when the walks are
+        // many. Each key's leaves are then summed in tree order from
+        // `-0.0`, as in `predict_row`.
+        let walk = |tree: &RegressionTree| -> Vec<f64> {
+            firsts.iter().map(|&i| tree.predict_row(x.row(i))).collect()
+        };
+        let leaves: Vec<Vec<f64>> = if firsts.len() * self.trees.len() >= PARALLEL_WALKS {
+            let slots: Vec<OnceLock<Vec<f64>>> =
+                self.trees.iter().map(|_| OnceLock::new()).collect();
+            HyperRuntime::global().for_each_parallel(self.trees.len(), |t| {
+                let _ = slots[t].set(walk(&self.trees[t]));
+            });
+            (slots.into_iter())
+                .map(|slot| slot.into_inner().expect("every tree is walked"))
+                .collect()
+        } else {
+            self.trees.iter().map(walk).collect()
+        };
+        let mut sums = vec![-0.0f64; firsts.len()];
+        for tree_leaves in &leaves {
+            for (s, leaf) in sums.iter_mut().zip(tree_leaves) {
+                *s += leaf;
+            }
+        }
+        let n = self.trees.len() as f64;
+        slot_of_row.iter().map(|&s| sums[s as usize] / n).collect()
     }
 
     /// Mean prediction clamped to `[0, 1]`, for probability targets (the

@@ -13,7 +13,8 @@
 //! * [`tree`] / [`forest`] — CART regression trees and bagged forests
 //!   (trees train in parallel over the
 //!   [`hyper_runtime::HyperRuntime`] worker pool, deterministically for a
-//!   fixed seed whatever the worker count);
+//!   fixed seed whatever the worker count); a batch can be predicted once
+//!   per distinct split-bin key ([`RandomForest::predict_keyed`]);
 //! * [`discretize`] — equi-width/equi-frequency bucketization (§4.3, Fig 9);
 //! * [`metrics`] — MSE/MAE/R².
 //!
@@ -47,6 +48,7 @@ pub mod discretize;
 pub mod encode;
 pub mod error;
 pub mod forest;
+mod grid;
 pub mod hist;
 mod layout;
 pub mod matrix;

@@ -688,6 +688,13 @@ impl RegressionTree {
         self.nodes.len()
     }
 
+    /// `(feature, threshold)` of every split node, in arena order.
+    pub(crate) fn splits(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        (self.nodes.iter())
+            .filter(|n| n.feature != LEAF)
+            .map(|n| (n.feature as usize, n.value))
+    }
+
     /// Flatten the fitted arena for serialization. The exact `f64` bit
     /// patterns of thresholds and leaf values are preserved, so a tree
     /// rebuilt with [`RegressionTree::from_nodes`] predicts bit-identically.

@@ -6,8 +6,9 @@
 //! * **Spans** — a per-query [`TraceTree`] records how long each typed
 //!   [`Phase`] of the pipeline took. Instrumentation sites call
 //!   [`span`]`(Phase::…)` and hold the returned guard for the duration
-//!   of the work; the session installs a tree around a query with
-//!   [`with_trace`]. When no tree is installed anywhere in the process
+//!   of the work; a tree is installed around a query with [`with_trace`],
+//!   or, where only the per-phase totals are read, a reused totals-only
+//!   trace with [`with_totals`]. When no tree is installed anywhere in the process
 //!   a span site costs **one relaxed atomic load** (see [`enabled`]) —
 //!   tracing must never perturb results, only observe them.
 //!
@@ -174,19 +175,29 @@ struct TraceData {
     self_ns: [AtomicU64; NUM_PHASES],
     /// Completed spans per phase.
     counts: [AtomicU64; NUM_PHASES],
-    /// Ordered span list, capped at [`MAX_SPANS`] (totals keep counting).
+    /// The ordered span list, kept unless only the totals are read
+    /// ([`with_totals`]).
+    ordered: Option<Ordered>,
+}
+
+/// A trace's ordered span list.
+struct Ordered {
+    /// Spans in completion order, capped at [`MAX_SPANS`] (totals keep
+    /// counting).
     spans: Mutex<Vec<SpanEntry>>,
     /// Offset origin for [`SpanEntry::start_ns`].
     epoch: Instant,
 }
 
 impl TraceData {
-    fn new() -> TraceData {
+    fn new(ordered: bool) -> TraceData {
         TraceData {
             self_ns: std::array::from_fn(|_| AtomicU64::new(0)),
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            spans: Mutex::new(Vec::new()),
-            epoch: Instant::now(),
+            ordered: ordered.then(|| Ordered {
+                spans: Mutex::new(Vec::new()),
+                epoch: Instant::now(),
+            }),
         }
     }
 }
@@ -215,19 +226,15 @@ impl TraceTree {
     /// An empty tree.
     pub fn new() -> TraceTree {
         TraceTree {
-            data: Arc::new(TraceData::new()),
+            data: Arc::new(TraceData::new(true)),
         }
     }
 
     /// A read-side copy of everything recorded so far.
     pub fn snapshot(&self) -> TraceSnapshot {
+        let spans = self.data.ordered.as_ref().map(|o| o.spans.lock());
         TraceSnapshot {
-            spans: self
-                .data
-                .spans
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .clone(),
+            spans: spans.map_or_else(Vec::new, |s| s.unwrap_or_else(|e| e.into_inner()).clone()),
             ..self.totals()
         }
     }
@@ -299,6 +306,36 @@ struct ThreadCtx {
 
 thread_local! {
     static CURRENT: RefCell<Option<ThreadCtx>> = const { RefCell::new(None) };
+    /// The frame stack of the last scope to end on this thread, empty,
+    /// for the next scope to reuse.
+    static SPARE_STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
+    /// The totals-only trace of the last [`with_totals`] on this thread,
+    /// for the next one to reset and reuse.
+    static SPARE_TOTALS: RefCell<Option<Arc<TraceData>>> = const { RefCell::new(None) };
+}
+
+/// Run `f` under a trace that keeps per-phase totals only, and return
+/// them with `f`'s result: the read of a caller that only folds
+/// [`TraceTree::totals`]. No ordered span list is kept (so a span records
+/// no start offset and takes no lock), and the trace is reused by the
+/// thread's next call once nothing else holds it, so a traced query
+/// allocates nothing of its own. Nests like [`with_trace`].
+pub fn with_totals<T>(f: impl FnOnce() -> T) -> (T, TraceSnapshot) {
+    let mut spare = SPARE_TOTALS.with(|s| s.borrow_mut().take());
+    let data = match spare.as_mut().and_then(Arc::get_mut) {
+        Some(data) => {
+            for n in data.self_ns.iter_mut().chain(&mut data.counts) {
+                *n.get_mut() = 0;
+            }
+            spare.expect("a spare trace")
+        }
+        None => Arc::new(TraceData::new(false)),
+    };
+    let (out, data) = install(data, f);
+    let tree = TraceTree { data };
+    let totals = tree.totals();
+    SPARE_TOTALS.with(|s| *s.borrow_mut() = Some(tree.data));
+    (out, totals)
 }
 
 /// Install `tree` as the current thread's trace for the duration of `f`.
@@ -337,25 +374,46 @@ impl TraceContext {
 
     /// Run `f` with this trace installed on the current thread.
     pub fn with<T>(&self, f: impl FnOnce() -> T) -> T {
-        struct Scope {
-            prev: Option<ThreadCtx>,
+        install(Arc::clone(&self.data), f).0
+    }
+}
+
+/// Run `f` with `data` installed as the current thread's trace, and hand
+/// `data` back. The previous trace is restored on exit, on unwinding too.
+fn install<T>(data: Arc<TraceData>, f: impl FnOnce() -> T) -> (T, Arc<TraceData>) {
+    struct Scope {
+        prev: Option<ThreadCtx>,
+        ended: bool,
+    }
+    impl Scope {
+        /// Restore the previous trace; the ended one's data. Its emptied
+        /// frame stack is kept for the thread's next scope.
+        fn end(&mut self) -> Option<Arc<TraceData>> {
+            self.ended = true;
+            ACTIVE.fetch_sub(1, Ordering::Relaxed);
+            let ended = CURRENT.with(|c| std::mem::replace(&mut *c.borrow_mut(), self.prev.take()));
+            ended.map(|mut ended| {
+                ended.stack.clear();
+                SPARE_STACK.with(|s| *s.borrow_mut() = ended.stack);
+                ended.data
+            })
         }
-        impl Drop for Scope {
-            fn drop(&mut self) {
-                CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
-                ACTIVE.fetch_sub(1, Ordering::Relaxed);
+    }
+    impl Drop for Scope {
+        fn drop(&mut self) {
+            if !self.ended {
+                self.end();
             }
         }
-        ACTIVE.fetch_add(1, Ordering::Relaxed);
-        let prev = CURRENT.with(|c| {
-            c.borrow_mut().replace(ThreadCtx {
-                data: Arc::clone(&self.data),
-                stack: Vec::with_capacity(8),
-            })
-        });
-        let _scope = Scope { prev };
-        f()
     }
+    ACTIVE.fetch_add(1, Ordering::Relaxed);
+    let mut stack = SPARE_STACK.with(|s| std::mem::take(&mut *s.borrow_mut()));
+    stack.reserve(8);
+    let prev = CURRENT.with(|c| c.borrow_mut().replace(ThreadCtx { data, stack }));
+    let mut scope = Scope { prev, ended: false };
+    let out = f();
+    let data = scope.end().expect("the installed trace is current");
+    (out, data)
 }
 
 /// The current thread's trace context, if any. Costs one relaxed load
@@ -427,11 +485,14 @@ impl Drop for SpanGuard {
             if let Some(parent) = ctx.stack.last_mut() {
                 parent.child_ns += dur_ns;
             }
+            let Some(ordered) = &ctx.data.ordered else {
+                return;
+            };
             let start_ns = frame
                 .start
-                .saturating_duration_since(ctx.data.epoch)
+                .saturating_duration_since(ordered.epoch)
                 .as_nanos() as u64;
-            let mut spans = ctx.data.spans.lock().unwrap_or_else(|e| e.into_inner());
+            let mut spans = ordered.spans.lock().unwrap_or_else(|e| e.into_inner());
             if spans.len() < MAX_SPANS {
                 spans.push(SpanEntry {
                     phase: frame.phase,
@@ -691,6 +752,54 @@ mod tests {
         let t = tree.totals();
         assert_eq!(t.phases(), s.phases());
         assert!(t.spans.is_empty());
+    }
+
+    #[test]
+    fn totals_only_traces_reset_between_calls() {
+        let (_, first) = with_totals(|| {
+            let _q = span(Phase::Execute);
+            let _p = span(Phase::Plan);
+        });
+        let (inner, second) = with_totals(|| {
+            let _q = span(Phase::Execute);
+            let (_, inner) = with_totals(|| {
+                let _s = span(Phase::Predict);
+            });
+            let _p = span(Phase::Plan);
+            inner
+        });
+        for totals in [&first, &second] {
+            assert_eq!(totals.count(Phase::Execute), 1);
+            assert_eq!(totals.count(Phase::Plan), 1);
+            assert!(totals.spans.is_empty(), "no ordered spans are kept");
+        }
+        assert_eq!(
+            second.count(Phase::Predict),
+            0,
+            "the nested call counts its own"
+        );
+        assert_eq!(inner.count(Phase::Predict), 1);
+        assert_eq!(inner.count(Phase::Execute), 0);
+        assert!(current_context().is_none());
+    }
+
+    /// A totals-only trace still held elsewhere (a captured context) is
+    /// not reset under its holder: the next call takes a fresh one.
+    #[test]
+    fn a_held_totals_trace_is_not_reused() {
+        let (ctx, _) = with_totals(|| {
+            let _q = span(Phase::Execute);
+            current_context().expect("installed")
+        });
+        let tree = TraceTree {
+            data: Arc::clone(&ctx.data),
+        };
+        let (_, next) = with_totals(|| {
+            let _p = span(Phase::Plan);
+        });
+        assert_eq!(next.count(Phase::Execute), 0);
+        assert_eq!(tree.totals().count(Phase::Execute), 1);
+        assert_eq!(tree.totals().count(Phase::Plan), 0);
     }
 
     #[test]
