@@ -15,7 +15,7 @@ use hyper_query::{
     UpdateFunc, UpdateSpec, WhatIf, WhatIfQuery,
 };
 use hyper_runtime::HyperRuntime;
-use hyper_storage::{Database, Value};
+use hyper_storage::Database;
 
 use std::collections::HashMap;
 
@@ -78,13 +78,7 @@ impl HowToContext {
             .map(|w| bind_hexpr(w, schema, Temporal::Pre)?.eval_mask(&view.table))
             .transpose()?;
 
-        // Candidate generation, and the baseline with the attribute plans,
-        // read the view independently: they run side by side.
-        let (candidates, planned) = runtime.join(
-            || generate_candidates(&view, when_mask.as_deref(), q, opts.buckets),
-            || plan_attributes(db, graph, config, q, &view, view_key.as_str()),
-        );
-        let candidates = candidates?;
+        let candidates = generate_candidates(&view, when_mask.as_deref(), q, opts.buckets)?;
         let connected = match graph {
             Some(g) => {
                 let cols = (q.update_attrs.iter())
@@ -94,14 +88,31 @@ impl HowToContext {
             }
             None => Vec::new(),
         };
-        let (whatif_template, baseline, plans) = planned?;
-        // Only attributes with candidates are evaluated: their plans, whose
-        // what-if failing to build fails the how-to, and whose plan failing
-        // is reported in place of each candidate.
+
+        let (whatif_template, baseline) = template_and_baseline(q, &view)?;
+
+        // Plan one what-if per attribute. Validation, ψ/Y binding, the
+        // backdoor search and the estimator key depend on the attribute,
+        // never on the candidate's value, so every candidate evaluates a
+        // copy of its attribute's plan holding its own update function. A
+        // plan that fails is reported in place of each of its candidates.
         let mut attr_plans: Vec<Option<Result<WhatIfQueryPlan>>> =
             Vec::with_capacity(candidates.len());
-        for (cands, plan) in candidates.iter().zip(plans) {
-            attr_plans.push(if cands.is_empty() { None } else { Some(plan?) });
+        for cands in &candidates {
+            attr_plans.push(match cands.first() {
+                None => None,
+                Some(c) => {
+                    let wq = candidate_whatif(
+                        &whatif_template,
+                        vec![UpdateSpec {
+                            attr: c.attr.clone(),
+                            func: c.func.clone(),
+                        }],
+                    )?;
+                    let plan = plan_whatif(db, graph, config, &wq, &view, view_key.as_str());
+                    Some(plan)
+                }
+            });
         }
 
         // All candidates of one attribute share one fitted estimator (it is
@@ -195,27 +206,9 @@ impl HowToContext {
     }
 }
 
-/// One update attribute's plan: `Err` where its what-if fails to build,
-/// `Ok(Err)` where planning it fails.
-type AttributePlan = Result<Result<WhatIfQueryPlan>>;
-
-/// The Definition-7 what-if template of `q`, its baseline (the objective
-/// with no update), and one what-if plan per update attribute, in order.
-///
-/// Validation, ψ/Y binding, the backdoor search and the estimator key
-/// depend on the attribute, never on the update's value, so one plan
-/// serves every candidate of its attribute, and attributes are planned
-/// before their candidates are known: each plan holds a placeholder
-/// `Set(NULL)` that every candidate replaces
-/// ([`WhatIfQueryPlan::with_func`]).
-pub(crate) fn plan_attributes(
-    db: &Database,
-    graph: Option<&CausalGraph>,
-    config: &EngineConfig,
-    q: &HowToQuery,
-    view: &RelevantView,
-    view_key: &str,
-) -> Result<(WhatIf, f64, Vec<AttributePlan>)> {
+/// The Definition-7 what-if template of `q` and its baseline: the
+/// objective with no update.
+pub(crate) fn template_and_baseline(q: &HowToQuery, view: &RelevantView) -> Result<(WhatIf, f64)> {
     // The template: same Use/When/For, Output from the objective. A
     // predicate objective (`Count(Post(credit) = 'Good')`) becomes a
     // boolean output expression. Kept as a typed [`WhatIf`] builder so
@@ -254,18 +247,7 @@ pub(crate) fn plan_attributes(
 
     // Evaluated deterministically over the already-materialized view.
     let baseline = evaluate_identity_objective(view, &q.for_clause, &output_spec)?;
-
-    let plans = (q.update_attrs.iter())
-        .map(|attr| {
-            let update = UpdateSpec {
-                attr: attr.clone(),
-                func: UpdateFunc::Set(Value::Null),
-            };
-            let wq = candidate_whatif(&template, vec![update])?;
-            Ok(plan_whatif(db, graph, config, &wq, view, view_key))
-        })
-        .collect();
-    Ok((template, baseline, plans))
+    Ok((template, baseline))
 }
 
 /// Evaluate the objective aggregate with no update applied.

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use super::candidates::generate_candidates;
-use super::optimizer::{candidate_whatif, plan_attributes, HowToContext};
+use super::optimizer::{candidate_whatif, template_and_baseline, HowToContext};
 use crate::config::{EngineConfig, EstimatorKind, HowToOptions};
 use crate::error::Result;
 use crate::hexpr::bind_hexpr;
@@ -194,7 +194,7 @@ fn one_at_a_time(
         .map(|w| bind_hexpr(w, schema, hyper_query::Temporal::Pre)?.eval_mask(&view.table))
         .transpose()?;
     let candidates = generate_candidates(&view, when.as_deref(), q, opts.buckets)?;
-    let (template, _, _) = plan_attributes(db, graph, config, q, &view, view_key.as_str())?;
+    let (template, _) = template_and_baseline(q, &view)?;
     let mut values = Vec::with_capacity(candidates.len());
     for cands in &candidates {
         let mut attr_values = Vec::with_capacity(cands.len());

@@ -600,7 +600,7 @@ impl CausalEstimator {
     /// over the other features are the keys whatever the value. So the
     /// support, groups and fold are computed once, and per column the
     /// classes and their gathered representatives once; each `Set`
-    /// substitutes its value into those representatives. The rows of every
+    /// encodes those representatives with its value. The rows of every
     /// candidate are predicted in one batch that walks each forest once
     /// per distinct split-bin key ([`RandomForest::predict_keyed`]), and
     /// each candidate adds its keys' `count × prediction` to its own copy
@@ -659,47 +659,20 @@ impl CausalEstimator {
                     continue;
                 }
             };
-            // A `Set` puts one value on every representative, so the
-            // candidates' encoded rows differ from one base encoding only in
-            // the column's own dimensions: encode the representatives once,
-            // and each candidate's value on one representative.
+            // The kept columns are gathered once; each candidate encodes the
+            // representatives with its own value.
             let kept = self.gather_kept(table, &first, &reps);
-            let base = self.encode_post(table, &first, when, None, &reps, &kept);
-            let one = &reps[..1];
-            let kept_one = self.gather_kept(table, &first, one);
-            let k = self
-                .feature_cols
-                .binary_search(&col)
-                .expect("checked feature");
-            let widths = self.encoder.column_widths();
-            let at: usize = widths[..k].iter().sum();
-            let dims = at..at + widths[k];
             let mut ranges = Vec::with_capacity(funcs.len());
             for f in funcs {
                 let updates = [(col, f.clone())];
-                let value = (base.as_ref().ok()).and_then(|_| {
-                    self.encode_post(table, &updates, when, None, one, &kept_one)
-                        .ok()
-                });
-                let start = totals.len();
-                match (&base, value) {
-                    (Ok(base), Some(value)) => {
-                        for i in 0..base.rows() {
-                            let row = base.row(i);
-                            rows.extend_from_slice(&row[..dims.start]);
-                            rows.extend_from_slice(&value.row(0)[dims.clone()]);
-                            rows.extend_from_slice(&row[dims.end..]);
-                        }
+                match self.encode_post(table, &updates, when, None, &reps, &kept) {
+                    Ok(x) => rows.extend((0..x.rows()).flat_map(|i| x.row(i).iter().copied())),
+                    Err(e) => {
+                        ranges.push(Err(e));
+                        continue;
                     }
-                    // Whatever failed, the candidate's own encoding says how.
-                    _ => match self.encode_post(table, &updates, when, None, &reps, &kept) {
-                        Ok(x) => rows.extend((0..x.rows()).flat_map(|i| x.row(i).iter().copied())),
-                        Err(e) => {
-                            ranges.push(Err(e));
-                            continue;
-                        }
-                    },
                 }
+                let start = totals.len();
                 totals.extend(&counts);
                 ranges.push(Ok(start..totals.len()));
             }

@@ -238,25 +238,17 @@ fn column_codes(col: &Column, codes: &mut [u32]) -> u32 {
     match col {
         Column::Int { values, .. } => {
             let valid = || (0..values.len()).filter(|&i| !nulls.is_null(i));
-            let (min, max) = if nulls.any_null() {
-                let min = valid().map(|i| values[i]).min().unwrap_or(0);
-                (min, valid().map(|i| values[i]).max().unwrap_or(0))
-            } else {
-                let min = values.iter().copied().min().unwrap_or(0);
-                (min, values.iter().copied().max().unwrap_or(0))
-            };
+            let min = valid().map(|i| values[i]).min().unwrap_or(0);
+            let max = valid().map(|i| values[i]).max().unwrap_or(0);
             let range = max.abs_diff(min);
             if range < values.len().max(1 << 12) as u64 {
                 // Small range: the offset from the minimum is the code.
-                let code = |x: i64| x.abs_diff(min) as u32 + 1;
-                if nulls.any_null() {
-                    for (i, out) in codes.iter_mut().enumerate() {
-                        *out = if nulls.is_null(i) { 0 } else { code(values[i]) };
-                    }
-                } else {
-                    for (out, &x) in codes.iter_mut().zip(values) {
-                        *out = code(x);
-                    }
+                for (i, out) in codes.iter_mut().enumerate() {
+                    *out = if nulls.is_null(i) {
+                        0
+                    } else {
+                        values[i].abs_diff(min) as u32 + 1
+                    };
                 }
                 range as u32 + 2
             } else {

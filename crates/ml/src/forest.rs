@@ -49,11 +49,6 @@ fn tree_seed(seed: u64, tree: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Tree walks from which [`RandomForest::predict_keyed`] splits its trees
-/// over the pool: at tens of nanoseconds a walk, about 50 µs of work, many
-/// times the cost of handing a job to a worker.
-const PARALLEL_WALKS: usize = 1024;
-
 /// The joint-cell cap of a resident fit over `rows` rows: above it, trees
 /// fit row-wise.
 fn cell_cap(rows: usize) -> usize {
@@ -281,28 +276,12 @@ impl RandomForest {
         let _span = hyper_trace::span(hyper_trace::Phase::Predict);
         let (slot_of_row, firsts) = SplitGrid::of(&self.trees).distinct_keys(x);
         // Tree by tree, so each tree's nodes stay in cache while every key
-        // walks it, the trees split over the global pool when the walks are
-        // many. Each key's leaves are then summed in tree order from
-        // `-0.0`, as in `predict_row`.
-        let walk = |tree: &RegressionTree| -> Vec<f64> {
-            firsts.iter().map(|&i| tree.predict_row(x.row(i))).collect()
-        };
-        let leaves: Vec<Vec<f64>> = if firsts.len() * self.trees.len() >= PARALLEL_WALKS {
-            let slots: Vec<OnceLock<Vec<f64>>> =
-                self.trees.iter().map(|_| OnceLock::new()).collect();
-            HyperRuntime::global().for_each_parallel(self.trees.len(), |t| {
-                let _ = slots[t].set(walk(&self.trees[t]));
-            });
-            (slots.into_iter())
-                .map(|slot| slot.into_inner().expect("every tree is walked"))
-                .collect()
-        } else {
-            self.trees.iter().map(walk).collect()
-        };
+        // walks it; each key's leaves are summed in tree order from `-0.0`,
+        // as in `predict_row`.
         let mut sums = vec![-0.0f64; firsts.len()];
-        for tree_leaves in &leaves {
-            for (s, leaf) in sums.iter_mut().zip(tree_leaves) {
-                *s += leaf;
+        for tree in &self.trees {
+            for (s, &i) in sums.iter_mut().zip(&firsts) {
+                *s += tree.predict_row(x.row(i));
             }
         }
         let n = self.trees.len() as f64;
