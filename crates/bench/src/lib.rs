@@ -3,10 +3,11 @@
 //! The experiment harness. The `fidelity` binary reruns the paper's
 //! evaluation (§5), prints the rows and series each table or figure
 //! reports, and checks the claims they support: one `PASS`/`FAIL` line
-//! per claim, and a non-zero exit if any fails. The `bench_smoke` binary
-//! is the timing summary. `fidelity [--full] [experiment…]` runs the named
-//! experiments, or all of them; `--full` runs at the paper's scale (e.g.
-//! 1M-row German-Syn).
+//! per claim, and a non-zero exit if any fails. Its timings are printed,
+//! never gated: the repository benchmark (`perfbench/`) measures
+//! performance, in paired runs. `fidelity [--full] [experiment…]` runs
+//! the named experiments, or all of them; `--full` runs at the paper's
+//! scale (e.g. 1M-row German-Syn).
 //!
 //! | experiment | reproduces | claims |
 //! |------------|------------|--------|
@@ -144,66 +145,6 @@ pub fn pad_with_noise(
         t.add_column(Field::new(name.clone(), DataType::Int), col)
             .expect("fresh column");
         graph.node(table, &name);
-    }
-}
-
-/// Shared `Value`-per-cell baselines for the CI smoke run
-/// (`bin/bench_smoke.rs`): the reference loops its speedup gates measure
-/// against.
-pub mod storage_baseline {
-    use hyper_ml::{Matrix, TableEncoder};
-    use hyper_storage::{col, lit, Expr, Table};
-
-    /// The benchmark predicate over German-Syn: string equality
-    /// (dictionary fast path) plus integer comparisons.
-    pub fn german_predicate() -> Expr {
-        col("credit")
-            .eq(lit("Good"))
-            .and(col("status").ge(lit(2)))
-            .or(col("savings").eq(lit(0)))
-    }
-
-    /// The feature columns both encode benchmarks fit over.
-    pub fn encoder_columns() -> Vec<String> {
-        ["status", "savings", "housing", "credit"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect()
-    }
-
-    /// The seed's `Value`-per-cell filter: bind once, evaluate the
-    /// predicate row by row through the compatibility cell API, gather
-    /// survivors.
-    pub fn filter_row_reference(t: &Table, pred: &Expr) -> Table {
-        let bound = pred.bind(t.schema()).unwrap();
-        let mut keep = Vec::new();
-        for i in 0..t.num_rows() {
-            if bound.eval_predicate_at(t, i).unwrap() {
-                keep.push(i);
-            }
-        }
-        t.gather(&keep)
-    }
-
-    /// The seed's per-row encode loop: materialize each row's feature
-    /// cells as `Value`s, encode, push into the matrix — the
-    /// `Value`-per-cell baseline the speedup gates compare against.
-    pub fn encode_row_reference(enc: &TableEncoder, t: &Table) -> Matrix {
-        let idxs: Vec<usize> = enc
-            .columns()
-            .iter()
-            .map(|c| t.schema().index_of(c).unwrap())
-            .collect();
-        let mut m = Matrix::zeros(0, 0);
-        let mut buf = Vec::with_capacity(idxs.len());
-        for i in 0..t.num_rows() {
-            buf.clear();
-            for &c in &idxs {
-                buf.push(t.column(c).value(i));
-            }
-            m.push_row(&enc.encode_values(&buf).unwrap()).unwrap();
-        }
-        m
     }
 }
 

@@ -42,8 +42,13 @@ pub struct EngineConfig {
     /// Train estimators on at most this many rows (**HypeR-sampled**;
     /// the paper settles on 100k — §5.2).
     pub sample_cap: Option<usize>,
-    /// Trees in the random forest (paper uses sklearn defaults; we default
-    /// lower for interactive latency).
+    /// Trees in the random forest (the paper uses scikit-learn's
+    /// defaults; we default lower for interactive latency). The trees
+    /// are not scikit-learn's default regressor in one more way: above 3
+    /// features each node considers only ⌈√d⌉ of the d features
+    /// (`hyper-ml`'s `ForestParams`), where scikit-learn considers all.
+    /// That biases Fig. 10a's estimates low; ROADMAP.md item 2 measures
+    /// the bias.
     pub n_trees: usize,
     /// Maximum tree depth.
     pub max_depth: usize,

@@ -122,13 +122,14 @@
 //! bit-identically, so a restarted process answers its first what-if at
 //! warm-cache speed with **zero** estimator builds
 //! ([`SessionStats::estimator_disk_hits`]; `examples/warm_start.rs`
-//! asserts exactly that, and `bench_smoke` gates the warm start at ≥3×
-//! faster than retraining). Stale directories (different data), hash
-//! collisions, truncated files, and flipped bytes all read as typed
-//! errors and fall back to a rebuild — never a panic, never a wrong
-//! artifact. When the shared tier's byte budget evicts an artifact whose
-//! builder had persistence enabled, the next request re-serves it from
-//! disk instead of retraining.
+//! asserts exactly that, as does
+//! `tests/persist_tests.rs::warm_start_after_simulated_restart`, which
+//! also checks that the view is not rebuilt). Stale directories
+//! (different data), hash collisions, truncated files, and flipped bytes
+//! all read as typed errors and fall back to a rebuild — never a panic,
+//! never a wrong artifact. When the shared tier's byte budget evicts an
+//! artifact whose builder had persistence enabled, the next request
+//! re-serves it from disk instead of retraining.
 //!
 //! ```no_run
 //! use hyper_core::HyperSession;
@@ -164,9 +165,11 @@
 //! were trained over survives. Surviving artifacts are adopted into the
 //! new session's cache tiers, so re-serving them is a pure cache hit —
 //! `tests/prop_ingest.rs` property-checks bit-for-bit parity against a
-//! cold rebuild, and the `bench_smoke` `delta_refresh_german_10k` gate
-//! holds refresh + re-serving the untouched working set ≥3× faster than
-//! a from-scratch session. Each refresh bumps
+//! cold rebuild, and the refresh unit tests and `hyper-serve`'s
+//! `ingest_invalidates_causally_and_survives_restart` check that the
+//! untouched what-if re-serves with zero view builds and zero retrains.
+//! The repository benchmark's `serve_rw_200k` workload times refresh
+//! under load (`ingest.refresh_ms`). Each refresh bumps
 //! [`SessionStats::data_version`], which [`ExplainReport`] carries so
 //! answers correlate with the data they were computed over.
 //!
@@ -198,9 +201,11 @@
 //! [`HyperRuntime`](hyper_runtime::HyperRuntime) pool.
 //!
 //! **Overhead contract**: with tracing off, the entire cost is one
-//! relaxed atomic load per potential span — `bench_smoke` gates the
-//! traced prepared what-if path at ≤ 1.05× the untraced one. Tracing
-//! never changes results; the bit-identity property suites run with it
+//! relaxed atomic load per potential span. The repository benchmark's
+//! traced `whatif_warm_200k` run fails when tracing costs the prepared
+//! what-if more than 1.05× (`trace.overhead_ratio`). Tracing never
+//! changes results: `tests/session_tests.rs` compares traced and
+//! untraced bits, and the bit-identity property suites run with it
 //! enabled.
 //!
 //! Cumulative per-phase totals surface in the [`SessionStats`] timing

@@ -247,14 +247,6 @@ pub fn german_syn(n: usize, seed: u64) -> Dataset {
     }
 }
 
-/// German-Syn at the 1M-row scale point used by the morsel-parallel
-/// benchmarks (`*_german_1m` entries in `bench_smoke`).
-/// Identical generator to [`german_syn`] — only the row count differs —
-/// so scaling curves compare like against like.
-pub fn german_syn_1m(seed: u64) -> Dataset {
-    german_syn(1_000_000, seed)
-}
-
 /// Fig-9 variant: `credit_amount` is continuous (Gaussian around a level
 /// driven by age/sex) and credit responds to it continuously.
 pub fn german_syn_continuous(n: usize, seed: u64) -> Dataset {

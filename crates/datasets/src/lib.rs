@@ -25,7 +25,7 @@ use hyper_storage::Database;
 
 pub use adult::adult;
 pub use amazon::amazon;
-pub use german::{german, german_syn, german_syn_1m, german_syn_continuous, german_syn_extended};
+pub use german::{german, german_syn, german_syn_continuous, german_syn_extended};
 pub use student::student_syn;
 
 /// A generated workload: data + causal model (+ generating SCM when flat).

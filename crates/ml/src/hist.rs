@@ -194,20 +194,21 @@ fn midpoint(lo: f64, hi: f64) -> f64 {
     }
 }
 
+/// Bin a non-empty `x` as the row-wise trainer sees it: a zero-cell cap
+/// declines every layout and hands back its per-row bins.
+#[cfg(test)]
+pub(crate) fn bin_matrix(x: &crate::matrix::Matrix, max_bins: usize) -> BinnedMatrix {
+    use crate::layout::{Binning, CellLayout};
+    match CellLayout::from_matrix(x, max_bins, 0) {
+        Binning::Rows(binned) => binned,
+        Binning::Cells(_) => panic!("a zero-cell cap declines a non-empty matrix's layout"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::{Binning, CellLayout};
     use crate::matrix::Matrix;
-
-    /// Bin `x` as the row-wise trainer sees it: a zero-cell cap declines
-    /// every layout and hands back its per-row bins.
-    fn bin_matrix(x: &Matrix, max_bins: usize) -> BinnedMatrix {
-        match CellLayout::from_matrix(x, max_bins, 0) {
-            Binning::Rows(binned) => binned,
-            Binning::Cells(_) => panic!("a zero-cell cap declines with the matrix's bins"),
-        }
-    }
 
     fn bin_column(values: &[f64], max_bins: usize) -> BinnedFeature {
         let x = Matrix::from_vec(values.len(), 1, values.to_vec()).unwrap();

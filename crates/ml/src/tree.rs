@@ -2,6 +2,9 @@
 //!
 //! This is the base learner of the random forest the paper uses to estimate
 //! conditional probabilities (their sklearn `RandomForestRegressor`).
+//! A tree fits over histogram-binned features ([`crate::hist`]) in one
+//! of two ways: row by row over a bootstrap multiset (`fit_binned`), or
+//! over the weighted joint cells of a cell layout (`fit_cells`).
 //!
 //! A fitted tree is one flat arena of 24-byte nodes, root first. A node
 //! holds one `f64` (a split's threshold or a leaf's value), a `u32` feature
@@ -128,56 +131,15 @@ struct BinnedCtx {
 }
 
 impl RegressionTree {
-    /// Fit a tree on `(x, y)`; `rng` drives feature subsampling (pass any
-    /// seeded rng; unused when `max_features` is `None`).
-    pub fn fit(x: &Matrix, y: &[f64], params: &TreeParams, rng: &mut StdRng) -> Result<Self> {
-        if x.rows() == 0 {
-            return Err(MlError::InvalidInput("empty training set".into()));
-        }
-        if x.rows() != y.len() {
-            return Err(MlError::InvalidInput(format!(
-                "x has {} rows, y has {}",
-                x.rows(),
-                y.len()
-            )));
-        }
-        let mut tree = RegressionTree {
-            nodes: Vec::new(),
-            n_features: x.cols(),
-        };
-        let idx: Vec<u32> = (0..x.rows() as u32).collect();
-        tree.build(x, y, idx, 0, params, rng);
-        Ok(tree)
-    }
-
-    /// Fit using only the sample indices in `idx` (bootstrap support).
-    pub fn fit_indices(
-        x: &Matrix,
-        y: &[f64],
-        idx: Vec<u32>,
-        params: &TreeParams,
-        rng: &mut StdRng,
-    ) -> Result<Self> {
-        if idx.is_empty() {
-            return Err(MlError::InvalidInput("empty bootstrap sample".into()));
-        }
-        let mut tree = RegressionTree {
-            nodes: Vec::new(),
-            n_features: x.cols(),
-        };
-        tree.build(x, y, idx, 0, params, rng);
-        Ok(tree)
-    }
-
-    /// Fit using histogram-binned features (see [`crate::hist`]): split
-    /// search per node is one histogram accumulation over the node's rows
-    /// plus a bin-boundary scan, instead of a sort per feature. For
-    /// features whose distinct values all fit in the bin budget the
-    /// candidate split set is identical to the exhaustive search of
-    /// [`RegressionTree::fit_indices`]. This is the random forest's
-    /// training path; the binned matrix is built once and shared by every
-    /// tree.
-    pub fn fit_binned(
+    /// Fit on the rows `idx` (a bootstrap multiset) of histogram-binned
+    /// features (see [`crate::hist`]): split search per node is one
+    /// histogram accumulation over the node's rows plus a bin-boundary
+    /// scan. A feature with at most [`crate::hist::MAX_BINS`] distinct
+    /// values offers every midpoint between adjacent distinct values as
+    /// a threshold; a wider one offers its quantile boundaries. This is
+    /// the forest's row-wise path, taken above the cell cap; the binned
+    /// matrix is built once and shared by every tree.
+    pub(crate) fn fit_binned(
         data: &BinnedMatrix,
         y: &[f64],
         mut idx: Vec<u32>,
@@ -255,8 +217,8 @@ impl RegressionTree {
             return make_leaf(&mut self.nodes);
         }
 
-        // Candidate features (same subsampling contract as the exhaustive
-        // path: shuffle + truncate under `max_features`).
+        // Candidate features (the cell builder's subsampling contract:
+        // shuffle + truncate under `max_features`).
         let mut features: Vec<usize> = (0..data.cols()).collect();
         if let Some(k) = params.max_features {
             features.shuffle(rng);
@@ -573,98 +535,6 @@ impl RegressionTree {
         }
     }
 
-    fn build(
-        &mut self,
-        x: &Matrix,
-        y: &[f64],
-        mut idx: Vec<u32>,
-        depth: usize,
-        params: &TreeParams,
-        rng: &mut StdRng,
-    ) -> usize {
-        let n = idx.len();
-        let mean = idx.iter().map(|&i| y[i as usize]).sum::<f64>() / n as f64;
-
-        let make_leaf = |nodes: &mut Vec<Node>| {
-            nodes.push(Node::leaf(mean));
-            nodes.len() - 1
-        };
-
-        if depth >= params.max_depth || n < params.min_samples_split || x.cols() == 0 {
-            return make_leaf(&mut self.nodes);
-        }
-        // Pure node?
-        let sse: f64 = idx
-            .iter()
-            .map(|&i| {
-                let d = y[i as usize] - mean;
-                d * d
-            })
-            .sum();
-        if sse < 1e-12 {
-            return make_leaf(&mut self.nodes);
-        }
-
-        // Candidate features.
-        let mut features: Vec<usize> = (0..x.cols()).collect();
-        if let Some(k) = params.max_features {
-            features.shuffle(rng);
-            features.truncate(k.max(1).min(x.cols()));
-        }
-
-        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, score)
-        for &f in &features {
-            idx.sort_unstable_by(|&a, &b| x.get(a as usize, f).total_cmp(&x.get(b as usize, f)));
-            // Prefix sums for O(n) split scan.
-            let mut left_sum = 0.0;
-            let mut left_sq = 0.0;
-            let total_sum: f64 = idx.iter().map(|&i| y[i as usize]).sum();
-            let total_sq: f64 = idx.iter().map(|&i| y[i as usize] * y[i as usize]).sum();
-            for split in 1..n {
-                let yi = y[idx[split - 1] as usize];
-                left_sum += yi;
-                left_sq += yi * yi;
-                let (xl, xr) = (
-                    x.get(idx[split - 1] as usize, f),
-                    x.get(idx[split] as usize, f),
-                );
-                if xl == xr {
-                    continue; // cannot split between equal values
-                }
-                if split < params.min_samples_leaf || n - split < params.min_samples_leaf {
-                    continue;
-                }
-                let nl = split as f64;
-                let nr = (n - split) as f64;
-                let right_sum = total_sum - left_sum;
-                let right_sq = total_sq - left_sq;
-                // Weighted SSE of children.
-                let child_sse =
-                    (left_sq - left_sum * left_sum / nl) + (right_sq - right_sum * right_sum / nr);
-                if best.is_none_or(|(_, _, s)| child_sse < s) {
-                    best = Some((f, (xl + xr) / 2.0, child_sse));
-                }
-            }
-        }
-
-        match best {
-            None => make_leaf(&mut self.nodes),
-            Some((feature, threshold, child_sse)) if child_sse < sse - 1e-12 => {
-                let (left_idx, right_idx): (Vec<u32>, Vec<u32>) = idx
-                    .iter()
-                    .partition(|&&i| x.get(i as usize, feature) <= threshold);
-                // Reserve a slot for this split node before recursing.
-                let slot = self.nodes.len();
-                self.nodes.push(Node::leaf(mean)); // placeholder
-                let left = self.build(x, y, left_idx, depth + 1, params, rng);
-                let right = self.build(x, y, right_idx, depth + 1, params, rng);
-                self.nodes[slot] = Node::split(feature, threshold, left, right);
-                slot
-            }
-            _ => make_leaf(&mut self.nodes),
-        }
-    }
-
     /// Predict one sample.
     pub fn predict_row(&self, row: &[f64]) -> f64 {
         // The root is the first node created for the full index set. Because
@@ -766,10 +636,19 @@ impl RegressionTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hist::{bin_matrix, MAX_BINS};
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
+    }
+
+    /// Fit one tree on every row of `x` through the row-wise binned
+    /// builder, as the forest does above its cell cap (without the
+    /// bootstrap).
+    fn fit(x: &Matrix, y: &[f64], params: &TreeParams) -> Result<RegressionTree> {
+        let idx = (0..x.rows() as u32).collect();
+        RegressionTree::fit_binned(&bin_matrix(x, MAX_BINS), y, idx, params, &mut rng())
     }
 
     #[test]
@@ -781,7 +660,7 @@ mod tests {
             .map(|r| if r[0] > 0.5 { 1.0 } else { 0.0 })
             .collect();
         let x = Matrix::from_rows(&rows).unwrap();
-        let tree = RegressionTree::fit(&x, &y, &TreeParams::default(), &mut rng()).unwrap();
+        let tree = fit(&x, &y, &TreeParams::default()).unwrap();
         assert_eq!(tree.predict_row(&[0.2]), 0.0);
         assert_eq!(tree.predict_row(&[0.9]), 1.0);
     }
@@ -795,7 +674,7 @@ mod tests {
             max_depth: 1,
             ..Default::default()
         };
-        let tree = RegressionTree::fit(&x, &y, &params, &mut rng()).unwrap();
+        let tree = fit(&x, &y, &params).unwrap();
         // depth 1 → at most 3 nodes (1 split + 2 leaves).
         assert!(tree.num_nodes() <= 3);
     }
@@ -804,7 +683,7 @@ mod tests {
     fn constant_target_yields_single_leaf() {
         let x = Matrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0], vec![4.0]]).unwrap();
         let y = vec![7.0; 4];
-        let tree = RegressionTree::fit(&x, &y, &TreeParams::default(), &mut rng()).unwrap();
+        let tree = fit(&x, &y, &TreeParams::default()).unwrap();
         assert_eq!(tree.num_nodes(), 1);
         assert_eq!(tree.predict_row(&[100.0]), 7.0);
     }
@@ -818,7 +697,7 @@ mod tests {
             min_samples_split: 2,
             ..Default::default()
         };
-        let tree = RegressionTree::fit(&x, &y, &params, &mut rng()).unwrap();
+        let tree = fit(&x, &y, &params).unwrap();
         // A split would need a leaf of size 1 on one side for best fit at
         // x=1.5; with min leaf 2 the only legal split (at 0.5 or 1.5) keeps
         // ≥2 per side — at n=3 no split satisfies both sides ≥2.
@@ -838,25 +717,24 @@ mod tests {
             }
         }
         let x = Matrix::from_rows(&rows).unwrap();
-        let tree = RegressionTree::fit(&x, &y, &TreeParams::default(), &mut rng()).unwrap();
+        let tree = fit(&x, &y, &TreeParams::default()).unwrap();
         assert!(tree.predict_row(&[0.9, 0.9]) > 0.9);
         assert!(tree.predict_row(&[0.9, 0.1]) < 0.1);
         assert!(tree.predict_row(&[0.1, 0.9]) < 0.1);
     }
 
-    /// Fitted trees (exhaustive, binned and cell builders) survive an
+    /// Fitted trees (binned and cell builders) survive an
     /// `export_nodes`/`from_nodes` round trip node for node and bit for
     /// bit, and predict identically after it.
     #[test]
     fn exported_arenas_round_trip() {
         use crate::forest::{ForestParams, RandomForest};
-        let mut r = rng();
         let rows: Vec<Vec<f64>> = (0..300)
             .map(|i| vec![(i % 7) as f64, (i % 5) as f64 * 0.3, (i * 37 % 101) as f64])
             .collect();
         let y: Vec<f64> = rows.iter().map(|v| v[0] * v[1] - v[2] / 50.0).collect();
         let x = Matrix::from_rows(&rows).unwrap();
-        let mut trees = vec![RegressionTree::fit(&x, &y, &TreeParams::default(), &mut r).unwrap()];
+        let mut trees = vec![fit(&x, &y, &TreeParams::default()).unwrap()];
         // Cell mode (discrete) and row-wise binned (101 distinct values in
         // the third feature push the cells over the cap).
         for cols in [2, 3] {
@@ -950,8 +828,13 @@ mod tests {
     #[test]
     fn shape_errors() {
         let x = Matrix::from_rows(&[vec![1.0]]).unwrap();
-        assert!(RegressionTree::fit(&x, &[1.0, 2.0], &TreeParams::default(), &mut rng()).is_err());
-        let empty = Matrix::zeros(0, 1);
-        assert!(RegressionTree::fit(&empty, &[], &TreeParams::default(), &mut rng()).is_err());
+        assert!(fit(&x, &[1.0, 2.0], &TreeParams::default()).is_err());
+        let binned = bin_matrix(&x, MAX_BINS);
+        let fit_idx = |idx: Vec<u32>| {
+            RegressionTree::fit_binned(&binned, &[1.0], idx, &TreeParams::default(), &mut rng())
+        };
+        assert!(fit_idx(vec![]).is_err(), "an empty sample");
+        assert!(fit_idx(vec![1]).is_err(), "a row out of range");
+        assert!(fit_idx(vec![0, 0]).is_ok());
     }
 }

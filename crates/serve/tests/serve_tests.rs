@@ -785,6 +785,23 @@ fn metrics_exposition_is_valid_and_carries_latency_and_phase_series() {
     let r = client.ingest("t0", "german_syn", &rows, &[]).unwrap();
     assert_eq!(r.status, 200, "{:?}", r.json());
 
+    // Closed-loop load: 4 clients, one request in flight each, can never
+    // fill the 64-deep queue, so every answer is 200 and /stats books no
+    // shed (checked below). The scrape that follows must still validate.
+    const CLIENTS: usize = 4;
+    const REQUESTS: usize = 10;
+    std::thread::scope(|scope| {
+        for _ in 0..CLIENTS {
+            scope.spawn(|| {
+                let mut client = Client::connect(server.addr()).unwrap();
+                for _ in 0..REQUESTS {
+                    let r = client.query("/query", "t0", WHATIF, &[]).unwrap();
+                    assert_eq!(r.status, 200, "{:?}", r.json());
+                }
+            });
+        }
+    });
+
     let response = client.request("GET", "/metrics", None).unwrap();
     assert_eq!(response.status, 200);
     assert!(
@@ -840,10 +857,12 @@ fn metrics_exposition_is_valid_and_carries_latency_and_phase_series() {
         .json()
         .unwrap();
     let t0 = stats.get("tenants").unwrap().get("t0").unwrap();
+    assert_eq!(t0.get("shed").and_then(Json::as_i64), Some(0));
     let query_latency = t0.get("latency").unwrap().get("query").unwrap();
     for stage in ["queue_wait", "execute"] {
         let h = query_latency.get(stage).unwrap();
-        assert!(h.get("count").and_then(Json::as_i64).unwrap() >= 2);
+        let count = h.get("count").and_then(Json::as_i64).unwrap();
+        assert!(count >= (2 + CLIENTS * REQUESTS) as i64, "{stage}: {count}");
         let p50 = h.get("p50_us").and_then(Json::as_f64).unwrap();
         let p99 = h.get("p99_us").and_then(Json::as_f64).unwrap();
         assert!(p50 >= 0.0 && p99 >= p50, "{stage}: p50={p50} p99={p99}");

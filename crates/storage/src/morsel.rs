@@ -202,8 +202,9 @@ pub fn eval_selection_morsels(
 ) -> Result<Vec<usize>> {
     // With no background workers every morsel would run inline on this
     // thread anyway; the whole-table evaluation is bit-identical (see the
-    // determinism contract above) and skips the per-morsel slot
-    // allocation, which showed up as a 1-core regression in bench_smoke.
+    // determinism contract above; `tests/prop_morsel.rs` checks it at 0
+    // workers) and skips the per-morsel slot allocation, which costs
+    // time on a 1-core host.
     if table.num_rows() == 0 || rt.workers() == 0 {
         return expr.eval_selection(table);
     }

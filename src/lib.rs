@@ -132,11 +132,12 @@
 //! recovered by deserialization after a restart — reloaded forests
 //! predict bit-identically, so a restarted process answers its first
 //! what-if at warm-cache speed with zero retraining
-//! (`examples/warm_start.rs` asserts it end to end; the `bench_smoke`
-//! gate holds warm start ≥3× faster than retraining, ~3.8× measured on
-//! the reference container). Corrupt, truncated, or stale-data files
-//! read as typed [`StoreError`](store::StoreError)s and fall back to a
-//! rebuild. The shared tier itself can be byte-budgeted
+//! (`examples/warm_start.rs` asserts it end to end, and `hyper-core`'s
+//! `persist_tests::warm_start_after_simulated_restart` asserts that a
+//! restarted session neither retrains nor rebuilds its view). Corrupt,
+//! truncated, or stale-data files read as typed
+//! [`StoreError`](store::StoreError)s and fall back to a rebuild. The
+//! shared tier itself can be byte-budgeted
 //! (`SessionBuilder::shared_budget_bytes`), with evictions re-serving
 //! from the disk tier.
 //!
