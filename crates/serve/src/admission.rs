@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use hyper_runtime::{FairQueue, PushError};
 
 use crate::json::Json;
-use crate::stats::{Route, ServerStats, TenantCounters};
+use crate::stats::{Route, TenantCounters};
 
 /// A finished HTTP payload: status code plus JSON body.
 #[derive(Debug, Clone)]
@@ -137,17 +137,16 @@ pub struct Admission {
 
 impl Admission {
     /// Start `workers` executor threads over a queue of `queue_depth`.
-    pub fn start(workers: usize, queue_depth: usize, stats: Arc<ServerStats>) -> Admission {
+    pub fn start(workers: usize, queue_depth: usize) -> Admission {
         let workers = workers.max(1);
         let queue = Arc::new(FairQueue::new(queue_depth));
         let mut executors = Vec::with_capacity(workers);
         for i in 0..workers {
             let queue = Arc::clone(&queue);
-            let stats = Arc::clone(&stats);
             executors.push(
                 std::thread::Builder::new()
                     .name(format!("hyper-serve-exec-{i}"))
-                    .spawn(move || executor_loop(&queue, &stats))
+                    .spawn(move || executor_loop(&queue))
                     .expect("spawn executor thread"),
             );
         }
@@ -205,7 +204,7 @@ impl Admission {
     }
 }
 
-fn executor_loop(queue: &FairQueue<Job>, _stats: &ServerStats) {
+fn executor_loop(queue: &FairQueue<Job>) {
     while let Some(job) = queue.pop() {
         let Job {
             work,
@@ -244,6 +243,7 @@ fn executor_loop(queue: &FairQueue<Job>, _stats: &ServerStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::ServerStats;
 
     fn job(
         tenant: &str,
@@ -266,8 +266,8 @@ mod tests {
 
     #[test]
     fn submitted_jobs_execute_and_fill_their_slots() {
-        let stats = Arc::new(ServerStats::default());
-        let adm = Admission::start(2, 8, Arc::clone(&stats));
+        let stats = ServerStats::default();
+        let adm = Admission::start(2, 8);
         let counters = stats.tenant("t");
         let (j, slot) = job("t", &counters, || Outcome {
             status: 200,
@@ -292,10 +292,10 @@ mod tests {
 
     #[test]
     fn full_queue_rejects_without_blocking() {
-        let stats = Arc::new(ServerStats::default());
+        let stats = ServerStats::default();
         // One worker, depth 1: occupy the worker, fill the queue, then
         // the next submit must shed.
-        let adm = Admission::start(1, 1, Arc::clone(&stats));
+        let adm = Admission::start(1, 1);
         let counters = stats.tenant("t");
         let gate = Arc::new(ResponseSlot::new());
         let g = Arc::clone(&gate);
@@ -336,8 +336,8 @@ mod tests {
 
     #[test]
     fn panicking_job_answers_500_and_pool_survives() {
-        let stats = Arc::new(ServerStats::default());
-        let adm = Admission::start(1, 4, Arc::clone(&stats));
+        let stats = ServerStats::default();
+        let adm = Admission::start(1, 4);
         let counters = stats.tenant("t");
         let (bad, bad_slot) = job("t", &counters, || panic!("boom"));
         adm.submit(bad).unwrap();
@@ -354,8 +354,8 @@ mod tests {
 
     #[test]
     fn close_drains_admitted_jobs() {
-        let stats = Arc::new(ServerStats::default());
-        let adm = Admission::start(1, 8, Arc::clone(&stats));
+        let stats = ServerStats::default();
+        let adm = Admission::start(1, 8);
         let counters = stats.tenant("t");
         let mut slots = Vec::new();
         for _ in 0..4 {

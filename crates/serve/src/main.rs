@@ -6,6 +6,9 @@
 //!             [--persist-dir DIR]
 //! ```
 //!
+//! Endpoints: `POST /query`, `/explain`, `/ingest`; `GET /stats`,
+//! `/health`, `/metrics`.
+//!
 //! The process serves until stdin reaches EOF or the process receives a
 //! termination signal, then drains in-flight requests and exits.
 
@@ -28,7 +31,8 @@ options:
   --request-timeout-ms MS   per-request deadline, answered 504 (default 30000)
   --persist-dir DIR         disk artifact tier for warm starts (default off)
 
-endpoints: POST /query, POST /explain, GET /stats, GET /health
+endpoints: POST /query, POST /explain, POST /ingest,
+           GET /stats, GET /health, GET /metrics
 The server runs until stdin closes, then drains in-flight work."
     );
     std::process::exit(2);

@@ -43,7 +43,9 @@ use crate::http::{self, Request, MAX_BODY_BYTES};
 use crate::json::{self, Json};
 use crate::metrics::MetricsWriter;
 use crate::registry::{TenantError, Tenants};
-use crate::stats::{Route, ServerStats};
+use crate::stats::{
+    Route, ServerStats, QUEUE_SERIES, SERVER_SERIES, SESSION_SERIES, TENANT_SERIES,
+};
 
 /// Server knobs. `Default` is sized for the CI container: 2 executors,
 /// a 64-deep queue, 30-second request timeout.
@@ -111,7 +113,7 @@ impl Server {
         let stats = Arc::new(ServerStats::default());
         let inner = Arc::new(Inner {
             tenants: Tenants::new(registry, config.persist_dir.clone()),
-            admission: Admission::start(config.workers, config.queue_depth, Arc::clone(&stats)),
+            admission: Admission::start(config.workers, config.queue_depth),
             stats,
             shutdown: AtomicBool::new(false),
             request_timeout: config.request_timeout,
@@ -811,14 +813,7 @@ fn stats_outcome(inner: &Arc<Inner>) -> Outcome {
         tenants.insert(id.clone(), inner.stats.tenant_json(id, loaded));
     }
     let body = Json::obj([
-        (
-            "server",
-            inner.stats.server_json(
-                inner.admission.queue_len(),
-                inner.admission.queue_capacity(),
-                inner.admission.workers(),
-            ),
-        ),
+        ("server", inner.stats.server_json(&inner.admission)),
         ("tenants", Json::obj_sorted(tenants)),
     ]);
     Outcome { status: 200, body }
@@ -850,120 +845,41 @@ fn health_outcome(inner: &Arc<Inner>) -> Outcome {
     }
 }
 
-/// Render the whole `/metrics` exposition: server totals, queue state,
-/// per-tenant admission counters, queue-wait/execute latency summaries
-/// per tenant × route, and per-tenant session phase timings.
+/// Render the whole `/metrics` exposition: uptime, every declared
+/// integer series (server and queue, per-tenant admission, per-tenant
+/// session; see [`crate::stats`]), snapshot loads, queue-wait/execute
+/// latency summaries per tenant × route, and per-tenant session phase
+/// timings.
 fn metrics_text(inner: &Arc<Inner>) -> String {
     const NS: f64 = 1e-9;
     let mut w = MetricsWriter::new();
 
-    w.header(
-        "hyper_serve_uptime_seconds",
-        "gauge",
-        "Seconds since the server started.",
-    );
-    w.sample(
-        "hyper_serve_uptime_seconds",
-        &[],
-        inner.stats.uptime().as_secs_f64(),
-    );
-    let server: [(&str, &str, u64); 5] = [
+    for (name, kind, help, value) in [
         (
-            "hyper_serve_connections_total",
-            "Connections accepted.",
-            inner.stats.connections.load(Ordering::Relaxed),
-        ),
-        (
-            "hyper_serve_requests_total",
-            "HTTP requests parsed (any path).",
-            inner.stats.requests.load(Ordering::Relaxed),
-        ),
-        (
-            "hyper_serve_malformed_total",
-            "Malformed requests answered with a typed 4xx.",
-            inner.stats.malformed.load(Ordering::Relaxed),
-        ),
-        (
-            "hyper_serve_not_found_total",
-            "Requests for unknown paths or unknown tenants.",
-            inner.stats.not_found.load(Ordering::Relaxed),
+            "hyper_serve_uptime_seconds",
+            "gauge",
+            "Seconds since the server started.",
+            inner.stats.uptime().as_secs_f64(),
         ),
         (
             "hyper_serve_snapshot_loads_total",
+            "counter",
             "Tenant snapshot decodes performed.",
-            inner.tenants.total_snapshot_loads(),
+            inner.tenants.total_snapshot_loads() as f64,
         ),
-    ];
-    for (name, help, value) in server {
-        w.header(name, "counter", help);
-        w.sample(name, &[], value as f64);
+    ] {
+        w.header(name, kind, help);
+        w.sample(name, &[], value);
     }
-    w.header(
-        "hyper_serve_queue_len",
-        "gauge",
-        "Jobs waiting in the admission queue.",
-    );
-    w.sample(
-        "hyper_serve_queue_len",
-        &[],
-        inner.admission.queue_len() as f64,
-    );
-    w.header(
-        "hyper_serve_queue_capacity",
-        "gauge",
-        "Admission queue depth limit.",
-    );
-    w.sample(
-        "hyper_serve_queue_capacity",
-        &[],
-        inner.admission.queue_capacity() as f64,
-    );
+    SERVER_SERIES.write(&mut w, &[([], &*inner.stats)]);
+    QUEUE_SERIES.write(&mut w, &[([], &inner.admission)]);
 
     let tenants = inner.stats.tenants();
-    type AdmissionMetric = (
-        &'static str,
-        &'static str,
-        fn(&crate::stats::TenantCounters) -> u64,
-    );
-    let admission: [AdmissionMetric; 6] = [
-        ("hyper_serve_accepted_total", "Requests admitted.", |c| {
-            c.accepted.load(Ordering::Relaxed)
-        }),
-        ("hyper_serve_shed_total", "Requests shed with 503.", |c| {
-            c.shed.load(Ordering::Relaxed)
-        }),
-        (
-            "hyper_serve_timeouts_total",
-            "Requests whose caller timed out with 504.",
-            |c| c.timeouts.load(Ordering::Relaxed),
-        ),
-        (
-            "hyper_serve_completed_total",
-            "Admitted requests executed to completion.",
-            |c| c.completed.load(Ordering::Relaxed),
-        ),
-        (
-            "hyper_serve_ok_total",
-            "Completed requests that answered 2xx.",
-            |c| c.ok.load(Ordering::Relaxed),
-        ),
-        (
-            "hyper_serve_in_flight",
-            "Requests admitted but not yet answered.",
-            |c| c.in_flight.load(Ordering::Relaxed),
-        ),
-    ];
-    for (name, help, pick) in admission {
-        let kind = if name.ends_with("_total") {
-            "counter"
-        } else {
-            "gauge"
-        };
-        w.header(name, kind, help);
-        for (tenant, counters) in &tenants {
-            w.sample(name, &[("tenant", tenant)], pick(counters) as f64);
-        }
-    }
+    let rows: Vec<_> = tenants
+        .iter()
+        .map(|(tenant, counters)| ([("tenant", tenant.as_str())], &**counters))
+        .collect();
+    TENANT_SERIES.write(&mut w, &rows);
 
     w.header(
         "hyper_serve_latency_seconds",
@@ -982,39 +898,20 @@ fn metrics_text(inner: &Arc<Inner>) -> String {
                 if snap.count() == 0 {
                     continue;
                 }
-                let labels = |q: &'static str| {
-                    [
-                        ("tenant", tenant.as_str()),
-                        ("route", route.name()),
-                        ("stage", stage),
-                        ("quantile", q),
-                    ]
-                };
-                w.sample(
-                    "hyper_serve_latency_seconds",
-                    &labels("0.5"),
-                    snap.p50() * NS,
-                );
-                w.sample(
-                    "hyper_serve_latency_seconds",
-                    &labels("0.9"),
-                    snap.p90() * NS,
-                );
-                w.sample(
-                    "hyper_serve_latency_seconds",
-                    &labels("0.99"),
-                    snap.p99() * NS,
-                );
-                w.sample(
-                    "hyper_serve_latency_seconds",
-                    &labels("0.999"),
-                    snap.p999() * NS,
-                );
                 let base = [
                     ("tenant", tenant.as_str()),
                     ("route", route.name()),
                     ("stage", stage),
                 ];
+                for (q, v) in [
+                    ("0.5", snap.p50()),
+                    ("0.9", snap.p90()),
+                    ("0.99", snap.p99()),
+                    ("0.999", snap.p999()),
+                ] {
+                    let labels = [base[0], base[1], base[2], ("quantile", q)];
+                    w.sample("hyper_serve_latency_seconds", &labels, v * NS);
+                }
                 w.sample(
                     "hyper_serve_latency_seconds_sum",
                     &base,
@@ -1029,8 +926,8 @@ fn metrics_text(inner: &Arc<Inner>) -> String {
         }
     }
 
-    // Session-level phase timings for loaded tenants, from the same
-    // stabilized snapshot `/stats` uses.
+    // Session-level series for loaded tenants, from the same stabilized
+    // snapshot `/stats` uses.
     let loaded: Vec<(String, hyper_core::SessionStats)> = inner
         .tenants
         .loaded_ids()
@@ -1040,58 +937,35 @@ fn metrics_text(inner: &Arc<Inner>) -> String {
             Some((id, t.session().snapshot()))
         })
         .collect();
-    w.header(
-        "hyper_session_data_version",
-        "gauge",
-        "Current data version of a loaded tenant session.",
-    );
-    for (tenant, s) in &loaded {
-        w.sample(
-            "hyper_session_data_version",
-            &[("tenant", tenant)],
-            s.data_version as f64,
-        );
-    }
-    w.header(
-        "hyper_session_traced_queries_total",
-        "counter",
-        "Queries that ran under a phase trace.",
-    );
-    for (tenant, s) in &loaded {
-        w.sample(
-            "hyper_session_traced_queries_total",
-            &[("tenant", tenant)],
-            s.traced_queries as f64,
-        );
-    }
-    w.header(
-        "hyper_session_phase_seconds_total",
-        "counter",
-        "Exclusive (self) time attributed to each engine phase.",
-    );
-    for (tenant, s) in &loaded {
-        for phase in hyper_core::Phase::ALL {
-            let (ns, n) = (s.phase_ns(phase), s.phase_count(phase));
-            if ns == 0 && n == 0 {
-                continue;
+    let rows: Vec<_> = loaded
+        .iter()
+        .map(|(tenant, s)| ([("tenant", tenant.as_str())], s))
+        .collect();
+    SESSION_SERIES.write(&mut w, &rows);
+    type PhaseValue = fn(u64, u64) -> f64;
+    let phase_families: [(&str, &str, PhaseValue); 2] = [
+        (
+            "hyper_session_phase_seconds_total",
+            "Exclusive (self) time attributed to each engine phase.",
+            |ns, _| ns as f64 * NS,
+        ),
+        (
+            "hyper_session_phase_spans_total",
+            "Spans recorded for each engine phase.",
+            |_, n| n as f64,
+        ),
+    ];
+    for (name, help, value) in phase_families {
+        w.header(name, "counter", help);
+        for (tenant, s) in &loaded {
+            for phase in hyper_core::Phase::ALL {
+                let (ns, n) = (s.phase_ns(phase), s.phase_count(phase));
+                if ns == 0 && n == 0 {
+                    continue;
+                }
+                let labels = [("tenant", tenant.as_str()), ("phase", phase.name())];
+                w.sample(name, &labels, value(ns, n));
             }
-            let labels = [("tenant", tenant.as_str()), ("phase", phase.name())];
-            w.sample("hyper_session_phase_seconds_total", &labels, ns as f64 * NS);
-        }
-    }
-    w.header(
-        "hyper_session_phase_spans_total",
-        "counter",
-        "Spans recorded for each engine phase.",
-    );
-    for (tenant, s) in &loaded {
-        for phase in hyper_core::Phase::ALL {
-            let (ns, n) = (s.phase_ns(phase), s.phase_count(phase));
-            if ns == 0 && n == 0 {
-                continue;
-            }
-            let labels = [("tenant", tenant.as_str()), ("phase", phase.name())];
-            w.sample("hyper_session_phase_spans_total", &labels, n as f64);
         }
     }
     w.finish()

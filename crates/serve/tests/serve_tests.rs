@@ -9,6 +9,7 @@ use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use hyper_core::{EngineConfig, HyperSession, QueryOutcome};
+use hyper_serve::stats::{SeriesTable, QUEUE_SERIES, SERVER_SERIES, SESSION_SERIES, TENANT_SERIES};
 use hyper_serve::{Client, Json, ServeConfig, Server};
 use hyper_store::Snapshot;
 
@@ -868,6 +869,15 @@ fn metrics_exposition_is_valid_and_carries_latency_and_phase_series() {
         assert!(p50 >= 0.0 && p99 >= p50, "{stage}: p50={p50} p99={p99}");
     }
     let session = t0.get("session").unwrap();
+
+    // Every declared integer series is on both surfaces.
+    let server_object = stats.get("server").unwrap();
+    assert_on_both(&SERVER_SERIES, server_object, &families, text);
+    assert_on_both(&QUEUE_SERIES, server_object, &families, text);
+    assert_on_both(&TENANT_SERIES, t0, &families, text);
+    // The server object sums every tenant series.
+    assert_on_both(&TENANT_SERIES, server_object, &families, text);
+    assert_on_both(&SESSION_SERIES, session, &families, text);
     assert!(
         session
             .get("traced_queries")
@@ -881,6 +891,21 @@ fn metrics_exposition_is_valid_and_carries_latency_and_phase_series() {
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every series of `table` has its key in the `/stats` `object` and its
+/// family in the `/metrics` exposition `text`, typed as declared.
+fn assert_on_both<T>(table: &SeriesTable<T>, object: &Json, families: &[String], text: &str) {
+    for s in table.series {
+        let (key, family) = (s.key, table.family(s));
+        assert!(
+            object.get(key).and_then(Json::as_i64).is_some(),
+            "/stats lacks {key}"
+        );
+        assert!(families.contains(&family), "/metrics lacks {family}");
+        let typed = format!("# TYPE {family} {}\n", s.kind);
+        assert!(text.contains(&typed), "/metrics lacks `{typed}`");
+    }
 }
 
 /// Outcome rendering itself is exercised against the engine types here
