@@ -265,11 +265,6 @@ impl CausalGraph {
         &self.children
     }
 
-    /// Parent adjacency lists.
-    pub fn parent_adjacency(&self) -> &[Vec<NodeId>] {
-        &self.parents
-    }
-
     /// Build the *augmented* graph of §A.3.2: add a node `agg_alias`
     /// representing `Agg(source)` aggregated into `into_relation`. The new
     /// node becomes a child of `source` and the parent of all of `source`'s

@@ -17,7 +17,6 @@
 
 pub mod backdoor;
 pub mod blocks;
-pub mod chain;
 pub mod dsep;
 pub mod error;
 pub mod graph;
@@ -28,7 +27,6 @@ pub mod unionfind;
 
 pub use backdoor::{canonical_backdoor_set, is_valid_backdoor_set, minimal_backdoor_set};
 pub use blocks::BlockDecomposition;
-pub use chain::{unfold_cyclic, CyclicSpec, UnfoldedGraph};
 pub use error::{CausalError, Result};
 pub use graph::{amazon_example_graph, AttrNode, CausalEdge, CausalGraph, EdgeKind, NodeId};
 pub use ground::{GroundGraph, GroundVar, TupleRef};

@@ -2,7 +2,6 @@
 //! attribute B_i ∈ U, we enumerate all permissible updates S_{B_i}" with
 //! continuous domains bucketized).
 
-use hyper_ml::{BinStrategy, Discretizer};
 use hyper_query::{HowToQuery, LimitConstraint, UpdateFunc};
 use hyper_storage::{Column, ColumnStats, DataType, Value};
 
@@ -104,13 +103,10 @@ pub fn generate_candidates(
             } else if range_lo == range_hi {
                 vec![Value::Float(range_lo)]
             } else {
-                let d = Discretizer::fit(
-                    &[range_lo, range_hi],
-                    buckets.max(1),
-                    BinStrategy::EquiWidth,
-                )
-                .map_err(EngineError::from)?;
-                d.midpoints().iter().map(|&m| Value::Float(m)).collect()
+                equi_width_midpoints([range_lo, range_hi], buckets.max(1))?
+                    .into_iter()
+                    .map(Value::Float)
+                    .collect()
             }
         } else {
             // Categorical without an In-set: the observed domain.
@@ -139,6 +135,20 @@ pub fn generate_candidates(
         out.push(cands);
     }
     Ok(out)
+}
+
+/// The midpoints of `k` ≥ 1 equal-width buckets between the finite ones of
+/// `bounds` (§4.3: continuous domains are bucketized). A single finite
+/// bound is a constant range, whose `k` midpoints all equal it.
+fn equi_width_midpoints(bounds: [f64; 2], k: usize) -> Result<Vec<f64>> {
+    let mut finite: Vec<f64> = bounds.into_iter().filter(|b| b.is_finite()).collect();
+    finite.sort_by(f64::total_cmp);
+    let (Some(&lo), Some(&hi)) = (finite.first(), finite.last()) else {
+        return Err(EngineError::Ml("invalid input: no finite values".into()));
+    };
+    let width = (hi - lo) / k as f64;
+    let edge = |i: usize| lo + width * i as f64;
+    Ok((0..k).map(|i| (edge(i) + edge(i + 1)) / 2.0).collect())
 }
 
 /// The mean L1 distance over S of setting `col` to each of `values`: the
@@ -336,6 +346,22 @@ mod tests {
             };
             assert!((529.0..=999.0).contains(&x));
         }
+    }
+
+    #[test]
+    fn equi_width_midpoints_keep_their_bits() {
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mids = |bounds, k| bits(&equi_width_midpoints(bounds, k).unwrap());
+        assert_eq!(mids([0.0, 10.0], 5), bits(&[1.0, 3.0, 5.0, 7.0, 9.0]));
+        assert_eq!(mids([10.0, 0.0], 5), bits(&[1.0, 3.0, 5.0, 7.0, 9.0]));
+        assert_eq!(mids([1.0, 9.0], 1), bits(&[5.0]));
+        // A single finite bound is a constant range.
+        assert_eq!(mids([3.0, f64::INFINITY], 3), bits(&[3.0, 3.0, 3.0]));
+        assert_eq!(mids([f64::NAN, -2.5], 2), bits(&[-2.5, -2.5]));
+        // No finite bound: the error an invalid `hyper-ml` input raises.
+        let err = equi_width_midpoints([f64::NAN, f64::NEG_INFINITY], 4).unwrap_err();
+        let ml = EngineError::from(hyper_ml::MlError::InvalidInput("no finite values".into()));
+        assert_eq!(err.to_string(), ml.to_string());
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //!   [`hyper_runtime::HyperRuntime`] worker pool, deterministically for a
 //!   fixed seed whatever the worker count); a batch can be predicted once
 //!   per distinct split-bin key ([`RandomForest::predict_keyed`]);
-//! * [`discretize`] — equi-width/equi-frequency bucketization (§4.3, Fig 9);
 //! * [`metrics`] — MSE/MAE/R².
 //!
 //! ## The training pipeline
@@ -44,7 +43,6 @@
 
 #![warn(missing_docs)]
 
-pub mod discretize;
 pub mod encode;
 pub mod error;
 pub mod forest;
@@ -55,7 +53,6 @@ pub mod matrix;
 pub mod metrics;
 pub mod tree;
 
-pub use discretize::{BinStrategy, Discretizer};
 pub use encode::{ColumnEncoding, TableEncoder};
 pub use error::{MlError, Result};
 pub use forest::{ForestParams, RandomForest};

@@ -91,11 +91,6 @@ impl QueryKey {
     pub fn as_str(&self) -> &str {
         &self.0
     }
-
-    /// Consume into the key string.
-    pub fn into_string(self) -> String {
-        self.0
-    }
 }
 
 impl fmt::Display for QueryKey {

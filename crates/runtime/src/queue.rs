@@ -169,11 +169,6 @@ impl<T> FairQueue<T> {
         drop(s);
         self.ready.notify_all();
     }
-
-    /// True once [`FairQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).closed
-    }
 }
 
 #[cfg(test)]

@@ -3,9 +3,10 @@
 //! The relational substrate of the HypeR reproduction: an in-memory,
 //! **typed-columnar**, multi-relation database with the query operators the
 //! paper's `Use` clause requires (selection, hash equi-join, group-by
-//! aggregation, projection), per-column domain statistics, and the
+//! aggregation, projection) and per-column domain statistics. The
 //! multi-attribute *support index* that makes backdoor-adjustment
-//! estimation linear in the data (paper §3.3).
+//! estimation linear in the data (paper §3.3) lives in `hyper-core`
+//! (`whatif/support.rs`).
 //!
 //! ## Storage layout
 //!
@@ -89,7 +90,6 @@ pub mod database;
 pub mod error;
 pub mod expr;
 pub mod fingerprint;
-pub mod index;
 pub mod morsel;
 pub mod ops;
 pub mod plan;
@@ -103,8 +103,7 @@ pub use database::{Database, ForeignKey};
 pub use error::{Result, StorageError};
 pub use expr::{col, eval_in_list, lit, BinOp, BoundExpr, Expr, Operand, UnaryOp};
 pub use fingerprint::Fingerprint;
-pub use index::SupportIndex;
-pub use morsel::{Morsel, MorselScan, DEFAULT_MORSEL_ROWS, PARALLEL_ROW_THRESHOLD};
+pub use morsel::{DEFAULT_MORSEL_ROWS, PARALLEL_ROW_THRESHOLD};
 pub use ops::{AggExpr, AggFunc};
 pub use plan::LogicalPlan;
 pub use schema::{Field, Schema};

@@ -55,118 +55,6 @@ pub fn should_parallelize(rows: usize, rt: &HyperRuntime) -> bool {
     rows >= PARALLEL_ROW_THRESHOLD && rt.workers() > 0
 }
 
-/// A fixed contiguous chunk of a table's rows: the scheduling unit of the
-/// parallel operators. Holds the row range plus access to the table's
-/// typed column buffers; [`Morsel::column`] materializes one column's
-/// rows as a verbatim typed slice (dictionary shared for strings).
-#[derive(Debug, Clone, Copy)]
-pub struct Morsel<'a> {
-    table: &'a Table,
-    start: usize,
-    end: usize,
-}
-
-impl<'a> Morsel<'a> {
-    /// The morsel covering `rows` of `table`.
-    pub fn new(table: &'a Table, rows: Range<usize>) -> Morsel<'a> {
-        assert!(
-            rows.start <= rows.end && rows.end <= table.num_rows(),
-            "morsel {rows:?} out of bounds for {} rows",
-            table.num_rows()
-        );
-        Morsel {
-            table,
-            start: rows.start,
-            end: rows.end,
-        }
-    }
-
-    /// The underlying table.
-    pub fn table(&self) -> &'a Table {
-        self.table
-    }
-
-    /// First (global) row index covered.
-    pub fn start(&self) -> usize {
-        self.start
-    }
-
-    /// One past the last (global) row index covered.
-    pub fn end(&self) -> usize {
-        self.end
-    }
-
-    /// The global row range.
-    pub fn rows(&self) -> Range<usize> {
-        self.start..self.end
-    }
-
-    /// Number of rows in the morsel.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// True when the morsel covers no rows.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
-    /// Column `i` restricted to this morsel's rows: a verbatim typed
-    /// slice (same bits, same null pattern, shared string dictionary).
-    pub fn column(&self, i: usize) -> Column {
-        self.table.column(i).slice(self.start, self.len())
-    }
-
-    /// The morsel's rows as a standalone table (same name and schema).
-    pub fn to_table(&self) -> Table {
-        self.table.slice(self.start, self.len())
-    }
-}
-
-/// Iterator over a table's morsels, in row order. The final morsel may be
-/// shorter (the uneven tail).
-#[derive(Debug, Clone)]
-pub struct MorselScan<'a> {
-    table: &'a Table,
-    morsel_rows: usize,
-    next: usize,
-}
-
-impl<'a> MorselScan<'a> {
-    /// Scan `table` in chunks of `morsel_rows` (clamped to ≥ 1).
-    pub fn new(table: &'a Table, morsel_rows: usize) -> MorselScan<'a> {
-        MorselScan {
-            table,
-            morsel_rows: morsel_rows.max(1),
-            next: 0,
-        }
-    }
-
-    /// Rows per morsel.
-    pub fn morsel_rows(&self) -> usize {
-        self.morsel_rows
-    }
-
-    /// Total number of morsels the scan will yield.
-    pub fn morsel_count(&self) -> usize {
-        self.table.num_rows().div_ceil(self.morsel_rows)
-    }
-}
-
-impl<'a> Iterator for MorselScan<'a> {
-    type Item = Morsel<'a>;
-
-    fn next(&mut self) -> Option<Morsel<'a>> {
-        if self.next >= self.table.num_rows() {
-            return None;
-        }
-        let start = self.next;
-        let end = (start + self.morsel_rows).min(self.table.num_rows());
-        self.next = end;
-        Some(Morsel::new(self.table, start..end))
-    }
-}
-
 /// Run `f(morsel_index, row_range)` once per morsel over the runtime and
 /// return the results **in morsel order**, whatever order the tasks ran
 /// in. This is the merge-in-morsel-order primitive every parallel
@@ -288,31 +176,6 @@ mod tests {
             b.push(vec![Value::Int(i as i64), s]).unwrap();
         }
         b.build()
-    }
-
-    #[test]
-    fn scan_covers_all_rows_with_uneven_tail() {
-        let t = table(10);
-        let morsels: Vec<_> = MorselScan::new(&t, 4).collect();
-        assert_eq!(morsels.len(), 3);
-        assert_eq!(morsels[0].rows(), 0..4);
-        assert_eq!(morsels[2].rows(), 8..10);
-        assert_eq!(MorselScan::new(&t, 4).morsel_count(), 3);
-        let total: usize = morsels.iter().map(Morsel::len).sum();
-        assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn morsel_column_matches_table_rows() {
-        let t = table(10);
-        let m = Morsel::new(&t, 3..8);
-        let c = m.column(0);
-        for i in 0..m.len() {
-            assert_eq!(c.value(i), t.column(0).value(3 + i));
-        }
-        let sub = m.to_table();
-        assert_eq!(sub.num_rows(), 5);
-        assert_eq!(format!("{:?}", sub.schema()), format!("{:?}", t.schema()));
     }
 
     #[test]

@@ -44,12 +44,6 @@ impl AggFunc {
             _ => None,
         }
     }
-
-    /// Whether this aggregate is decomposable in the sense of Definition 6
-    /// (can be computed per block and recombined with `g = Sum`).
-    pub fn is_decomposable(&self) -> bool {
-        matches!(self, AggFunc::Count | AggFunc::Sum | AggFunc::Avg)
-    }
 }
 
 impl fmt::Display for AggFunc {

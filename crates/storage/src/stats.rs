@@ -215,21 +215,6 @@ impl ColumnStats {
         let rank = ((p / 100.0) * xs.len() as f64).ceil() as usize;
         Some(xs[rank.clamp(1, xs.len()) - 1])
     }
-
-    /// `k` equi-width bucket midpoints spanning `[min, max]` of a numeric
-    /// column (the paper's bucketization for how-to candidate updates).
-    pub fn equi_width_midpoints(&self, k: usize) -> Option<Vec<f64>> {
-        if k == 0 {
-            return Some(Vec::new());
-        }
-        let lo = self.min.as_ref()?.as_f64()?;
-        let hi = self.max.as_ref()?.as_f64()?;
-        if !(lo.is_finite() && hi.is_finite()) {
-            return None;
-        }
-        let width = (hi - lo) / k as f64;
-        Some((0..k).map(|i| lo + width * (i as f64 + 0.5)).collect())
-    }
 }
 
 #[cfg(test)]
@@ -278,16 +263,6 @@ mod tests {
         assert_eq!(s.percentile(80.0), Some(40.0));
         assert_eq!(s.percentile(100.0), Some(100.0));
         assert_eq!(s.percentile(1.0), Some(10.0));
-    }
-
-    #[test]
-    fn equi_width_midpoints_span_domain() {
-        let s = ColumnStats::compute(&table(), "x").unwrap();
-        let mids = s.equi_width_midpoints(3).unwrap();
-        assert_eq!(mids.len(), 3);
-        assert!((mids[0] - 25.0).abs() < 1e-9);
-        assert!((mids[2] - 85.0).abs() < 1e-9);
-        assert_eq!(s.equi_width_midpoints(0).unwrap().len(), 0);
     }
 
     /// The one-pass-over-[`Value`]s statistics the typed

@@ -357,21 +357,6 @@ impl Table {
         Ok(())
     }
 
-    /// Build a new table holding the contiguous row range
-    /// `[start, start + len)`: the verbatim typed slice of every column
-    /// (same bits, same null pattern, shared string dictionaries), with
-    /// the name, schema, and primary key preserved. This is the morsel
-    /// primitive — see [`crate::morsel`].
-    pub fn slice(&self, start: usize, len: usize) -> Table {
-        Table {
-            name: self.name.clone(),
-            schema: self.schema.clone(),
-            columns: self.columns.iter().map(|c| c.slice(start, len)).collect(),
-            primary_key: self.primary_key.clone(),
-            memo: OnceLock::new(),
-        }
-    }
-
     /// Build a new table containing only the rows at `indices` (in order).
     /// A typed copy per column — no `Value` materialization; string
     /// dictionaries are shared, not rebuilt.

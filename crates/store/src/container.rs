@@ -203,23 +203,6 @@ impl Container {
         Container::from_bytes(std::fs::read(path)?)
     }
 
-    /// Read and parse a container file into `buf`'s allocation (cleared
-    /// first). Recover the buffer afterwards with
-    /// [`Container::into_bytes`] so a chunk-at-a-time scan pays for one
-    /// allocation, not one per chunk.
-    pub fn read_into(path: &Path, mut buf: Vec<u8>) -> Result<Container> {
-        use std::io::Read as _;
-        buf.clear();
-        std::fs::File::open(path)?.read_to_end(&mut buf)?;
-        Container::from_bytes(buf)
-    }
-
-    /// The validated file bytes, returned to the caller (the inverse of
-    /// [`Container::from_bytes`], for buffer reuse across reads).
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
-    }
-
     /// Section inventory in file order: `(tag, payload length, payload
     /// checksum)`.
     pub fn sections(&self) -> impl Iterator<Item = (SectionTag, usize)> + '_ {

@@ -9,7 +9,7 @@
 //! |--------|----------|
 //! | [`storage`] | in-memory relational engine (typed columnar tables, joins, group-by, stats, content fingerprints) |
 //! | [`causal`]  | causal graphs, ground graphs, blocks, backdoor sets, SCMs |
-//! | [`ml`]      | regression forests (parallel histogram training over one cell layout), encoders, discretizers |
+//! | [`ml`]      | regression forests (parallel histogram training over one cell layout), encoders |
 //! | [`ip`]      | simplex LP + branch-and-bound 0-1 ILP + enumeration oracle |
 //! | [`query`]   | the extended SQL language (`Use`/`When`/`Update`/`Output`/`For`, `HowToUpdate`/`Limit`/`ToMaximize`) |
 //! | [`runtime`] | the shared execution runtime: one persistent worker pool for every parallel path |
